@@ -15,12 +15,15 @@ from .drg import (
     IntersectionArray,
     PPolynomials,
     eberlein,
+    halved_cube_intersection_array,
     hamming_intersection_array,
     intersection_array,
+    johnson_intersection_array,
     krawtchouk,
     krawtchouk_p_polynomials,
     krawtchouk_recurrence_check,
     p_polynomials,
+    spec_intersection_array,
 )
 from .equitable import (
     Coloring,

@@ -20,6 +20,12 @@ from .distributions import (
     reconstruct_from_first_row,
     vertex_distribution,
 )
+from .drg import (
+    hamming_intersection_array,
+    intersection_array,
+    regular_degree,
+    spec_intersection_array,
+)
 from .equitable import (
     PerfectStructure,
     all_one_coloring,
@@ -29,6 +35,7 @@ from .equitable import (
     load_coloring,
     load_structure,
     quotient_matrix,
+    read_structure,
     structure_from_coloring,
     verify_structure,
 )
@@ -110,15 +117,44 @@ def _load_f(args, graph, budget) -> PerfectStructure | None:
     return None
 
 
+def _needs_graph(args) -> bool:
+    """Whether a closed-form command must build its graph: to read the
+    distributed values (and so also to sum f0 over the code) or to run the
+    oracle.  Otherwise the formula needs only the parameters."""
+    return bool(args.coloring or args.structure or args.verify_oracle)
+
+
+def _sum_over(f: PerfectStructure, code) -> list[Fraction]:
+    """Sum of the value rows of f over the code: the first distribution row."""
+    total = [Fraction(0)] * f.values.cols
+    for v in code:
+        for j, x in enumerate(f.values.row(v)):
+            total[j] += x
+    return total
+
+
+def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
+    if formula.shape() != oracle.shape():
+        return f"formula has shape {formula.shape()}, oracle {oracle.shape()}"
+    i, j = next(
+        (i, j)
+        for i in range(formula.rows)
+        for j in range(formula.cols)
+        if formula[i, j] != oracle[i, j]
+    )
+    return (
+        f"first difference at row {i}, column {j}: "
+        f"formula {formula[i, j]}, oracle {oracle[i, j]}"
+    )
+
+
 def _distrib_output(args, rows: RatMatrix, graph, code, f: PerfectStructure | None):
     if args.verify_oracle:
         if f is None:
             raise EqpartError("--verify-oracle needs --coloring or --structure")
         brute = brute_distribution(graph, code, f)
         if brute != rows:
-            raise EqpartError(
-                "formula and oracle disagree:\nformula:\n%s\noracle:\n%s" % (rows, brute)
-            )
+            raise EqpartError("formula and oracle disagree: " + _first_difference(rows, brute))
     _emit({"rows": rows.to_strings()})
     return 0
 
@@ -153,14 +189,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    struct_doc = _load_json(args.structure)
-    from .ratmat import from_json as mat
-
-    if "graph" in struct_doc:
-        host = load_graph(struct_doc["graph"], args.vertex_budget)
-    else:
-        host = mat(struct_doc["matrix"])
-    ok, residual = verify_structure(host, mat(struct_doc["f"]), mat(struct_doc["s"]))
+    host, f, s = read_structure(_load_json(args.structure), args.vertex_budget)
+    ok, residual = verify_structure(host, f, s)
     _emit({"ok": ok, "residual": residual.to_strings()})
     return 0 if ok else 1
 
@@ -174,15 +204,18 @@ def _cmd_crc_check(args) -> int:
 
 
 def _cmd_distrib_vertex(args) -> int:
-    g = load_graph(_load_json(args.graph), args.vertex_budget)
-    f = _load_f(args, g, args.vertex_budget)
+    budget = args.vertex_budget
+    spec = _load_json(args.graph)
+    g = load_graph(spec, budget) if _needs_graph(args) else None
+    ia = spec_intersection_array(spec, budget, g)
+    f = _load_f(args, g, budget)
     if args.s:
         s = _load_matrix_file(args.s)
     elif f is not None:
         s = f.params
     else:
         raise EqpartError("need --s or --coloring to know the parameter matrix")
-    dist = vertex_distribution(g, s, args.color)
+    dist = vertex_distribution(ia, s, args.color)
     code = None
     if args.verify_oracle:
         if f is None:
@@ -200,16 +233,16 @@ def _cmd_distrib_code(args) -> int:
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
     crc = check_completely_regular(g, code)
-    h0 = [Fraction(0)] * f.values.cols
-    for v in code:
-        for j, x in enumerate(f.values.row(v)):
-            h0[j] += x
+    h0 = _sum_over(f, code)
     dist = reconstruct_from_first_row(crc.params.transpose(), f.params, h0, crc.rho + 1)
     return _distrib_output(args, dist.matrix, g, code, f)
 
 
 def _formula_inputs(args, graph, code, budget):
-    """S and f0 for the closed-form commands, either given or derived from f."""
+    """S and f0 for the closed-form commands, either given or derived from f.
+
+    ``graph`` and ``code`` are None on the graph-free route, where neither
+    --coloring nor --structure is set."""
     f = _load_f(args, graph, budget)
     if args.s:
         s = _load_matrix_file(args.s)
@@ -220,10 +253,7 @@ def _formula_inputs(args, graph, code, budget):
     if args.f0:
         f0 = _parse_row(args.f0)
     elif f is not None:
-        f0 = [Fraction(0)] * f.values.cols
-        for v in code:
-            for j, x in enumerate(f.values.row(v)):
-                f0[j] += x
+        f0 = _sum_over(f, code)
     else:
         raise EqpartError("need --f0 or --coloring/--structure")
     return s, f0, f
@@ -231,9 +261,10 @@ def _formula_inputs(args, graph, code, budget):
 
 def _cmd_distrib_lattice(args) -> int:
     budget = args.vertex_budget
-    base = lattice_coloring(args.m, args.k, args.q, budget)
-    g = base.graph
-    code = base.class_vertices(0)
+    g = code = None
+    if _needs_graph(args):
+        base = lattice_coloring(args.m, args.k, args.q, budget)
+        g, code = base.graph, base.class_vertices(0)
     s, f0, f = _formula_inputs(args, g, code, budget)
     dist = lattice_distribution(args.m, args.k, args.q, s, f0)
     return _distrib_output(args, dist.matrix, g, code, f)
@@ -241,23 +272,28 @@ def _cmd_distrib_lattice(args) -> int:
 
 def _cmd_distrib_fiber(args) -> int:
     budget = args.vertex_budget
-    left = load_graph(_load_json(args.left), budget)
-    right = load_graph(_load_json(args.right), budget)
-    if not left.is_regular():
-        raise EqpartError("left factor must be regular")
-    prod = direct_product(left, right, budget)
-    code = [v1 * right.n for v1 in range(left.n)]
+    left_spec, right_spec = _load_json(args.left), _load_json(args.right)
+    left = right = prod = code = None
+    if _needs_graph(args):
+        left, right = load_graph(left_spec, budget), load_graph(right_spec, budget)
+    d = regular_degree(left_spec, budget, left)
+    ia = spec_intersection_array(right_spec, budget, right)
+    if left is not None:
+        prod = direct_product(left, right, budget)
+        code = [v1 * right.n for v1 in range(left.n)]
     s, f0, f = _formula_inputs(args, prod, code, budget)
-    dist = fiber_distribution(right, left.degree(0), s, f0)
+    dist = fiber_distribution(ia, d, s, f0)
     return _distrib_output(args, dist.matrix, prod, code, f)
 
 
 def _cmd_distrib_pcube(args) -> int:
     budget = args.vertex_budget
-    g = hamming_graph(args.n, args.q, budget)
-    code = [
-        v for v in range(g.n) if all(x < args.p for x in decode_word(v, args.n, args.q))
-    ]
+    g = code = None
+    if _needs_graph(args):
+        g = hamming_graph(args.n, args.q, budget)
+        code = [
+            v for v in range(g.n) if all(x < args.p for x in decode_word(v, args.n, args.q))
+        ]
     s, f0, f = _formula_inputs(args, g, code, budget)
     dist = pcube_distribution(args.n, args.p, args.q, s, f0)
     return _distrib_output(args, dist.matrix, g, code, f)
@@ -301,11 +337,11 @@ def _cmd_local_distrib(args) -> int:
 
 
 def _cmd_local_reconstruct(args) -> int:
-    g1 = load_graph(_load_json(args.graph), args.vertex_budget)
+    ia = spec_intersection_array(_load_json(args.graph), args.vertex_budget)
     r2 = _load_matrix_file(args.right_s)
     s = _load_matrix_file(args.s)
     h0 = _parse_row(args.h0)
-    h_star = reconstruct_local(g1, r2, s, h0)
+    h_star = reconstruct_local(ia, r2, s, h0)
     _emit({"h_star": h_star.to_strings()})
     return 0
 
@@ -367,6 +403,7 @@ def _selftest_checks():
     def vertex_distribution_3ary_2cube():
         s = quotient_matrix(h23, vcol)
         dist = vertex_distribution(h23, s, 0)
+        assert hamming_intersection_array(2, 3) == intersection_array(h23)
         expect = from_json([[1, 0, 0], [0, 4, 0], [0, 0, 4]])
         assert dist.matrix == expect
         assert brute_distribution(h23, [0], vcol) == expect

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .drg import (
+    IntersectionArray,
     PPolynomials,
-    intersection_array,
     krawtchouk_p_polynomials,
-    p_polynomials,
+    p_polynomials_of,
     poly_add,
     poly_mul_x,
     poly_scale,
@@ -154,15 +154,16 @@ def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> D
 
 
 def vertex_distribution(
-    g: Graph, s: RatMatrix, j: int, ppolys: PPolynomials | None = None
+    g: Graph | IntersectionArray, s: RatMatrix, j: int, ppolys: PPolynomials | None = None
 ) -> Distribution:
     """Distribution of an S-perfect coloring with respect to any color-j
     vertex of a distance-regular graph: row w = e_j p_w(S).
 
-    ``ppolys`` may be passed to reuse a precomputed polynomial family.
+    ``g`` is the graph or just its intersection array.  ``ppolys`` may be
+    passed to reuse a precomputed polynomial family.
     """
     if ppolys is None:
-        ppolys = p_polynomials(intersection_array(g))
+        ppolys = p_polynomials_of(g)
     if not 0 <= j < s.rows:
         raise ShapeError(f"color {j} out of range for a {s.rows}-color structure")
     e_j = [Fraction(0)] * s.rows
@@ -177,8 +178,8 @@ def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> Distributi
     of the length-(m*k) Hamming graph: row w = f0 p_w(S/m), with the p_w of
     the length-k Hamming graph obtained from the Krawtchouk closed form.
     """
-    if m < 1:
-        raise EqpartError(f"needs m >= 1, got {m}")
+    if m < 1 or k < 1 or q < 2:
+        raise EqpartError(f"needs m, k >= 1 and q >= 2, got m={m}, k={k}, q={q}")
     f0 = _as_row(f0, s.rows)
     ppolys = krawtchouk_p_polynomials(k, q)
     scaled = s.scale(Fraction(1, m))
@@ -187,14 +188,14 @@ def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> Distributi
 
 
 def fiber_distribution(
-    g2: Graph, d: int, s: RatMatrix, f0, ppolys: PPolynomials | None = None
+    g2: Graph | IntersectionArray, d: int, s: RatMatrix, f0, ppolys: PPolynomials | None = None
 ) -> Distribution:
     """Distribution with respect to a left-factor fiber of a direct product
     whose left factor is d-regular: row w = f0 p_w(S - d I), with the p_w of
-    the (distance-regular) right factor.
+    the (distance-regular) right factor, given as a graph or its array.
     """
     if ppolys is None:
-        ppolys = p_polynomials(intersection_array(g2))
+        ppolys = p_polynomials_of(g2)
     f0 = _as_row(f0, s.rows)
     shifted = s - RatMatrix.identity(s.rows).scale(d)
     rows = [row_poly_eval(f0, ppolys[w], shifted).row(0) for w in range(len(ppolys))]
@@ -220,8 +221,8 @@ def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> Distribution
     Krawtchouk polynomials at the rational alphabet parameter q/p.  The
     covering radius of the subcube is n, so rows run w = 0..n.
     """
-    if not 1 <= p < q:
-        raise EqpartError(f"needs 1 <= p < q, got p={p}, q={q}")
+    if n < 1 or not 1 <= p < q:
+        raise EqpartError(f"needs n >= 1 and 1 <= p < q, got n={n}, p={p}, q={q}")
     f0 = _as_row(f0, s.rows)
     ppolys = krawtchouk_p_polynomials(n, Fraction(q, p))
     shifted = (s - RatMatrix.identity(s.rows).scale((p - 1) * n)).scale(Fraction(1, p))

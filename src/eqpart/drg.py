@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .errors import EqpartError, NotDistanceRegularError
-from .graphs import Graph, bfs_distances
+from .graphs import DEFAULT_VERTEX_BUDGET, Graph, bfs_distances, load_graph, read_spec
 from .ratmat import parse_rational, rat_str
 
 Poly = list[Fraction]
@@ -148,6 +149,14 @@ class IntersectionArray:
         return self.b[w] if w < self.diameter else 0
 
 
+def _array_from_bc(b: Sequence[int], c: Sequence[int]) -> IntersectionArray:
+    """Complete b_0..b_{D-1} and c_1..c_D with a_w = b_0 - b_w - c_w."""
+    d = len(b)
+    k = b[0] if b else 0
+    a = tuple(k - (b[w] if w < d else 0) - (c[w - 1] if w else 0) for w in range(d + 1))
+    return IntersectionArray(d, tuple(b), a, tuple(c))
+
+
 def intersection_array(g: Graph) -> IntersectionArray:
     """Compute the intersection array, verifying distance-regularity over
     every vertex pair; raises NotDistanceRegularError with a witness pair.
@@ -179,26 +188,100 @@ def intersection_array(g: Graph) -> IntersectionArray:
                     f"at distance {w}: counts ({closer},{farther}) vs "
                     f"({c[w]},{b[w]}) seen at pair {witness[w]}",
                 )
-    bs = tuple(b[w] for w in range(diam))
-    cs = tuple(c[w] for w in range(1, diam + 1))
-    as_ = tuple(
-        k - (b[w] if w < diam else 0) - (c[w] if w >= 1 else 0) for w in range(diam + 1)
-    )
-    return IntersectionArray(diam, bs, as_, cs)
+    return _array_from_bc([b[w] for w in range(diam)], [c[w] for w in range(1, diam + 1)])
 
 
 def hamming_intersection_array(n: int, q: int) -> IntersectionArray:
     """Closed-form array of the Hamming graph: b_w = (q-1)(n-w), c_w = w.
 
-    Matches the graph-derived array wherever the graph is small enough to
-    verify pairwise; used directly when q**n is too large to enumerate.
+    Two words at distance w differ in w coordinates.  A neighbour of the
+    second one changes one coordinate: one of the n - w where the words
+    agree, to any of q - 1 other letters, to move farther, or one of the w
+    where they differ, back to the first word's letter, to move closer.  No
+    BFS over the q**n vertices is needed; the tests compare this array with
+    :func:`intersection_array` of the built graph on every small case.
     """
     if n < 1 or q < 2:
         raise EqpartError(f"invalid Hamming parameters n={n}, q={q}")
-    b = tuple((q - 1) * (n - w) for w in range(n))
-    c = tuple(range(1, n + 1))
-    a = tuple((q - 2) * w for w in range(n + 1))
-    return IntersectionArray(n, b, a, c)
+    return _array_from_bc([(q - 1) * (n - w) for w in range(n)], range(1, n + 1))
+
+
+def johnson_intersection_array(n: int, k: int) -> IntersectionArray:
+    """Closed-form array of the Johnson graph J(n, k) (Brouwer, Cohen and
+    Neumaier, *Distance-Regular Graphs*, 1989):
+
+        b_w = (k - w)(n - k - w),  c_w = w**2,  diameter min(k, n - k).
+
+    Two k-subsets at distance w share k - w points.  A neighbour of the
+    second one moves one step farther by swapping one of those k - w points
+    for one of the n - k - w points outside both, and one step closer by
+    swapping one of its w private points for one of the first subset's w
+    private points.  The counts do not depend on the pair, so no BFS over
+    the C(n, k) vertices is needed; the tests compare this array with
+    :func:`intersection_array` of the built graph on every small case.
+    """
+    if not 0 <= k <= n:
+        raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={k}, n={n}")
+    d = min(k, n - k)
+    return _array_from_bc(
+        [(k - w) * (n - k - w) for w in range(d)], [w * w for w in range(1, d + 1)]
+    )
+
+
+def halved_cube_intersection_array(n: int) -> IntersectionArray:
+    """Closed-form array of the halved n-cube (Brouwer, Cohen and Neumaier,
+    1989), the same for both weight parities:
+
+        b_w = C(n - 2w, 2),  c_w = C(2w, 2),  diameter floor(n / 2).
+
+    Two words at halved distance w differ in 2w coordinates.  A neighbour
+    of the second one flips two coordinates: two of the n - 2w where the
+    words agree to move farther, two of the 2w where they differ to move
+    closer.  The counts depend only on w, so no BFS over the 2**(n-1)
+    vertices is needed; the tests compare this array with
+    :func:`intersection_array` of the built graph for n = 2..10.
+    """
+    if n < 2:
+        raise EqpartError(f"halved cube needs n >= 2, got {n}")
+    d = n // 2
+    return _array_from_bc(
+        [comb(n - 2 * w, 2) for w in range(d)], [comb(2 * w, 2) for w in range(1, d + 1)]
+    )
+
+
+def spec_intersection_array(
+    spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
+) -> IntersectionArray:
+    """Intersection array of the graph a JSON spec describes.
+
+    Hamming, Johnson and halved-cube specs take their closed forms and build
+    nothing.  Edge lists and products have no closed form: their graph is
+    built (or ``graph``, if the caller already built it, is used) and
+    :func:`intersection_array` checks distance-regularity pair by pair.
+    """
+    kind, x, y = read_spec(spec)
+    if kind == "hamming":
+        return hamming_intersection_array(x, y)
+    if kind == "johnson":
+        return johnson_intersection_array(x, y)
+    if kind == "halved":
+        return halved_cube_intersection_array(x)
+    return intersection_array(graph if graph is not None else load_graph(spec, budget))
+
+
+def regular_degree(spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None) -> int:
+    """Degree of the regular graph a JSON spec describes.
+
+    Generators read it from their closed-form arrays; edge lists and
+    products are built (or ``graph`` is used) and checked.  Raises
+    EqpartError when the graph is not regular.
+    """
+    if read_spec(spec)[0] in ("hamming", "johnson", "halved"):
+        return spec_intersection_array(spec).degree
+    g = graph if graph is not None else load_graph(spec, budget)
+    if not g.is_regular():
+        raise EqpartError(f"{g.n}-vertex graph is not regular")
+    return g.degree(0)
 
 
 # -- P-polynomials ---------------------------------------------------------
@@ -240,6 +323,11 @@ def p_polynomials(ia: IntersectionArray) -> PPolynomials:
         top = poly_add(top, poly_scale(-ia.b[w - 1], polys[w - 1]))
         polys.append(poly_scale(Fraction(1, c_next), top))
     return PPolynomials(tuple(tuple(p) for p in polys))
+
+
+def p_polynomials_of(g: Graph | IntersectionArray) -> PPolynomials:
+    """P-polynomials of a distance-regular graph, or straight from its array."""
+    return p_polynomials(g if isinstance(g, IntersectionArray) else intersection_array(g))
 
 
 # -- Krawtchouk and Eberlein closed forms ----------------------------------

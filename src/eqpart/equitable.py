@@ -30,6 +30,7 @@ from .graphs import (
     distances_from_set,
     encode_word,
     hamming_graph,
+    read_key,
 )
 from .ratmat import RatMatrix, tensor
 
@@ -271,20 +272,27 @@ def load_coloring(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> Coloring:
     """Read {"graph": <graph spec>, "colors": [c_0, ..., c_{N-1}]}."""
     from .graphs import load_graph
 
-    g = load_graph(spec["graph"], budget)
-    return coloring_from_list(g, spec["colors"])
+    g = load_graph(read_key(spec, "graph", "coloring file"), budget)
+    return coloring_from_list(g, read_key(spec, "colors", "coloring file"))
 
 
-def load_structure(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> PerfectStructure:
-    """Read {"graph"|"matrix": ..., "f": [[...]], "s": [[...]]} with "p/q"
-    entries; verification runs on construction."""
+def read_structure(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> tuple:
+    """Read the host, f and s of {"graph"|"matrix": ..., "f": [[...]],
+    "s": [[...]]} with "p/q" entries, without checking A f = f S."""
     from .graphs import load_graph
     from .ratmat import from_json
 
-    if "graph" in spec:
+    if isinstance(spec, dict) and "graph" in spec:
         host = load_graph(spec["graph"], budget)
-    elif "matrix" in spec:
+    elif isinstance(spec, dict) and "matrix" in spec:
         host = from_json(spec["matrix"])
     else:
         raise EqpartError('structure file needs a "graph" or "matrix" key')
-    return PerfectStructure(host, from_json(spec["f"]), from_json(spec["s"]))
+    f = from_json(read_key(spec, "f", "structure file"))
+    return host, f, from_json(read_key(spec, "s", "structure file"))
+
+
+def load_structure(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> PerfectStructure:
+    """Read a structure file (see :func:`read_structure`); verification runs
+    on construction."""
+    return PerfectStructure(*read_structure(spec, budget))

@@ -13,6 +13,7 @@ in :mod:`eqpart.ratmat` without any permutation.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,8 +133,8 @@ def johnson_graph(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     """
     if not 0 <= k <= n:
         raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={k}, n={n}")
+    _check_budget(math.comb(n, k), budget)
     subsets = list(itertools.combinations(range(n), k))
-    _check_budget(len(subsets), budget)
     index = {s: i for i, s in enumerate(subsets)}
     adj = []
     for s in subsets:
@@ -156,9 +157,9 @@ def halved_cube(n: int, parity: str = "even", budget: int = DEFAULT_VERTEX_BUDGE
         raise EqpartError(f"halved cube needs n >= 2, got {n}")
     if parity not in ("even", "odd"):
         raise EqpartError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _check_budget(2 ** (n - 1), budget)
     want = 0 if parity == "even" else 1
     words = [w for w in range(2**n) if bin(w).count("1") % 2 == want]
-    _check_budget(len(words), budget)
     index = {w: i for i, w in enumerate(words)}
     masks = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
     adj = []
@@ -271,26 +272,75 @@ def graph_to_json(g: Graph) -> dict:
     return doc
 
 
-def load_graph(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
-    """Build a graph from its JSON description.
+def read_key(doc, key: str, what: str):
+    """``doc[key]``, where ``doc`` is a JSON object read from a ``what``
+    (say "coloring file"); anything else raises EqpartError."""
+    if not isinstance(doc, dict):
+        raise EqpartError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise EqpartError(f"{what} has no {key!r} key")
+    return doc[key]
+
+
+def _int_key(spec: dict, key: str) -> int:
+    value = read_key(spec, key, f"{spec.get('gen', 'edge-list')} graph spec")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise EqpartError(f"graph spec key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _is_int_pair(e) -> bool:
+    return isinstance(e, list) and len(e) == 2 and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in e
+    )
+
+
+def read_spec(spec) -> tuple:
+    """Check the keys and types of a JSON graph spec and return it as a tuple:
+    ("hamming", n, q), ("johnson", n, k), ("halved", n, sign), ("product",
+    left, right) with the factor specs not yet read, or ("edges", n, edges).
 
     Accepted forms: {"gen":"hamming","n":..,"q":..}, {"gen":"johnson","n":..,
     "k":..}, {"gen":"halved","n":..,"sign":"even"|"odd"}, {"gen":"product",
     "left":<spec>,"right":<spec>}, or {"n_vertices":N,"edges":[[u,v],...]}.
+    A missing or mistyped key raises EqpartError.  Parameter ranges are
+    checked by the generators and by the closed-form intersection arrays.
     """
     if not isinstance(spec, dict):
         raise EqpartError(f"graph spec must be a JSON object, got {type(spec).__name__}")
     if "edges" in spec:
-        return graph_from_edges(int(spec["n_vertices"]), spec["edges"])
+        n, edges = _int_key(spec, "n_vertices"), spec["edges"]
+        if n < 1:
+            raise EqpartError(f"edge-list graph needs n_vertices >= 1, got {n}")
+        if not isinstance(edges, list) or not all(_is_int_pair(e) for e in edges):
+            raise EqpartError("graph spec edges must be a list of [u, v] integer pairs")
+        return ("edges", n, edges)
     gen = spec.get("gen")
     if gen == "hamming":
-        return hamming_graph(int(spec["n"]), int(spec["q"]), budget)
+        return (gen, _int_key(spec, "n"), _int_key(spec, "q"))
     if gen == "johnson":
-        return johnson_graph(int(spec["n"]), int(spec["k"]), budget)
+        return (gen, _int_key(spec, "n"), _int_key(spec, "k"))
     if gen == "halved":
-        return halved_cube(int(spec["n"]), spec.get("sign", "even"), budget)
+        sign = spec.get("sign", "even")
+        if sign not in ("even", "odd"):
+            raise EqpartError(f"halved cube sign must be 'even' or 'odd', got {sign!r}")
+        return (gen, _int_key(spec, "n"), sign)
     if gen == "product":
-        left = load_graph(spec["left"], budget)
-        right = load_graph(spec["right"], budget)
-        return direct_product(left, right, budget)
+        what = "product graph spec"
+        return (gen, read_key(spec, "left", what), read_key(spec, "right", what))
     raise EqpartError(f"unknown graph spec: {spec!r}")
+
+
+def load_graph(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
+    """Build a graph from its JSON description (see :func:`read_spec`)."""
+    kind, a, b = read_spec(spec)
+    if kind == "edges":
+        _check_budget(a, budget)
+        return graph_from_edges(a, b)
+    if kind == "hamming":
+        return hamming_graph(a, b, budget)
+    if kind == "johnson":
+        return johnson_graph(a, b, budget)
+    if kind == "halved":
+        return halved_cube(a, b, budget)
+    return direct_product(load_graph(a, budget), load_graph(b, budget), budget)

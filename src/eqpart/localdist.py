@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .drg import PPolynomials, intersection_array, p_polynomials
+from .drg import IntersectionArray, PPolynomials, p_polynomials_of
 from .equitable import PerfectStructure, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, direct_product
@@ -159,16 +159,17 @@ def tensor_distribution(
 
 
 def reconstruct_local(
-    g1: Graph,
+    g1: Graph | IntersectionArray,
     r2: RatMatrix,
     s: RatMatrix,
     h_star_0,
     ppolys: PPolynomials | None = None,
 ) -> RatMatrix:
-    """All rows of h* from its first row, for a distance-regular left factor:
+    """All rows of h* from its first row, for a distance-regular left factor
+    given as a graph or its intersection array:
     row i = row_0 p_i(I (x) S - R2 (x) I)."""
     if ppolys is None:
-        ppolys = p_polynomials(intersection_array(g1))
+        ppolys = p_polynomials_of(g1)
     mat = star_params(r2, s)
     if isinstance(h_star_0, RatMatrix):
         row0 = h_star_0
