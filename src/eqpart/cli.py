@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import codes
 from .distributions import (
@@ -42,6 +41,7 @@ from .equitable import (
 from .errors import EqpartError
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
+    Graph,
     decode_word,
     direct_product,
     graph_to_json,
@@ -49,6 +49,8 @@ from .graphs import (
     hamming_graph,
     johnson_graph,
     load_graph,
+    read_ints,
+    spec_key,
 )
 from .localdist import reconstruct_local, tensor_distribution, tensor_structure
 from .oracle import brute_distribution
@@ -83,10 +85,10 @@ def _load_code_file(path: str) -> list[int]:
         doc = doc.get("vertices")
     if not isinstance(doc, list):
         raise EqpartError(f"{path} does not hold a vertex list")
-    return [int(v) for v in doc]
+    return read_ints(doc, f"code file {path}")
 
 
-def _parse_row(text: str) -> list[Fraction]:
+def _parse_row(text: str) -> list:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -100,19 +102,39 @@ def _emit(doc) -> None:
     print(json.dumps(doc))
 
 
-def _load_f(args, graph, budget) -> PerfectStructure | None:
-    """Read the structure being distributed, from --coloring or --structure."""
-    if getattr(args, "coloring", None):
-        col = load_coloring(_load_json(args.coloring), budget)
-        if graph is not None and not col.graph.same_adjacency(graph):
-            raise EqpartError("coloring file is over a different graph")
-        host = graph if graph is not None else col.graph
-        return structure_from_coloring(host, col)
-    if getattr(args, "structure", None):
-        struct = load_structure(_load_json(args.structure), budget)
-        if graph is not None:
-            if not hasattr(struct.host, "same_adjacency") or not struct.host.same_adjacency(graph):
-                raise EqpartError("structure file is over a different graph")
+def _prebuilt(doc, graph: Graph, spec) -> Graph | None:
+    """``graph`` when the coloring or structure file ``doc`` names the graph
+    spec that ``graph`` was built from, so that its graph is not built a
+    second time; None when the file's graph must be loaded and compared."""
+    if isinstance(doc, dict) and "graph" in doc and spec_key(doc["graph"]) == spec_key(spec):
+        return graph
+    return None
+
+
+def _load_coloring_over(path: str, graph: Graph, spec, budget):
+    """The coloring file at ``path``, which must be over ``graph``, the graph
+    the command built from ``spec``."""
+    doc = _load_json(path)
+    col = load_coloring(doc, budget, _prebuilt(doc, graph, spec))
+    if not col.graph.same_adjacency(graph):
+        raise EqpartError("coloring file is over a different graph")
+    return col
+
+
+def _load_f(args, graph, spec, budget) -> PerfectStructure | None:
+    """Read the structure being distributed, from --coloring or --structure.
+
+    Either file must be over ``graph``, which the command built from
+    ``spec`` (see :func:`_needs_graph`)."""
+    if args.coloring:
+        return structure_from_coloring(
+            graph, _load_coloring_over(args.coloring, graph, spec, budget)
+        )
+    if args.structure:
+        doc = _load_json(args.structure)
+        struct = load_structure(doc, budget, _prebuilt(doc, graph, spec))
+        if not isinstance(struct.host, Graph) or not struct.host.same_adjacency(graph):
+            raise EqpartError("structure file is over a different graph")
         return struct
     return None
 
@@ -122,15 +144,6 @@ def _needs_graph(args) -> bool:
     distributed values (and so also to sum f0 over the code) or to run the
     oracle.  Otherwise the formula needs only the parameters."""
     return bool(args.coloring or args.structure or args.verify_oracle)
-
-
-def _sum_over(f: PerfectStructure, code) -> list[Fraction]:
-    """Sum of the value rows of f over the code: the first distribution row."""
-    total = [Fraction(0)] * f.values.cols
-    for v in code:
-        for j, x in enumerate(f.values.row(v)):
-            total[j] += x
-    return total
 
 
 def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
@@ -179,10 +192,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    g = load_graph(_load_json(args.graph), args.vertex_budget)
-    col = load_coloring(_load_json(args.coloring), args.vertex_budget)
-    if not col.graph.same_adjacency(g):
-        raise EqpartError("coloring file is over a different graph")
+    spec = _load_json(args.graph)
+    g = load_graph(spec, args.vertex_budget)
+    col = _load_coloring_over(args.coloring, g, spec, args.vertex_budget)
     s = quotient_matrix(g, col)
     _emit({"k": col.n_colors, "s": s.to_strings()})
     return 0
@@ -208,7 +220,7 @@ def _cmd_distrib_vertex(args) -> int:
     spec = _load_json(args.graph)
     g = load_graph(spec, budget) if _needs_graph(args) else None
     ia = spec_intersection_array(spec, budget, g)
-    f = _load_f(args, g, budget)
+    f = _load_f(args, g, spec, budget)
     if args.s:
         s = _load_matrix_file(args.s)
     elif f is not None:
@@ -227,23 +239,24 @@ def _cmd_distrib_vertex(args) -> int:
 
 
 def _cmd_distrib_code(args) -> int:
-    g = load_graph(_load_json(args.graph), args.vertex_budget)
+    spec = _load_json(args.graph)
+    g = load_graph(spec, args.vertex_budget)
     code = _load_code_file(args.code)
-    f = _load_f(args, g, args.vertex_budget)
+    f = _load_f(args, g, spec, args.vertex_budget)
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
     crc = check_completely_regular(g, code)
-    h0 = _sum_over(f, code)
+    h0 = f.values.sum_rows([code])
     dist = reconstruct_from_first_row(crc.params.transpose(), f.params, h0, crc.rho + 1)
     return _distrib_output(args, dist.matrix, g, code, f)
 
 
-def _formula_inputs(args, graph, code, budget):
+def _formula_inputs(args, graph, spec, code, budget):
     """S and f0 for the closed-form commands, either given or derived from f.
 
-    ``graph`` and ``code`` are None on the graph-free route, where neither
-    --coloring nor --structure is set."""
-    f = _load_f(args, graph, budget)
+    ``graph`` (built from ``spec``) and ``code`` are None on the graph-free
+    route, where neither --coloring nor --structure is set."""
+    f = _load_f(args, graph, spec, budget)
     if args.s:
         s = _load_matrix_file(args.s)
     elif f is not None:
@@ -253,7 +266,7 @@ def _formula_inputs(args, graph, code, budget):
     if args.f0:
         f0 = _parse_row(args.f0)
     elif f is not None:
-        f0 = _sum_over(f, code)
+        f0 = f.values.sum_rows([code])
     else:
         raise EqpartError("need --f0 or --coloring/--structure")
     return s, f0, f
@@ -265,7 +278,8 @@ def _cmd_distrib_lattice(args) -> int:
     if _needs_graph(args):
         base = lattice_coloring(args.m, args.k, args.q, budget)
         g, code = base.graph, base.class_vertices(0)
-    s, f0, f = _formula_inputs(args, g, code, budget)
+    spec = {"gen": "hamming", "n": args.m * args.k, "q": args.q}
+    s, f0, f = _formula_inputs(args, g, spec, code, budget)
     dist = lattice_distribution(args.m, args.k, args.q, s, f0)
     return _distrib_output(args, dist.matrix, g, code, f)
 
@@ -281,7 +295,8 @@ def _cmd_distrib_fiber(args) -> int:
     if left is not None:
         prod = direct_product(left, right, budget)
         code = [v1 * right.n for v1 in range(left.n)]
-    s, f0, f = _formula_inputs(args, prod, code, budget)
+    spec = {"gen": "product", "left": left_spec, "right": right_spec}
+    s, f0, f = _formula_inputs(args, prod, spec, code, budget)
     dist = fiber_distribution(ia, d, s, f0)
     return _distrib_output(args, dist.matrix, prod, code, f)
 
@@ -294,7 +309,8 @@ def _cmd_distrib_pcube(args) -> int:
         code = [
             v for v in range(g.n) if all(x < args.p for x in decode_word(v, args.n, args.q))
         ]
-    s, f0, f = _formula_inputs(args, g, code, budget)
+    spec = {"gen": "hamming", "n": args.n, "q": args.q}
+    s, f0, f = _formula_inputs(args, g, spec, code, budget)
     dist = pcube_distribution(args.n, args.p, args.q, s, f0)
     return _distrib_output(args, dist.matrix, g, code, f)
 
@@ -323,12 +339,13 @@ def _cmd_local_params(args) -> int:
 
 def _cmd_local_distrib(args) -> int:
     budget = args.vertex_budget
-    left = load_coloring(_load_json(args.left), budget)
-    right = load_coloring(_load_json(args.right), budget)
+    left_doc, right_doc = _load_json(args.left), _load_json(args.right)
+    left, right = load_coloring(left_doc, budget), load_coloring(right_doc, budget)
     g1 = structure_from_coloring(left.graph, left)
     g2 = structure_from_coloring(right.graph, right)
     prod = direct_product(left.graph, right.graph, budget)
-    f = _load_f(args, prod, budget)
+    spec = {"gen": "product", "left": left_doc["graph"], "right": right_doc["graph"]}
+    f = _load_f(args, prod, spec, budget)
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
     rd = tensor_distribution(g1, g2, f, budget)
@@ -347,9 +364,10 @@ def _cmd_local_reconstruct(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = load_graph(_load_json(args.graph), args.vertex_budget)
+    spec = _load_json(args.graph)
+    g = load_graph(spec, args.vertex_budget)
     code = _load_code_file(args.code)
-    f = _load_f(args, g, args.vertex_budget)
+    f = _load_f(args, g, spec, args.vertex_budget)
     if f is None:
         raise EqpartError("need --coloring or --structure for the summed values")
     rows = brute_distribution(g, code, f)

@@ -12,7 +12,6 @@ of colors is the covering radius plus one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,6 +29,7 @@ from .graphs import (
     distances_from_set,
     encode_word,
     hamming_graph,
+    read_ints,
     read_key,
 )
 from .ratmat import RatMatrix, tensor
@@ -64,11 +64,10 @@ class Coloring:
 
     def indicator(self) -> RatMatrix:
         """N x k matrix whose row v is the unit tuple of the vertex's color."""
-        zero, one = Fraction(0), Fraction(1)
         rows = []
         for c in self.colors:
-            row = [zero] * self.n_colors
-            row[c] = one
+            row = [0] * self.n_colors
+            row[c] = 1
             rows.append(row)
         return RatMatrix(rows)
 
@@ -83,7 +82,9 @@ class Coloring:
 
 
 def coloring_from_list(g: Graph, colors: Sequence[int]) -> Coloring:
-    colors = tuple(int(c) for c in colors)
+    """The coloring of ``g`` that gives vertex v the color ``colors[v]``;
+    colors must be integers (a JSON array read from a file is checked)."""
+    colors = tuple(read_ints(colors, "colors"))
     return Coloring(g, colors, max(colors) + 1 if colors else 0)
 
 
@@ -123,22 +124,16 @@ def quotient_matrix(g: Graph, c: Coloring) -> RatMatrix:
 def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
     """Check A f = f S exactly; returns (ok, residual) with residual = Af - fS.
 
-    ``a`` is a Graph (sparse row sums) or a square RatMatrix.
+    ``a`` is a Graph, whose A f sums the rows of f over each vertex's
+    neighbours (``f.sum_rows(adj)``: O(edges) additions of integer
+    numerators), or a square RatMatrix.
     """
     if not s.is_square() or s.rows != f.cols:
         raise ShapeError(f"parameter matrix {s.shape()} does not fit values {f.shape()}")
     if isinstance(a, Graph):
         if a.n != f.rows:
             raise ShapeError(f"value matrix has {f.rows} rows for {a.n} vertices")
-        zero = Fraction(0)
-        af_rows = []
-        for v in range(a.n):
-            acc = [zero] * f.cols
-            for u in a.adj[v]:
-                for j, x in enumerate(f.row(u)):
-                    acc[j] += x
-            af_rows.append(acc)
-        af = RatMatrix(af_rows)
+        af = f.sum_rows(a.adj)
     elif isinstance(a, RatMatrix):
         if not a.is_square() or a.rows != f.rows:
             raise ShapeError(f"host matrix {a.shape()} does not fit values {f.shape()}")
@@ -180,14 +175,18 @@ class PerfectStructure:
 
 
 def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
-    """Derive the quotient matrix and package the coloring as a structure."""
+    """Derive the quotient matrix and package the coloring as a structure.
+
+    The quotient matrix holds A ind = ind S by construction; PerfectStructure
+    still checks it, as one O(edges) integer pass over the graph, so that a
+    fault in quotient_matrix cannot pass unseen."""
     s = quotient_matrix(g, c)
     return PerfectStructure(g, c.indicator(), s, coloring=c)
 
 
 def distance_coloring(g: Graph, code: Iterable[int]) -> Coloring:
     """Color every vertex by its distance to the set."""
-    code = frozenset(int(v) for v in code)
+    code = frozenset(read_ints(code, "code"))
     dist, rho = distances_from_set(g, code)
     return Coloring(g, tuple(dist), rho + 1, distance_code=code)
 
@@ -268,22 +267,32 @@ def coloring_to_json(c: Coloring) -> dict:
     return {"graph": graph_to_json(c.graph), "colors": list(c.colors)}
 
 
-def load_coloring(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> Coloring:
-    """Read {"graph": <graph spec>, "colors": [c_0, ..., c_{N-1}]}."""
+def load_coloring(
+    spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
+) -> Coloring:
+    """Read {"graph": <graph spec>, "colors": [c_0, ..., c_{N-1}]}.
+
+    ``graph``, when given, is the graph the file's spec describes, already
+    built by the caller; it is used instead of building the spec again."""
     from .graphs import load_graph
 
-    g = load_graph(read_key(spec, "graph", "coloring file"), budget)
+    graph_spec = read_key(spec, "graph", "coloring file")
+    g = graph if graph is not None else load_graph(graph_spec, budget)
     return coloring_from_list(g, read_key(spec, "colors", "coloring file"))
 
 
-def read_structure(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> tuple:
+def read_structure(
+    spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
+) -> tuple:
     """Read the host, f and s of {"graph"|"matrix": ..., "f": [[...]],
-    "s": [[...]]} with "p/q" entries, without checking A f = f S."""
+    "s": [[...]]} with "p/q" entries, without checking A f = f S.
+
+    ``graph`` is as for :func:`load_coloring`."""
     from .graphs import load_graph
     from .ratmat import from_json
 
     if isinstance(spec, dict) and "graph" in spec:
-        host = load_graph(spec["graph"], budget)
+        host = graph if graph is not None else load_graph(spec["graph"], budget)
     elif isinstance(spec, dict) and "matrix" in spec:
         host = from_json(spec["matrix"])
     else:
@@ -292,7 +301,9 @@ def read_structure(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> tuple:
     return host, f, from_json(read_key(spec, "s", "structure file"))
 
 
-def load_structure(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> PerfectStructure:
+def load_structure(
+    spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
+) -> PerfectStructure:
     """Read a structure file (see :func:`read_structure`); verification runs
     on construction."""
-    return PerfectStructure(*read_structure(spec, budget))
+    return PerfectStructure(*read_structure(spec, budget, graph))

@@ -53,9 +53,9 @@ class Graph:
     def adjacency_matrix(self) -> RatMatrix:
         rows = []
         for u in range(self.n):
-            row = [Fraction(0)] * self.n
+            row = [0] * self.n
             for v in self.adj[u]:
-                row[v] = Fraction(1)
+                row[v] = 1
             rows.append(row)
         return RatMatrix(rows)
 
@@ -282,6 +282,19 @@ def read_key(doc, key: str, what: str):
     return doc[key]
 
 
+def read_ints(values, what: str) -> list[int]:
+    """``values`` as a list of ints, where ``values`` is a JSON array read as
+    ``what`` (say "colors"); an entry that is not a JSON integer (a bool, a
+    string or a float) raises EqpartError naming its index."""
+    if isinstance(values, (str, bytes, dict)) or not isinstance(values, Iterable):
+        raise EqpartError(f"{what} must be an array of integers, got {type(values).__name__}")
+    values = list(values)
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise EqpartError(f"{what} entry {i} is not an integer: {v!r}")
+    return values
+
+
 def _int_key(spec: dict, key: str) -> int:
     value = read_key(spec, key, f"{spec.get('gen', 'edge-list')} graph spec")
     if isinstance(value, bool) or not isinstance(value, int):
@@ -329,6 +342,15 @@ def read_spec(spec) -> tuple:
         what = "product graph spec"
         return (gen, read_key(spec, "left", what), read_key(spec, "right", what))
     raise EqpartError(f"unknown graph spec: {spec!r}")
+
+
+def spec_key(spec) -> tuple:
+    """:func:`read_spec` with the factors of a product read as well: two
+    specs with equal keys describe the same graph, vertex order included."""
+    kind, a, b = read_spec(spec)
+    if kind == "product":
+        return (kind, spec_key(a), spec_key(b))
+    return (kind, a, b)
 
 
 def load_graph(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:

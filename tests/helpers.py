@@ -154,3 +154,50 @@ def check_polynomials_give_distance_matrices(g: Graph, ia, dist=None) -> None:
         assert (t_cur == scale * distance_matrix(w + 1)).all(), (
             f"distance matrix {w + 1} mismatch"
         )
+
+
+# -- naive matrices: lists of Fraction rows, the reference for RatMatrix ------------
+
+
+def ref_add(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def ref_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def ref_matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def ref_tensor(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_row_poly(row, coeffs, m):
+    """sum_i coeffs[i] * row m^i, from explicit powers rather than Horner's rule."""
+    power = [list(row)]
+    total = [[Fraction(0)] * len(row)]
+    for c in coeffs:
+        total = ref_add(total, ref_scale(c, power))
+        power = ref_matmul(power, m)
+    return total
+
+
+def ref_sum_rows(a, groups):
+    return [[sum((a[u][j] for u in group), Fraction(0)) for j in range(len(a[0]))]
+            for group in groups]
+
+
+def fractions_of(m: RatMatrix) -> list[list[Fraction]]:
+    """The entries of a RatMatrix as Fraction rows, read through its public API."""
+    return [list(row) for row in m]
