@@ -11,50 +11,39 @@ import argparse
 import json
 import sys
 
-from . import codes
-from .distributions import (
-    fiber_distribution,
-    lattice_distribution,
-    pcube_distribution,
-    reconstruct_from_first_row,
-    vertex_distribution,
-)
-from .drg import (
-    hamming_intersection_array,
-    intersection_array,
-    regular_degree,
-    spec_intersection_array,
-)
-from .equitable import (
-    PerfectStructure,
-    all_one_coloring,
-    check_completely_regular,
-    distance_coloring,
-    lattice_coloring,
-    load_coloring,
-    load_structure,
-    quotient_matrix,
-    read_structure,
-    structure_from_coloring,
-    verify_structure,
-)
-from .errors import EqpartError
-from .graphs import (
-    DEFAULT_VERTEX_BUDGET,
-    Graph,
-    decode_word,
-    direct_product,
-    graph_to_json,
-    halved_cube,
-    hamming_graph,
-    johnson_graph,
-    load_graph,
-    read_ints,
-    spec_key,
-)
-from .localdist import reconstruct_local, tensor_distribution, tensor_structure
-from .oracle import brute_distribution
-from .ratmat import RatMatrix, from_json, parse_rational
+from .errors import DEFAULT_VERTEX_BUDGET, EqpartError
+
+# Each command imports the library functions it calls, so that a run loads
+# only the modules its command needs (``--help`` none of them).  The names
+# this module imported at its top before that stay readable as attributes,
+# looked up in their defining module on every access, so that a rebinding
+# there (a tracer's wrapper, a test's counting stub) shows here too.
+_LIBRARY_NAMES = {
+    "distributions": ("fiber_distribution", "lattice_distribution", "pcube_distribution",
+                      "reconstruct_from_first_row", "vertex_distribution"),
+    "drg": ("hamming_intersection_array", "intersection_array", "regular_degree",
+            "spec_intersection_array"),
+    "equitable": ("PerfectStructure", "all_one_coloring", "check_completely_regular",
+                  "distance_coloring", "lattice_coloring", "load_coloring", "load_structure",
+                  "quotient_matrix", "read_structure", "structure_from_coloring",
+                  "verify_structure"),
+    "graphs": ("Graph", "decode_word", "direct_product", "graph_to_json", "halved_cube",
+               "hamming_graph", "johnson_graph", "load_graph", "read_ints", "spec_key"),
+    "localdist": ("reconstruct_local", "tensor_distribution", "tensor_structure"),
+    "oracle": ("brute_distribution",),
+    "ratmat": ("RatMatrix", "from_json", "parse_rational"),
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name == "codes":
+        return import_module(".codes", __package__)
+    for module, names in _LIBRARY_NAMES.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_json(path: str):
@@ -68,6 +57,8 @@ def _load_json(path: str):
 
 
 def _load_matrix_file(path: str) -> RatMatrix:
+    from .ratmat import from_json
+
     doc = _load_json(path)
     if isinstance(doc, dict):
         for key in ("s", "matrix", "params", "R"):
@@ -80,6 +71,8 @@ def _load_matrix_file(path: str) -> RatMatrix:
 
 
 def _load_code_file(path: str) -> list[int]:
+    from .graphs import read_ints
+
     doc = _load_json(path)
     if isinstance(doc, dict):
         doc = doc.get("vertices")
@@ -89,6 +82,8 @@ def _load_code_file(path: str) -> list[int]:
 
 
 def _parse_row(text: str) -> list:
+    from .ratmat import parse_rational
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -106,6 +101,8 @@ def _prebuilt(doc, graph: Graph, spec) -> Graph | None:
     """``graph`` when the coloring or structure file ``doc`` names the graph
     spec that ``graph`` was built from, so that its graph is not built a
     second time; None when the file's graph must be loaded and compared."""
+    from .graphs import spec_key
+
     if isinstance(doc, dict) and "graph" in doc and spec_key(doc["graph"]) == spec_key(spec):
         return graph
     return None
@@ -114,6 +111,8 @@ def _prebuilt(doc, graph: Graph, spec) -> Graph | None:
 def _load_coloring_over(path: str, graph: Graph, spec, budget):
     """The coloring file at ``path``, which must be over ``graph``, the graph
     the command built from ``spec``."""
+    from .equitable import load_coloring
+
     doc = _load_json(path)
     col = load_coloring(doc, budget, _prebuilt(doc, graph, spec))
     if not col.graph.same_adjacency(graph):
@@ -127,10 +126,15 @@ def _load_f(args, graph, spec, budget) -> PerfectStructure | None:
     Either file must be over ``graph``, which the command built from
     ``spec`` (see :func:`_needs_graph`)."""
     if args.coloring:
+        from .equitable import structure_from_coloring
+
         return structure_from_coloring(
             graph, _load_coloring_over(args.coloring, graph, spec, budget)
         )
     if args.structure:
+        from .equitable import load_structure
+        from .graphs import Graph
+
         doc = _load_json(args.structure)
         struct = load_structure(doc, budget, _prebuilt(doc, graph, spec))
         if not isinstance(struct.host, Graph) or not struct.host.same_adjacency(graph):
@@ -165,6 +169,8 @@ def _distrib_output(args, rows: RatMatrix, graph, code, f: PerfectStructure | No
     if args.verify_oracle:
         if f is None:
             raise EqpartError("--verify-oracle needs --coloring or --structure")
+        from .oracle import brute_distribution
+
         brute = brute_distribution(graph, code, f)
         if brute != rows:
             raise EqpartError("formula and oracle disagree: " + _first_difference(rows, brute))
@@ -176,6 +182,15 @@ def _distrib_output(args, rows: RatMatrix, graph, code, f: PerfectStructure | No
 
 
 def _cmd_gen(args) -> int:
+    from .graphs import (
+        direct_product,
+        graph_to_json,
+        halved_cube,
+        hamming_graph,
+        johnson_graph,
+        load_graph,
+    )
+
     budget = args.vertex_budget
     if args.family == "hamming":
         g = hamming_graph(args.n, args.q, budget)
@@ -192,6 +207,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from .equitable import quotient_matrix
+    from .graphs import load_graph
+
     spec = _load_json(args.graph)
     g = load_graph(spec, args.vertex_budget)
     col = _load_coloring_over(args.coloring, g, spec, args.vertex_budget)
@@ -201,6 +219,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .equitable import read_structure, verify_structure
+
     host, f, s = read_structure(_load_json(args.structure), args.vertex_budget)
     ok, residual = verify_structure(host, f, s)
     _emit({"ok": ok, "residual": residual.to_strings()})
@@ -208,6 +228,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crc_check(args) -> int:
+    from .equitable import check_completely_regular
+    from .graphs import load_graph
+
     g = load_graph(_load_json(args.graph), args.vertex_budget)
     code = _load_code_file(args.code)
     crc = check_completely_regular(g, code)
@@ -216,6 +239,10 @@ def _cmd_crc_check(args) -> int:
 
 
 def _cmd_distrib_vertex(args) -> int:
+    from .distributions import vertex_distribution
+    from .drg import spec_intersection_array
+    from .graphs import load_graph
+
     budget = args.vertex_budget
     spec = _load_json(args.graph)
     g = load_graph(spec, budget) if _needs_graph(args) else None
@@ -239,6 +266,10 @@ def _cmd_distrib_vertex(args) -> int:
 
 
 def _cmd_distrib_code(args) -> int:
+    from .distributions import reconstruct_from_first_row
+    from .equitable import check_completely_regular
+    from .graphs import load_graph
+
     spec = _load_json(args.graph)
     g = load_graph(spec, args.vertex_budget)
     code = _load_code_file(args.code)
@@ -273,9 +304,13 @@ def _formula_inputs(args, graph, spec, code, budget):
 
 
 def _cmd_distrib_lattice(args) -> int:
+    from .distributions import lattice_distribution
+
     budget = args.vertex_budget
     g = code = None
     if _needs_graph(args):
+        from .equitable import lattice_coloring
+
         base = lattice_coloring(args.m, args.k, args.q, budget)
         g, code = base.graph, base.class_vertices(0)
     spec = {"gen": "hamming", "n": args.m * args.k, "q": args.q}
@@ -285,6 +320,10 @@ def _cmd_distrib_lattice(args) -> int:
 
 
 def _cmd_distrib_fiber(args) -> int:
+    from .distributions import fiber_distribution
+    from .drg import regular_degree, spec_intersection_array
+    from .graphs import direct_product, load_graph
+
     budget = args.vertex_budget
     left_spec, right_spec = _load_json(args.left), _load_json(args.right)
     left = right = prod = code = None
@@ -302,6 +341,9 @@ def _cmd_distrib_fiber(args) -> int:
 
 
 def _cmd_distrib_pcube(args) -> int:
+    from .distributions import pcube_distribution
+    from .graphs import decode_word, hamming_graph
+
     budget = args.vertex_budget
     g = code = None
     if _needs_graph(args):
@@ -316,6 +358,9 @@ def _cmd_distrib_pcube(args) -> int:
 
 
 def _load_params_operand(path: str, budget: int) -> RatMatrix:
+    from .equitable import load_coloring, quotient_matrix
+    from .ratmat import from_json
+
     doc = _load_json(path)
     if isinstance(doc, dict) and "colors" in doc:
         col = load_coloring(doc, budget)
@@ -338,6 +383,10 @@ def _cmd_local_params(args) -> int:
 
 
 def _cmd_local_distrib(args) -> int:
+    from .equitable import load_coloring, structure_from_coloring
+    from .graphs import direct_product
+    from .localdist import tensor_distribution
+
     budget = args.vertex_budget
     left_doc, right_doc = _load_json(args.left), _load_json(args.right)
     left, right = load_coloring(left_doc, budget), load_coloring(right_doc, budget)
@@ -348,12 +397,15 @@ def _cmd_local_distrib(args) -> int:
     f = _load_f(args, prod, spec, budget)
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
-    rd = tensor_distribution(g1, g2, f, budget)
+    rd = tensor_distribution(g1, g2, f)
     _emit(rd.to_json())
     return 0
 
 
 def _cmd_local_reconstruct(args) -> int:
+    from .drg import spec_intersection_array
+    from .localdist import reconstruct_local
+
     ia = spec_intersection_array(_load_json(args.graph), args.vertex_budget)
     r2 = _load_matrix_file(args.right_s)
     s = _load_matrix_file(args.s)
@@ -364,6 +416,9 @@ def _cmd_local_reconstruct(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .graphs import load_graph
+    from .oracle import brute_distribution
+
     spec = _load_json(args.graph)
     g = load_graph(spec, args.vertex_budget)
     code = _load_code_file(args.code)
@@ -375,87 +430,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-# -- selftest ---------------------------------------------------------------
-
-_PRODUCT_PARAMS_3ARY_2CUBE = [
-    [0, 4, 0, 4, 0, 0, 0, 0, 0],
-    [1, 1, 2, 0, 4, 0, 0, 0, 0],
-    [0, 2, 2, 0, 0, 4, 0, 0, 0],
-    [1, 0, 0, 1, 4, 0, 2, 0, 0],
-    [0, 1, 0, 1, 2, 2, 0, 2, 0],
-    [0, 0, 1, 0, 2, 3, 0, 0, 2],
-    [0, 0, 0, 2, 0, 0, 2, 4, 0],
-    [0, 0, 0, 0, 2, 0, 1, 3, 2],
-    [0, 0, 0, 0, 0, 2, 0, 2, 4],
-]
-
-
-def _selftest_checks():
-    h23 = hamming_graph(2, 3)
-    vcol = distance_coloring(h23, [0])
-
-    def product_params_9x9():
-        g1 = structure_from_coloring(h23, vcol)
-        ts = tensor_structure(g1, g1)
-        assert ts.params == from_json(_PRODUCT_PARAMS_3ARY_2CUBE)
-
-    def code_params():
-        g = hamming_graph(7, 2)
-        crc = check_completely_regular(g, codes.hamming_code_vertices(3))
-        assert crc.rho == 1
-        assert crc.params == from_json([[0, 7], [1, 6]])
-
-    def extended_code_params():
-        g = hamming_graph(8, 2)
-        crc = check_completely_regular(g, codes.extended_hamming_code_vertices(3))
-        assert crc.rho == 2
-        assert crc.params == from_json([[0, 8, 0], [1, 0, 7], [0, 8, 0]])
-
-    def code_eigenfunction():
-        g = hamming_graph(7, 2)
-        members = set(codes.hamming_code_vertices(3))
-        values = from_json([[7 if v in members else -1] for v in range(g.n)])
-        ok, _ = verify_structure(g, values, from_json([[-1]]))
-        assert ok
-
-    def vertex_distribution_3ary_2cube():
-        s = quotient_matrix(h23, vcol)
-        dist = vertex_distribution(h23, s, 0)
-        assert hamming_intersection_array(2, 3) == intersection_array(h23)
-        expect = from_json([[1, 0, 0], [0, 4, 0], [0, 0, 4]])
-        assert dist.matrix == expect
-        assert brute_distribution(h23, [0], vcol) == expect
-
-    def lattice_quotient():
-        col = lattice_coloring(2, 1, 2)
-        s = quotient_matrix(col.graph, col)
-        assert s == from_json([[0, 2], [2, 0]])
-
-    def lattice_distribution_check():
-        col = lattice_coloring(2, 2, 2)
-        g = col.graph
-        ones = all_one_coloring(g)
-        s = quotient_matrix(g, ones)
-        code = col.class_vertices(0)
-        dist = lattice_distribution(2, 2, 2, s, [len(code)])
-        assert dist.matrix == from_json([[4], [8], [4]])
-        assert brute_distribution(g, code, ones) == dist.matrix
-
-    return [
-        ("product-params-9x9", product_params_9x9),
-        ("code-params", code_params),
-        ("extended-code-params", extended_code_params),
-        ("code-eigenfunction", code_eigenfunction),
-        ("vertex-distribution-3ary-2cube", vertex_distribution_3ary_2cube),
-        ("lattice-quotient", lattice_quotient),
-        ("lattice-distribution", lattice_distribution_check),
-    ]
-
-
 def _cmd_selftest(args) -> int:
+    from .selftest import checks
+
     results = []
     all_ok = True
-    for name, fn in _selftest_checks():
+    for name, fn in checks():
         try:
             fn()
             results.append({"name": name, "ok": True})

@@ -16,9 +16,9 @@ genuine non-integer rational).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .drg import (
     IntersectionArray,
     PPolynomials,
@@ -28,14 +28,12 @@ from .drg import (
     poly_mul_x,
     poly_scale,
 )
-from .equitable import PerfectStructure
 from .errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from .graphs import Graph
 from .ratmat import RatMatrix, parse_rational, row_poly_eval
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """Stack of row vectors, one per color of g (or per distance class)."""
 
     matrix: RatMatrix

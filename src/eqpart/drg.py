@@ -16,11 +16,11 @@ Polynomials are plain lists of Fractions, constant term first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
+from ._record import Record
 from .errors import EqpartError, NotDistanceRegularError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, bfs_distances, load_graph, read_spec
 from .ratmat import parse_rational, rat_str
@@ -108,8 +108,7 @@ def binomial_poly(shift: Fraction, sign: int, j: int) -> Poly:
 # -- intersection arrays --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+class IntersectionArray(Record):
     """Witness data of a distance-regular graph.
 
     b has entries b_0..b_{D-1}, a has a_0..a_D, c has c_1..c_D; the
@@ -287,8 +286,7 @@ def regular_degree(spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | Non
 # -- P-polynomials ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PPolynomials:
+class PPolynomials(Record):
     """Degree-w polynomials turning the adjacency matrix into the
     distance-w matrices; polys[0] = 1 and polys[1] = x."""
 

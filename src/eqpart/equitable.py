@@ -11,9 +11,9 @@ of colors is the covering radius plus one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     EqpartError,
     NotEquitableError,
@@ -35,8 +35,7 @@ from .graphs import (
 from .ratmat import RatMatrix, tensor
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     """Vertex-to-color map with colors 0..n_colors-1, every class nonempty.
 
     ``distance_code`` is set when the coloring arose as the distance coloring
@@ -144,15 +143,14 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
     return residual.is_zero(), residual
 
 
-@dataclass(frozen=True)
-class PerfectStructure:
+class PerfectStructure(Record, compare=("host", "values", "params")):
     """Value matrix f with parameters S over a host A, A f = f S verified on
     construction."""
 
     host: object  # Graph or square RatMatrix
     values: RatMatrix
     params: RatMatrix
-    coloring: Coloring | None = field(default=None, compare=False)
+    coloring: Coloring | None = None
 
     def __post_init__(self):
         ok, residual = verify_structure(self.host, self.values, self.params)
@@ -191,8 +189,7 @@ def distance_coloring(g: Graph, code: Iterable[int]) -> Coloring:
     return Coloring(g, tuple(dist), rho + 1, distance_code=code)
 
 
-@dataclass(frozen=True)
-class CompletelyRegularCode:
+class CompletelyRegularCode(Record):
     """Vertex set whose distance coloring is perfect; params is the
     tridiagonal (rho+1)-square quotient matrix."""
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the vertex budget
+that ``VertexBudgetError`` enforces.
 
 Everything raised on bad mathematical input derives from ``EqpartError`` so
 the CLI can map domain failures to a single exit code.
@@ -16,6 +17,11 @@ class ShapeError(EqpartError, ValueError):
 
 class VertexBudgetError(EqpartError, ValueError):
     """A generator would exceed the configured vertex budget."""
+
+
+# The largest graph built unless the caller sets a budget (the CLI's
+# --vertex-budget default); ``eqpart.graphs`` re-exports it.
+DEFAULT_VERTEX_BUDGET = 2**20
 
 
 class UnreachableVertexError(EqpartError, ValueError):

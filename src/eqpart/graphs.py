@@ -15,18 +15,21 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .errors import EqpartError, ShapeError, UnreachableVertexError, VertexBudgetError
+from ._record import Record
+from .errors import (
+    DEFAULT_VERTEX_BUDGET,
+    EqpartError,
+    ShapeError,
+    UnreachableVertexError,
+    VertexBudgetError,
+)
 from .ratmat import RatMatrix
 
-DEFAULT_VERTEX_BUDGET = 2**20
 
-
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph; immutable after construction."""
 
     n: int
@@ -180,16 +183,27 @@ def direct_product(g1: Graph, g2: Graph, budget: int = DEFAULT_VERTEX_BUDGET) ->
     """
     size = g1.n * g2.n
     _check_budget(size, budget)
+    name = f"{g1.name or 'G1'} x {g2.name or 'G2'}"
+    return Graph(size, tuple(_product_rows(g1, g2)), name=name)
+
+
+def _product_rows(g1: Graph, g2: Graph):
+    """The adjacency rows of ``direct_product(g1, g2)``, in vertex order."""
     n2 = g2.n
-    adj = []
     for u1 in range(g1.n):
         base = u1 * n2
         right = [tuple(base + v2 for v2 in g2.adj[u2]) for u2 in range(n2)]
         for u2 in range(n2):
             left = tuple(v1 * n2 + u2 for v1 in g1.adj[u1])
-            adj.append(tuple(sorted(left + right[u2])))
-    name = f"{g1.name or 'G1'} x {g2.name or 'G2'}"
-    return Graph(size, tuple(adj), name=name)
+            yield tuple(sorted(left + right[u2]))
+
+
+def is_direct_product(g: Graph, g1: Graph, g2: Graph) -> bool:
+    """Whether ``g`` has the adjacency of ``direct_product(g1, g2)``, checked
+    row by row without building the product."""
+    return g.n == len(g.adj) == g1.n * g2.n and all(
+        row == expect for row, expect in zip(g.adj, _product_rows(g1, g2))
+    )
 
 
 def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int]:

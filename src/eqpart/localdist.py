@@ -16,18 +16,17 @@ Index flattening is frozen as rows (i1 * k2 + i2) and columns
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .drg import IntersectionArray, PPolynomials, p_polynomials_of
 from .equitable import PerfectStructure, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
-from .graphs import DEFAULT_VERTEX_BUDGET, Graph, direct_product
+from .graphs import DEFAULT_VERTEX_BUDGET, Graph, direct_product, is_direct_product
 from .ratmat import RatMatrix, row_poly_eval, tensor
 
 
-@dataclass(frozen=True)
-class TensorStructure:
+class TensorStructure(Record):
     """Product of two perfect structures, verified over the product graph."""
 
     left: PerfectStructure
@@ -97,8 +96,7 @@ def star_params(r2: RatMatrix, s: RatMatrix) -> RatMatrix:
     return tensor(RatMatrix.identity(r2.rows), s) - tensor(r2, RatMatrix.identity(s.rows))
 
 
-@dataclass(frozen=True)
-class RearrangedDistribution:
+class RearrangedDistribution(Record):
     """The pair (h, h*) with its index metadata.
 
     ``left_is_distance`` / ``right_is_distance`` record whether the factor
@@ -132,12 +130,11 @@ def tensor_distribution(
     g1: PerfectStructure,
     g2: PerfectStructure,
     f: PerfectStructure,
-    budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> RearrangedDistribution:
     """Distribution of f with respect to g1 (x) g2, with both governing
-    identities asserted before returning."""
-    prod_graph = direct_product(g1.graph, g2.graph, budget)
-    if not isinstance(f.host, Graph) or not f.host.same_adjacency(prod_graph):
+    identities asserted before returning.  f must be over the direct product
+    of the factors' graphs, which is checked row by row, not built again."""
+    if not isinstance(f.host, Graph) or not is_direct_product(f.host, g1.graph, g2.graph):
         raise ShapeError("f is not a structure over the direct product of the factors")
     k1, k2, m = g1.values.cols, g2.values.cols, f.values.cols
     h = tensor(g1.values, g2.values).transpose() @ f.values

@@ -7,10 +7,10 @@ may be quadratic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
+from ._record import Record
 from .errors import ShapeError
 from .graphs import Graph, distances_from_set
 from .ratmat import RatMatrix
@@ -37,8 +37,7 @@ def _value_rows(g: Graph, f) -> list[tuple[Fraction, ...]]:
     return [values.row(v) for v in range(g.n)]
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     computed: RatMatrix
     method: str
     elapsed: float

@@ -15,11 +15,11 @@ algorithms are the right tool; nothing here ever touches floats.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
 
 from .errors import ShapeError
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from eqpart import cli, equitable, graphs
+from eqpart import cli, equitable, graphs, localdist
 from eqpart.cli import main
 from eqpart.errors import ShapeError
 from eqpart.ratmat import from_json, parse_rational
@@ -86,6 +86,49 @@ def test_local_distrib_builds_the_product_once(capsys, tmp_path, hamming_builds)
     assert code == 0 and json.loads(out)["k"] == 5
     # one build per factor file; the product file reuses the command's product
     assert hamming_builds == [(2, 2), (2, 2)]
+
+
+@pytest.fixture
+def product_builds(monkeypatch):
+    """Sizes of the direct_product results, counted in every module that holds
+    the function."""
+    sizes = []
+    original = graphs.direct_product
+
+    def counting(*args, **kwargs):
+        g = original(*args, **kwargs)
+        sizes.append(g.n)
+        return g
+
+    for module in (graphs, localdist, cli):
+        monkeypatch.setattr(module, "direct_product", counting)
+    return sizes
+
+
+def test_local_distrib_on_h5h5_builds_the_product_graph_once(capsys, tmp_path,
+                                                             product_builds):
+    left = write(tmp_path, "left.json", vertex_coloring(h(5), 5))
+    product = {"gen": "product", "left": h(5), "right": h(5)}
+    f = write(tmp_path, "f.json", {"graph": product, "colors": [0] * 1024})
+    code, out, _ = run(capsys, "local", "distrib", "--left", left, "--right", left,
+                       "--coloring", f)
+    assert code == 0 and json.loads(out)["k"] == 1
+    assert product_builds == [1024]
+
+
+def test_local_distrib_over_another_1024_vertex_graph_raises(capsys, tmp_path):
+    s = equitable.structure_from_coloring(graphs.hamming_graph(5, 2),
+                                          equitable.distance_coloring(graphs.hamming_graph(5, 2),
+                                                                      [0]))
+    other = graphs.hamming_graph(5, 4)
+    f = equitable.structure_from_coloring(other, equitable.all_one_coloring(other))
+    with pytest.raises(ShapeError, match="direct product"):
+        localdist.tensor_distribution(s, s, f)
+    left = write(tmp_path, "left.json", vertex_coloring(h(5), 5))
+    f_file = write(tmp_path, "f.json", {"graph": h(5, 4), "colors": [0] * 1024})
+    code, out, err = run(capsys, "local", "distrib", "--left", left, "--right", left,
+                         "--coloring", f_file)
+    assert code == 1 and out == "" and "different graph" in err
 
 
 def test_same_adjacency_under_another_spec_is_loaded_and_accepted(capsys, tmp_path,

@@ -1,0 +1,73 @@
+"""What a CLI run imports: only the modules its command executes.
+
+Each case runs the CLI in a fresh interpreter, as ``python -m eqpart.cli``
+would, and compares ``sys.modules`` before and after the run, so that what
+``site`` loads on a given machine does not count.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, runpy, sys
+argv = json.loads(sys.argv[1])
+before = set(sys.modules)
+sys.argv = ["eqpart", *argv]
+try:
+    runpy.run_module("eqpart.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "loaded": sorted(set(sys.modules) - before)}), file=sys.stderr)
+"""
+
+STRUCTURE_MODULES = {"eqpart.equitable", "eqpart.localdist", "eqpart.oracle", "eqpart.codes",
+                     "eqpart.selftest"}
+
+
+def loaded_by(*argv) -> set[str]:
+    """The modules a CLI run with ``argv`` imports; the run must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+    )
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["exit"] == 0, proc.stderr
+    return set(report["loaded"])
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    s = tmp_path_factory.mktemp("startup") / "s.json"
+    s.write_text("[[0, 2], [2, 0]]")
+    return {
+        "help": loaded_by("--help"),
+        "lattice": loaded_by("distrib", "lattice", "-m", "2", "-k", "2", "-q", "2",
+                             "--s", str(s), "--f0", "[1, 0]"),
+    }
+
+
+def eqpart_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "eqpart" or m.startswith("eqpart.")}
+
+
+def test_help_loads_only_the_cli_and_the_errors(runs):
+    loaded = eqpart_modules(runs["help"])
+    assert "eqpart" in loaded
+    assert loaded <= {"eqpart", "eqpart.cli", "eqpart.errors"}
+
+
+def test_graph_free_lattice_loads_no_structure_module(runs):
+    loaded = eqpart_modules(runs["lattice"])
+    assert "eqpart.distributions" in loaded
+    assert not loaded & STRUCTURE_MODULES
+
+
+@pytest.mark.parametrize("run", ["help", "lattice"])
+def test_no_run_imports_dataclasses(runs, run):
+    assert "dataclasses" not in runs[run]
