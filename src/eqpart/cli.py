@@ -71,7 +71,7 @@ def _load_matrix_file(path: str) -> RatMatrix:
 
 
 def _load_code_file(path: str) -> list[int]:
-    from .graphs import read_ints
+    from .inputs import read_ints
 
     doc = _load_json(path)
     if isinstance(doc, dict):
@@ -82,7 +82,9 @@ def _load_code_file(path: str) -> list[int]:
 
 
 def _parse_row(text: str) -> list:
-    from .ratmat import parse_rational
+    """The JSON array ``text``, each entry checked to be an exact rational
+    (an int or a "p/q" string)."""
+    from .ratmat import _pair
 
     try:
         doc = json.loads(text)
@@ -90,7 +92,9 @@ def _parse_row(text: str) -> list:
         raise EqpartError(f"row argument is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise EqpartError("row argument must be a JSON array")
-    return [parse_rational(x) for x in doc]
+    for x in doc:
+        _pair(x)
+    return doc
 
 
 def _emit(doc) -> None:
@@ -101,7 +105,7 @@ def _prebuilt(doc, graph: Graph, spec) -> Graph | None:
     """``graph`` when the coloring or structure file ``doc`` names the graph
     spec that ``graph`` was built from, so that its graph is not built a
     second time; None when the file's graph must be loaded and compared."""
-    from .graphs import spec_key
+    from .inputs import spec_key
 
     if isinstance(doc, dict) and "graph" in doc and spec_key(doc["graph"]) == spec_key(spec):
         return graph
@@ -241,11 +245,14 @@ def _cmd_crc_check(args) -> int:
 def _cmd_distrib_vertex(args) -> int:
     from .distributions import vertex_distribution
     from .drg import spec_intersection_array
-    from .graphs import load_graph
 
     budget = args.vertex_budget
     spec = _load_json(args.graph)
-    g = load_graph(spec, budget) if _needs_graph(args) else None
+    g = None
+    if _needs_graph(args):
+        from .graphs import load_graph
+
+        g = load_graph(spec, budget)
     ia = spec_intersection_array(spec, budget, g)
     f = _load_f(args, g, spec, budget)
     if args.s:
@@ -322,16 +329,19 @@ def _cmd_distrib_lattice(args) -> int:
 def _cmd_distrib_fiber(args) -> int:
     from .distributions import fiber_distribution
     from .drg import regular_degree, spec_intersection_array
-    from .graphs import direct_product, load_graph
 
     budget = args.vertex_budget
     left_spec, right_spec = _load_json(args.left), _load_json(args.right)
     left = right = prod = code = None
     if _needs_graph(args):
+        from .graphs import load_graph
+
         left, right = load_graph(left_spec, budget), load_graph(right_spec, budget)
     d = regular_degree(left_spec, budget, left)
     ia = spec_intersection_array(right_spec, budget, right)
     if left is not None:
+        from .graphs import direct_product
+
         prod = direct_product(left, right, budget)
         code = [v1 * right.n for v1 in range(left.n)]
     spec = {"gen": "product", "left": left_spec, "right": right_spec}
@@ -342,11 +352,12 @@ def _cmd_distrib_fiber(args) -> int:
 
 def _cmd_distrib_pcube(args) -> int:
     from .distributions import pcube_distribution
-    from .graphs import decode_word, hamming_graph
 
     budget = args.vertex_budget
     g = code = None
     if _needs_graph(args):
+        from .graphs import decode_word, hamming_graph
+
         g = hamming_graph(args.n, args.q, budget)
         code = [
             v for v in range(g.n) if all(x < args.p for x in decode_word(v, args.n, args.q))
@@ -449,7 +460,98 @@ def _cmd_selftest(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _opt(*flags, **kwargs) -> tuple:
+    """One ``add_argument`` call, as (flags, keyword arguments)."""
+    return flags, kwargs
+
+
+def _req(*flags, **kwargs) -> tuple:
+    return flags, dict(kwargs, required=True)
+
+
+_DISTRIB_VALUES = (
+    _opt("--s", help="parameter matrix file"),
+    _opt("--f0", help="first row as a JSON array"),
+    _opt("--coloring", help="coloring file for the distributed values"),
+    _opt("--structure", help="structure file for the distributed values"),
+    _opt("--verify-oracle", action="store_true"),
+)
+
+# command -> (help, handler, arguments, modes), in --help order; modes is
+# None or (dest, {mode: (handler, arguments)}), a mode's handler None where
+# the command's own serves it
+_COMMANDS = {
+    "gen": ("generate a graph as JSON", _cmd_gen, (), ("family", {
+        "hamming": (None, (_req("-n", type=int), _req("-q", type=int))),
+        "johnson": (None, (_req("-n", type=int), _req("-k", type=int))),
+        "halved": (None, (_req("-n", type=int),
+                          _opt("--sign", choices=["even", "odd"], default="even"))),
+        "product": (None, (_req("--left"), _req("--right"))),
+    })),
+    "quotient": ("quotient matrix of a coloring", _cmd_quotient,
+                 (_req("--graph"), _req("--coloring")), None),
+    "verify": ("check a perfect structure file", _cmd_verify, (_req("--structure"),), None),
+    "crc-check": ("check a vertex set for complete regularity", _cmd_crc_check,
+                  (_req("--graph"), _req("--code")), None),
+    "distrib": ("closed-form distributions", None, (), ("mode", {
+        "vertex": (_cmd_distrib_vertex,
+                   _DISTRIB_VALUES + (_req("--graph"), _req("--color", type=int))),
+        "code": (_cmd_distrib_code, _DISTRIB_VALUES + (_req("--graph"), _req("--code"))),
+        "lattice": (_cmd_distrib_lattice, _DISTRIB_VALUES + (
+            _req("-m", type=int), _req("-k", type=int), _req("-q", type=int))),
+        "fiber": (_cmd_distrib_fiber, _DISTRIB_VALUES + (
+            _req("--left", help="regular factor graph file"),
+            _req("--right", help="distance-regular factor graph file"))),
+        "pcube": (_cmd_distrib_pcube, _DISTRIB_VALUES + (
+            _req("-n", type=int), _req("-p", type=int), _req("-q", type=int))),
+    })),
+    "local": ("product-structure machinery", None, (), ("mode", {
+        "params": (_cmd_local_params, (_req("--left", help="coloring or matrix file"),
+                                       _req("--right", help="coloring or matrix file"))),
+        "distrib": (_cmd_local_distrib, (
+            _req("--left", help="coloring file over the left factor"),
+            _req("--right", help="coloring file over the right factor"),
+            _opt("--coloring", help="coloring file over the product"),
+            _opt("--structure", help="structure file over the product"))),
+        "reconstruct": (_cmd_local_reconstruct, (
+            _req("--graph", help="distance-regular left factor"),
+            _req("--right-s", dest="right_s"),
+            _req("--s"),
+            _req("--h0", help="first rearranged row as a JSON array"))),
+    })),
+    "oracle": ("brute-force distribution", _cmd_oracle,
+               (_req("--graph"), _req("--code"), _opt("--coloring"), _opt("--structure")), None),
+    "selftest": ("run the built-in example suite", _cmd_selftest, (), None),
+}
+
+
+def _invoked(argv) -> tuple:
+    """The command and the mode that ``argv`` invokes: the first token that
+    names a command, then the first later token that names one of its modes
+    (None where there is none).  Where argparse would read another mode, it
+    stops with an error before it reaches one."""
+    tokens = iter(argv)
+    command = next((t for t in tokens if t in _COMMANDS), None)
+    modes = _COMMANDS[command][3] if command is not None else None
+    if modes is None:
+        return command, None
+    return command, next((t for t in tokens if t in modes[1]), None)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The eqpart parser, with every command and mode and its help text.
+
+    Given ``argv``, only the command and the mode it invokes get their
+    arguments: each ``add_argument`` builds a help formatter, and a run
+    parses one command.  What argparse prints for ``argv``, help and errors
+    included, is the same as with every argument added (``argv=None``)."""
+    command, mode = (None, None) if argv is None else _invoked(argv)
+
+    def add_arguments(p, arguments, wanted):
+        if argv is None or wanted:
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--vertex-budget",
@@ -464,113 +566,26 @@ def build_parser() -> argparse.ArgumentParser:
         "completely regular codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a graph as JSON")
-    gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    g_ham = gen_sub.add_parser("hamming", parents=[common])
-    g_ham.add_argument("-n", type=int, required=True)
-    g_ham.add_argument("-q", type=int, required=True)
-    g_joh = gen_sub.add_parser("johnson", parents=[common])
-    g_joh.add_argument("-n", type=int, required=True)
-    g_joh.add_argument("-k", type=int, required=True)
-    g_hal = gen_sub.add_parser("halved", parents=[common])
-    g_hal.add_argument("-n", type=int, required=True)
-    g_hal.add_argument("--sign", choices=["even", "odd"], default="even")
-    g_pro = gen_sub.add_parser("product", parents=[common])
-    g_pro.add_argument("--left", required=True)
-    g_pro.add_argument("--right", required=True)
-    p_gen.set_defaults(func=_cmd_gen)
-
-    p_quot = sub.add_parser("quotient", parents=[common], help="quotient matrix of a coloring")
-    p_quot.add_argument("--graph", required=True)
-    p_quot.add_argument("--coloring", required=True)
-    p_quot.set_defaults(func=_cmd_quotient)
-
-    p_ver = sub.add_parser("verify", parents=[common], help="check a perfect structure file")
-    p_ver.add_argument("--structure", required=True)
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_crc = sub.add_parser(
-        "crc-check", parents=[common], help="check a vertex set for complete regularity"
-    )
-    p_crc.add_argument("--graph", required=True)
-    p_crc.add_argument("--code", required=True)
-    p_crc.set_defaults(func=_cmd_crc_check)
-
-    p_dis = sub.add_parser("distrib", parents=[common], help="closed-form distributions")
-    dis_sub = p_dis.add_subparsers(dest="mode", required=True)
-
-    def _dis(name):
-        p = dis_sub.add_parser(name, parents=[common])
-        p.add_argument("--s", help="parameter matrix file")
-        p.add_argument("--f0", help="first row as a JSON array")
-        p.add_argument("--coloring", help="coloring file for the distributed values")
-        p.add_argument("--structure", help="structure file for the distributed values")
-        p.add_argument("--verify-oracle", action="store_true")
-        return p
-
-    d_vertex = _dis("vertex")
-    d_vertex.add_argument("--graph", required=True)
-    d_vertex.add_argument("--color", type=int, required=True)
-    d_vertex.set_defaults(func=_cmd_distrib_vertex)
-
-    d_code = _dis("code")
-    d_code.add_argument("--graph", required=True)
-    d_code.add_argument("--code", required=True)
-    d_code.set_defaults(func=_cmd_distrib_code)
-
-    d_lat = _dis("lattice")
-    d_lat.add_argument("-m", type=int, required=True)
-    d_lat.add_argument("-k", type=int, required=True)
-    d_lat.add_argument("-q", type=int, required=True)
-    d_lat.set_defaults(func=_cmd_distrib_lattice)
-
-    d_fib = _dis("fiber")
-    d_fib.add_argument("--left", required=True, help="regular factor graph file")
-    d_fib.add_argument("--right", required=True, help="distance-regular factor graph file")
-    d_fib.set_defaults(func=_cmd_distrib_fiber)
-
-    d_pc = _dis("pcube")
-    d_pc.add_argument("-n", type=int, required=True)
-    d_pc.add_argument("-p", type=int, required=True)
-    d_pc.add_argument("-q", type=int, required=True)
-    d_pc.set_defaults(func=_cmd_distrib_pcube)
-
-    p_loc = sub.add_parser("local", parents=[common], help="product-structure machinery")
-    loc_sub = p_loc.add_subparsers(dest="mode", required=True)
-    l_par = loc_sub.add_parser("params", parents=[common])
-    l_par.add_argument("--left", required=True, help="coloring or matrix file")
-    l_par.add_argument("--right", required=True, help="coloring or matrix file")
-    l_par.set_defaults(func=_cmd_local_params)
-    l_dis = loc_sub.add_parser("distrib", parents=[common])
-    l_dis.add_argument("--left", required=True, help="coloring file over the left factor")
-    l_dis.add_argument("--right", required=True, help="coloring file over the right factor")
-    l_dis.add_argument("--coloring", help="coloring file over the product")
-    l_dis.add_argument("--structure", help="structure file over the product")
-    l_dis.set_defaults(func=_cmd_local_distrib)
-    l_rec = loc_sub.add_parser("reconstruct", parents=[common])
-    l_rec.add_argument("--graph", required=True, help="distance-regular left factor")
-    l_rec.add_argument("--right-s", required=True, dest="right_s")
-    l_rec.add_argument("--s", required=True)
-    l_rec.add_argument("--h0", required=True, help="first rearranged row as a JSON array")
-    l_rec.set_defaults(func=_cmd_local_reconstruct)
-
-    p_ora = sub.add_parser("oracle", parents=[common], help="brute-force distribution")
-    p_ora.add_argument("--graph", required=True)
-    p_ora.add_argument("--code", required=True)
-    p_ora.add_argument("--coloring")
-    p_ora.add_argument("--structure")
-    p_ora.set_defaults(func=_cmd_oracle)
-
-    p_self = sub.add_parser("selftest", parents=[common], help="run the built-in example suite")
-    p_self.set_defaults(func=_cmd_selftest)
-
+    for name, (help_text, handler, arguments, modes) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        add_arguments(p, arguments, name == command)
+        if handler is not None:
+            p.set_defaults(func=handler)
+        if modes is None:
+            continue
+        dest, mode_table = modes
+        mode_sub = p.add_subparsers(dest=dest, required=True)
+        for mode_name, (mode_handler, mode_arguments) in mode_table.items():
+            m = mode_sub.add_parser(mode_name, parents=[common])
+            add_arguments(m, mode_arguments, name == command and mode_name == mode)
+            if mode_handler is not None:
+                m.set_defaults(func=mode_handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except EqpartError as exc:

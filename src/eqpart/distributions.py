@@ -11,26 +11,19 @@ against each other on every call.
 The remaining functions are closed forms for specific code families:
 distributions with respect to a vertex of a distance-regular graph, to the
 zero class of the block-sum coloring, to a factor fiber of a direct product,
-and to a smaller-alphabet subcube (where the polynomial parameter becomes a
-genuine non-integer rational).
+and to a smaller-alphabet subcube.  Each is row w = f0 p_w(T) for the
+polynomials p_w of an integer intersection array and a matrix T = aS + bI,
+computed in one call of the three-term recurrence
+(:func:`eqpart.ratmat.recurrence_rows`), with no polynomial expanded and no
+graph built.  The Hamming arrays of the lattice, subcube and pcube forms
+are written out here; :mod:`eqpart.drg`, for any other array, is imported
+by the forms that take one.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record
-from .drg import (
-    IntersectionArray,
-    PPolynomials,
-    krawtchouk_p_polynomials,
-    p_polynomials_of,
-    poly_add,
-    poly_mul_x,
-    poly_scale,
-)
 from .errors import EqpartError, ReconstructionError, ShapeError, StructureError
-from .graphs import Graph
-from .ratmat import RatMatrix, parse_rational, row_poly_eval
+from .ratmat import RatMatrix, recurrence_rows, row_poly_eval
 
 
 class Distribution(Record):
@@ -56,13 +49,15 @@ def _as_row(v, width: int | None = None) -> RatMatrix:
             raise ShapeError(f"expected a single row, got {v.shape()}")
         row = v
     else:
-        row = RatMatrix.row_vector([parse_rational(x) for x in v])
+        row = RatMatrix.row_vector(v)
     if width is not None and row.cols != width:
         raise ShapeError(f"row has {row.cols} entries, expected {width}")
     return row
 
 
 def _same_host(g: PerfectStructure, f: PerfectStructure) -> bool:
+    from .graphs import Graph
+
     if isinstance(g.host, Graph) and isinstance(f.host, Graph):
         return g.host.same_adjacency(f.host)
     if isinstance(g.host, RatMatrix) and isinstance(f.host, RatMatrix):
@@ -120,6 +115,10 @@ def rows_by_recurrence(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> RatMatrix
 def reconstruction_polynomials(b: RatMatrix, n_rows: int) -> list[list[Fraction]]:
     """Degree-i polynomials q_i with row_i = row_0 * q_i(S), mirroring the
     recursion at the polynomial level."""
+    from fractions import Fraction
+
+    from .polys import poly_add, poly_mul_x, poly_scale
+
     _check_pattern(b, n_rows)
     polys: list[list[Fraction]] = [[Fraction(1)]]
     for i in range(1, n_rows):
@@ -151,6 +150,20 @@ def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> D
     return Distribution(direct, source="first-row reconstruction")
 
 
+def _hamming_array(n: int, q: int, p: int = 1) -> tuple:
+    """(b, a, c) of the Hamming graph H(n, q/p) scaled by p:
+    b_i = (n-i)(q-p), a_i = i(q-2p), c_i = p*i.
+
+    For p = 1 this is the array of H(n, q).  Scaling an array by p and the
+    polynomial argument by p leaves every p_w unchanged, so these integers
+    give the polynomials of the rational alphabet q/p at p*x."""
+    return (
+        tuple((n - i) * (q - p) for i in range(n)),
+        tuple(i * (q - 2 * p) for i in range(n + 1)),
+        tuple(p * i for i in range(1, n + 1)),
+    )
+
+
 def vertex_distribution(
     g: Graph | IntersectionArray, s: RatMatrix, j: int, ppolys: PPolynomials | None = None
 ) -> Distribution:
@@ -158,31 +171,25 @@ def vertex_distribution(
     vertex of a distance-regular graph: row w = e_j p_w(S).
 
     ``g`` is the graph or just its intersection array.  ``ppolys`` may be
-    passed to reuse a precomputed polynomial family.
+    passed to use a precomputed polynomial family instead.
     """
-    if ppolys is None:
-        ppolys = p_polynomials_of(g)
+    from .drg import closed_form_rows
+
     if not 0 <= j < s.rows:
         raise ShapeError(f"color {j} out of range for a {s.rows}-color structure")
-    e_j = [Fraction(0)] * s.rows
-    e_j[j] = Fraction(1)
-    row = RatMatrix.row_vector(e_j)
-    rows = [row_poly_eval(row, ppolys[w], s).row(0) for w in range(len(ppolys))]
-    return Distribution(RatMatrix(rows), source=f"vertex color {j}")
+    e_j = RatMatrix.row_vector([int(i == j) for i in range(s.rows)])
+    return Distribution(closed_form_rows(g, s, e_j, ppolys), source=f"vertex color {j}")
 
 
 def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> Distribution:
     """Distribution with respect to the zero class of the block-sum coloring
     of the length-(m*k) Hamming graph: row w = f0 p_w(S/m), with the p_w of
-    the length-k Hamming graph obtained from the Krawtchouk closed form.
+    the length-k Hamming graph H(k, q).
     """
     if m < 1 or k < 1 or q < 2:
         raise EqpartError(f"needs m, k >= 1 and q >= 2, got m={m}, k={k}, q={q}")
     f0 = _as_row(f0, s.rows)
-    ppolys = krawtchouk_p_polynomials(k, q)
-    scaled = s.scale(Fraction(1, m))
-    rows = [row_poly_eval(f0, ppolys[w], scaled).row(0) for w in range(k + 1)]
-    return Distribution(RatMatrix(rows), source="lattice")
+    return Distribution(recurrence_rows(f0, *_hamming_array(k, q), s / m), source="lattice")
 
 
 def fiber_distribution(
@@ -192,37 +199,36 @@ def fiber_distribution(
     whose left factor is d-regular: row w = f0 p_w(S - d I), with the p_w of
     the (distance-regular) right factor, given as a graph or its array.
     """
-    if ppolys is None:
-        ppolys = p_polynomials_of(g2)
+    from .drg import closed_form_rows
+
     f0 = _as_row(f0, s.rows)
     shifted = s - RatMatrix.identity(s.rows).scale(d)
-    rows = [row_poly_eval(f0, ppolys[w], shifted).row(0) for w in range(len(ppolys))]
-    return Distribution(RatMatrix(rows), source="fiber")
+    return Distribution(closed_form_rows(g2, shifted, f0, ppolys), source="fiber")
 
 
 def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> Distribution:
     """Fiber specialization for an m-dimensional subcube of the
     length-(m+k) Hamming graph: shift by the subcube degree (q-1)m and use
-    the Krawtchouk polynomials of the length-k complement."""
+    the polynomials of the length-k complement H(k, q)."""
     f0 = _as_row(f0, s.rows)
-    ppolys = krawtchouk_p_polynomials(k, q)
     shifted = s - RatMatrix.identity(s.rows).scale((q - 1) * m)
-    rows = [row_poly_eval(f0, ppolys[w], shifted).row(0) for w in range(k + 1)]
-    return Distribution(RatMatrix(rows), source="subcube")
+    return Distribution(recurrence_rows(f0, *_hamming_array(k, q), shifted), source="subcube")
 
 
 def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> Distribution:
     """Distribution with respect to the same-dimension subcube over the
     smaller alphabet {0..p-1}, p < q.
 
-    Row w = f0 p_w(S') with S' = (S - (p-1) n I) / p and p_w built from
-    Krawtchouk polynomials at the rational alphabet parameter q/p.  The
-    covering radius of the subcube is n, so rows run w = 0..n.
+    Row w = f0 p_w(S') with S' = (S - (p-1) n I) / p and p_w the Hamming
+    polynomials at the rational alphabet parameter q/p, computed as the
+    polynomials of that array scaled by p (all integers) at p S' =
+    S - (p-1) n I.  The covering radius of the subcube is n, so rows run
+    w = 0..n.
     """
     if n < 1 or not 1 <= p < q:
         raise EqpartError(f"needs n >= 1 and 1 <= p < q, got n={n}, p={p}, q={q}")
     f0 = _as_row(f0, s.rows)
-    ppolys = krawtchouk_p_polynomials(n, Fraction(q, p))
-    shifted = (s - RatMatrix.identity(s.rows).scale((p - 1) * n)).scale(Fraction(1, p))
-    rows = [row_poly_eval(f0, ppolys[w], shifted).row(0) for w in range(n + 1)]
-    return Distribution(RatMatrix(rows), source="small-alphabet subcube")
+    shifted = s - RatMatrix.identity(s.rows).scale((p - 1) * n)
+    return Distribution(
+        recurrence_rows(f0, *_hamming_array(n, q, p), shifted), source="small-alphabet subcube"
+    )

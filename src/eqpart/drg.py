@@ -1,108 +1,43 @@
-"""Distance-regularity, intersection arrays, and the polynomial families.
+"""Distance-regularity and intersection arrays.
 
 A connected regular graph is distance-regular when, for vertices u, v at
 distance w, the number of neighbors of v at distance w-1 (resp. w, w+1)
 from u depends only on w; those counts c_w, a_w, b_w form the intersection
-array.  The distance-w adjacency matrix is then a degree-w polynomial in the
-adjacency matrix, produced here by the three-term recurrence
+array.  The array is all a closed-form distribution needs: its rows
+f0 p_w(T) follow from the three-term recurrence, which
+:func:`closed_form_rows` runs (:func:`eqpart.ratmat.recurrence_rows`).
+The Hamming, Johnson and halved-cube arrays have closed forms, so a
+generator spec yields its array without building the graph; this module
+imports :mod:`eqpart.graphs` only to build or inspect one.
 
-    c_{w+1} * p_{w+1}(x) = (x - a_w) * p_w(x) - b_{w-1} * p_{w-1}(x).
-
-The Krawtchouk and Eberlein closed forms are implemented independently and
-used both as cross-checks and as the polynomial source when no concrete
-graph exists (rational alphabet parameters).
-
-Polynomials are plain lists of Fractions, constant term first.
+The polynomial families (P-polynomials, Krawtchouk, Eberlein) live in
+:mod:`eqpart.polys`; each of their names also resolves here.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import comb
 
 from ._record import Record
-from .errors import EqpartError, NotDistanceRegularError
-from .graphs import DEFAULT_VERTEX_BUDGET, Graph, bfs_distances, load_graph, read_spec
-from .ratmat import parse_rational, rat_str
+from .errors import DEFAULT_VERTEX_BUDGET, EqpartError, NotDistanceRegularError
+from .inputs import read_spec
+from .ratmat import RatMatrix, recurrence_rows, row_poly_eval
 
-Poly = list[Fraction]
-
-
-# -- polynomial helpers --------------------------------------------------
-
-
-def poly_trim(p: Sequence[Fraction]) -> Poly:
-    out = list(p)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+# names defined in eqpart.polys, looked up there on first access
+_POLYS_NAMES = frozenset((
+    "Poly", "PPolynomials", "binomial_poly", "eberlein", "krawtchouk",
+    "krawtchouk_p_polynomials", "krawtchouk_recurrence_check", "p_polynomials", "poly_add",
+    "poly_compose_affine", "poly_eval", "poly_mul", "poly_mul_x", "poly_scale",
+    "poly_to_strings", "poly_trim",
+))
 
 
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim(
-        [
-            (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-            for i in range(n)
-        ]
-    )
+def __getattr__(name: str):
+    if name in _POLYS_NAMES:
+        from . import polys
 
-
-def poly_scale(c, p: Sequence[Fraction]) -> Poly:
-    c = parse_rational(c)
-    return poly_trim([c * x for x in p])
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
-def poly_mul_x(p: Sequence[Fraction]) -> Poly:
-    return [Fraction(0)] + list(p)
-
-
-def poly_eval(p: Sequence[Fraction], x) -> Fraction:
-    x = parse_rational(x)
-    acc = Fraction(0)
-    for c in reversed(list(p)):
-        acc = acc * x + c
-    return acc
-
-
-def poly_compose_affine(p: Sequence[Fraction], a, b) -> Poly:
-    """Substitute x -> a + b*y into p, returning a polynomial in y."""
-    a, b = parse_rational(a), parse_rational(b)
-    inner = [a, b]
-    acc: Poly = [Fraction(0)]
-    for c in reversed(list(p)):
-        acc = poly_add(poly_mul(acc, inner), [c])
-    return poly_trim(acc)
-
-
-def poly_to_strings(p: Sequence[Fraction]) -> list[str]:
-    return [rat_str(c) for c in p]
-
-
-def binomial_poly(shift: Fraction, sign: int, j: int) -> Poly:
-    """The polynomial binom(shift + sign*x, j) = prod_{i<j}(shift + sign*x - i) / j!.
-
-    Covers both binom(x, j) (shift=0, sign=+1) and binom(n-x, j)
-    (shift=n, sign=-1); evaluation at any rational point uses the same
-    falling-factorial polynomial, with no combinatorial reinterpretation.
-    """
-    acc: Poly = [Fraction(1)]
-    for i in range(j):
-        acc = poly_mul(acc, [shift - i, Fraction(sign)])
-    fact = 1
-    for i in range(2, j + 1):
-        fact *= i
-    return poly_scale(Fraction(1, fact), acc)
+        return getattr(polys, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- intersection arrays --------------------------------------------------
@@ -136,6 +71,9 @@ class IntersectionArray(Record):
                 raise EqpartError(f"b_{w}+a_{w}+c_{w} != degree {k}")
             if w >= 1 and cw < 1:
                 raise EqpartError(f"c_{w} = {cw} < 1")
+        if d >= 1 and self.c[0] != 1:
+            # a neighbour of u has u as its one neighbour at distance 0
+            raise EqpartError(f"c_1 = {self.c[0]} != 1")
 
     @property
     def degree(self) -> int:
@@ -167,6 +105,8 @@ def intersection_array(g: Graph) -> IntersectionArray:
     for v, d in enumerate(degs):
         if d != k:
             raise NotDistanceRegularError((0, v), f"degrees {k} and {d} differ")
+    from .graphs import bfs_distances
+
     dist = [bfs_distances(g, [u]) for u in range(g.n)]
     diam = max(max(row) for row in dist)
     b: dict[int, int] = {}
@@ -265,7 +205,11 @@ def spec_intersection_array(
         return johnson_intersection_array(x, y)
     if kind == "halved":
         return halved_cube_intersection_array(x)
-    return intersection_array(graph if graph is not None else load_graph(spec, budget))
+    if graph is None:
+        from .graphs import load_graph
+
+        graph = load_graph(spec, budget)
+    return intersection_array(graph)
 
 
 def regular_degree(spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None) -> int:
@@ -277,120 +221,24 @@ def regular_degree(spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | Non
     """
     if read_spec(spec)[0] in ("hamming", "johnson", "halved"):
         return spec_intersection_array(spec).degree
-    g = graph if graph is not None else load_graph(spec, budget)
-    if not g.is_regular():
-        raise EqpartError(f"{g.n}-vertex graph is not regular")
-    return g.degree(0)
+    if graph is None:
+        from .graphs import load_graph
+
+        graph = load_graph(spec, budget)
+    if not graph.is_regular():
+        raise EqpartError(f"{graph.n}-vertex graph is not regular")
+    return graph.degree(0)
 
 
-# -- P-polynomials ---------------------------------------------------------
+# -- closed-form rows ------------------------------------------------------
 
 
-class PPolynomials(Record):
-    """Degree-w polynomials turning the adjacency matrix into the
-    distance-w matrices; polys[0] = 1 and polys[1] = x."""
-
-    polys: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        for w, p in enumerate(self.polys):
-            if len(p) != w + 1 or p[-1] == 0:
-                raise EqpartError(f"polynomial {w} does not have degree exactly {w}")
-        if self.polys[0] != (Fraction(1),):
-            raise EqpartError("polynomial 0 must be the constant 1")
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __getitem__(self, w: int) -> Poly:
-        return list(self.polys[w])
-
-
-def p_polynomials(ia: IntersectionArray) -> PPolynomials:
-    """Expand the intersection array into exact polynomial coefficients."""
-    polys: list[Poly] = [[Fraction(1)]]
-    if ia.diameter >= 1:
-        polys.append([Fraction(0), Fraction(1)])
-    for w in range(1, ia.diameter):
-        c_next = ia.c_at(w + 1)
-        assert c_next >= 1
-        top = poly_add(
-            poly_mul_x(polys[w]),
-            poly_scale(-ia.a[w], polys[w]),
-        )
-        top = poly_add(top, poly_scale(-ia.b[w - 1], polys[w - 1]))
-        polys.append(poly_scale(Fraction(1, c_next), top))
-    return PPolynomials(tuple(tuple(p) for p in polys))
-
-
-def p_polynomials_of(g: Graph | IntersectionArray) -> PPolynomials:
-    """P-polynomials of a distance-regular graph, or straight from its array."""
-    return p_polynomials(g if isinstance(g, IntersectionArray) else intersection_array(g))
-
-
-# -- Krawtchouk and Eberlein closed forms ----------------------------------
-
-
-def krawtchouk(w: int, n: int, q) -> Poly:
-    """Krawtchouk polynomial of degree w for length n and alphabet size q
-    (q may be any rational > 1):
-
-        sum_j (-1)**j * (q-1)**(w-j) * binom(x, j) * binom(n-x, w-j)
-    """
-    q = parse_rational(q)
-    if not 0 <= w <= n:
-        raise EqpartError(f"krawtchouk needs 0 <= w <= n, got w={w}, n={n}")
-    acc: Poly = [Fraction(0)]
-    for j in range(w + 1):
-        term = poly_mul(binomial_poly(Fraction(0), 1, j), binomial_poly(Fraction(n), -1, w - j))
-        coef = (-1) ** j * (q - 1) ** (w - j)
-        acc = poly_add(acc, poly_scale(coef, term))
-    return acc
-
-
-def krawtchouk_recurrence_check(w: int, n: int, q) -> bool:
-    """Whether the three-term identity
-
-        (w+1) K_{w+1} = ((n-w)(q-1) + w - q*x) K_w - (q-1)(n-w+1) K_{w-1}
-
-    holds coefficient-by-coefficient for these parameters.
-    """
-    q = parse_rational(q)
-    if not 1 <= w < n:
-        raise EqpartError(f"recurrence check needs 1 <= w < n, got w={w}, n={n}")
-    lhs = poly_scale(w + 1, krawtchouk(w + 1, n, q))
-    mid = poly_mul([(n - w) * (q - 1) + w, -q], krawtchouk(w, n, q))
-    rhs = poly_add(mid, poly_scale(-(q - 1) * (n - w + 1), krawtchouk(w - 1, n, q)))
-    return poly_trim(lhs) == poly_trim(rhs)
-
-
-def krawtchouk_p_polynomials(n: int, q) -> PPolynomials:
-    """P-polynomials of the Hamming scheme obtained by composing each
-    Krawtchouk polynomial with the inverse of the degree-1 one.
-
-    K_1(x) = (q-1)n - qx is affine, so the inverse substitution is exact;
-    this is the polynomial source for rational q, where no graph exists.
-    """
-    q = parse_rational(q)
-    # x = ((q-1)n - y) / q
-    a = (q - 1) * n / q
-    b = Fraction(-1) / q
-    polys = [poly_compose_affine(krawtchouk(w, n, q), a, b) for w in range(n + 1)]
-    return PPolynomials(tuple(tuple(p) for p in polys))
-
-
-def eberlein(w: int, n: int, k: int) -> Poly:
-    """Eberlein polynomial for the Johnson scheme:
-
-        sum_j (-1)**j * binom(x, j) * binom(k-x, w-j) * binom(n-k-x, w-j)
-
-    Degree at most 2w in x.
-    """
-    if not 0 <= w <= min(k, n - k):
-        raise EqpartError(f"eberlein needs 0 <= w <= min(k, n-k), got w={w}")
-    acc: Poly = [Fraction(0)]
-    for j in range(w + 1):
-        term = poly_mul(binomial_poly(Fraction(0), 1, j), binomial_poly(Fraction(k), -1, w - j))
-        term = poly_mul(term, binomial_poly(Fraction(n - k), -1, w - j))
-        acc = poly_add(acc, poly_scale((-1) ** j, term))
-    return acc
+def closed_form_rows(g: Graph | IntersectionArray, t: RatMatrix, f0: RatMatrix,
+                     ppolys: PPolynomials | None = None) -> RatMatrix:
+    """Rows f0 p_w(T), w = 0..D: by the recurrence of the intersection array
+    ``g`` (or of the distance-regular graph ``g``), or with the polynomial
+    family ``ppolys`` when one is given."""
+    if ppolys is not None:
+        return RatMatrix([row_poly_eval(f0, ppolys[w], t).row(0) for w in range(len(ppolys))])
+    ia = g if isinstance(g, IntersectionArray) else intersection_array(g)
+    return recurrence_rows(f0, ia.b, ia.a, ia.c, t)

@@ -19,11 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .drg import IntersectionArray, PPolynomials, p_polynomials_of
+from .drg import closed_form_rows
 from .equitable import PerfectStructure, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, direct_product, is_direct_product
-from .ratmat import RatMatrix, row_poly_eval, tensor
+from .ratmat import RatMatrix, tensor
 
 
 class TensorStructure(Record):
@@ -164,9 +164,8 @@ def reconstruct_local(
 ) -> RatMatrix:
     """All rows of h* from its first row, for a distance-regular left factor
     given as a graph or its intersection array:
-    row i = row_0 p_i(I (x) S - R2 (x) I)."""
-    if ppolys is None:
-        ppolys = p_polynomials_of(g1)
+    row i = row_0 p_i(I (x) S - R2 (x) I), by the recurrence of that array
+    or with the polynomial family ``ppolys`` when one is given."""
     mat = star_params(r2, s)
     if isinstance(h_star_0, RatMatrix):
         row0 = h_star_0
@@ -176,8 +175,7 @@ def reconstruct_local(
         raise ShapeError(
             f"first row has shape {row0.shape()}, expected 1 x {mat.rows}"
         )
-    rows = [row_poly_eval(row0, ppolys[i], mat).row(0) for i in range(len(ppolys))]
-    return RatMatrix(rows)
+    return closed_form_rows(g1, mat, row0, ppolys)
 
 
 def extract_local(rd: RearrangedDistribution) -> tuple[RatMatrix, RatMatrix]:

@@ -5,31 +5,43 @@ common denominator, in canonical form: the gcd of the denominator and every
 numerator is 1, so a zero matrix has denominator 1 and an integer matrix is
 plain integer rows over 1.  Two matrices are equal exactly when their
 reduced rational entries are, and that is a comparison of the stored form.
-Sums, products, Kronecker products and polynomial rows are computed on the
-integer numerators; ``fractions.Fraction`` appears only where a caller reads
-a scalar (``row``, indexing, iteration) and text is rendered from the
-numerators.  Matrices are small or sparse-valued (quotient matrices,
-indicator rows, distributions), so dense row-major storage and schoolbook
-algorithms are the right tool; nothing here ever touches floats.
+Sums, products, Kronecker products, polynomial rows and the rows of a
+three-term recurrence are computed on the integer numerators, and text is
+rendered from them.  ``fractions.Fraction`` appears only where a caller
+reads a scalar (``row``, indexing, iteration) or hands one in, and is
+imported there, so that a run which never does loads no ``fractions``.
+Matrices are small or sparse-valued (quotient matrices, indicator rows,
+distributions), so dense row-major storage and schoolbook algorithms are
+the right tool; nothing here ever touches floats.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import ShapeError
 
-Rational = Fraction
-
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+def __getattr__(name: str):
+    if name == "Rational":
+        from fractions import Fraction
+
+        return Fraction
+    if name in ("mat_poly_eval", "solve"):
+        # Fraction-level reference routines, defined in eqpart.polys
+        from . import polys
+
+        return getattr(polys, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _pair(value) -> tuple[int, int]:
-    """(numerator, denominator) of an int, a Fraction or a "p/q" string,
+    """(numerator, denominator) of an int, a "p/q" string or a Fraction,
     reduced, with a positive denominator.
 
     Strings must match ``[+-]?[0-9]+(/[0-9]+)?`` exactly, with a nonzero
@@ -37,8 +49,6 @@ def _pair(value) -> tuple[int, int]:
     """
     if type(value) is int:
         return value, 1
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
     if isinstance(value, bool):
         raise ShapeError(f"boolean is not a rational value: {value!r}")
     if isinstance(value, int):
@@ -57,12 +67,18 @@ def _pair(value) -> tuple[int, int]:
             raise ShapeError(f"zero denominator in {value!r}")
         g = gcd(num, den)
         return num // g, den // g
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise ShapeError(f"cannot interpret {value!r} as a rational")
 
 
 def parse_rational(value) -> Fraction:
     """Coerce a JSON-style scalar (int or "p/q" string) to a Fraction; see
     :func:`_pair` for what is accepted."""
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     return Fraction(*_pair(value))
@@ -144,11 +160,15 @@ class RatMatrix:
         return RatMatrix([list(entries)])
 
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
+        from fractions import Fraction
+
         i, j = idx
         num, den = self._num[i][j], self._den
         return Fraction(num) if den == 1 else Fraction(num, den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         den = self._den
         if den == 1:
             return tuple(map(Fraction, self._num[i]))
@@ -201,6 +221,12 @@ class RatMatrix:
         num = tuple(tuple(p * x for x in row) for row in self._num)
         return RatMatrix._of(num, self._den * q)
 
+    def __truediv__(self, d: int) -> RatMatrix:
+        """This matrix over a positive integer, with no Fraction built."""
+        if type(d) is not int or d < 1:
+            raise ShapeError(f"can only divide by a positive integer, not {d!r}")
+        return RatMatrix._of(self._num, self._den * d)
+
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
@@ -227,6 +253,21 @@ class RatMatrix:
         if not out:
             raise ShapeError("sum_rows needs at least one group")
         return RatMatrix._of(tuple(out), self._den)
+
+    def unit_columns(self) -> list[int] | None:
+        """For each row that is a unit vector e_j, its j; None when some row
+        is not one.  A 0/1 indicator matrix f has them all, and then f @ S
+        is S's rows picked by the list, in O(rows * cols) instead of
+        O(rows * cols**2)."""
+        if self._den != 1:
+            return None
+        zeros = self.cols - 1
+        out = []
+        for row in self._num:
+            if row.count(0) != zeros or sum(row) != 1:
+                return None
+            out.append(row.index(1))
+        return out
 
     def transpose(self) -> RatMatrix:
         return RatMatrix._of(tuple(zip(*self._num)), self._den)
@@ -272,23 +313,6 @@ def tensor(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix._of(num, a._den * b._den)
 
 
-def mat_poly_eval(coeffs: Sequence, m: RatMatrix) -> RatMatrix:
-    """Evaluate sum(coeffs[i] * m**i) exactly by Horner's rule.
-
-    ``coeffs`` is constant-term first; ``m`` must be square.
-    """
-    if not m.is_square():
-        raise ShapeError(f"polynomial evaluation needs a square matrix, got {m.shape()}")
-    cs = [parse_rational(c) for c in coeffs]
-    if not cs:
-        return RatMatrix.zeros(m.rows, m.rows)
-    ident = RatMatrix.identity(m.rows)
-    acc = ident.scale(cs[-1])
-    for c in reversed(cs[:-1]):
-        acc = acc @ m + ident.scale(c)
-    return acc
-
-
 def row_poly_eval(row, coeffs: Sequence, m: RatMatrix) -> RatMatrix:
     """The single row ``row @ mat_poly_eval(coeffs, m)`` without building the
     full matrix polynomial; quadratic instead of cubic per Horner step.
@@ -323,23 +347,52 @@ def row_poly_eval(row, coeffs: Sequence, m: RatMatrix) -> RatMatrix:
     return RatMatrix._of((tuple(acc),), den)
 
 
-def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Solve a @ x = b exactly for square full-rank ``a`` (Gaussian elimination)."""
-    if not a.is_square():
-        raise ShapeError(f"solve needs a square matrix, got {a.shape()}")
-    if a.rows != b.rows:
-        raise ShapeError(f"incompatible right-hand side {b.shape()} for {a.shape()}")
-    n = a.rows
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ShapeError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return RatMatrix([row[n:] for row in aug])
+def recurrence_rows(row, b: Sequence[int], a: Sequence[int], c: Sequence[int],
+                    t: RatMatrix) -> RatMatrix:
+    """Rows r_0..r_D of the three-term recurrence of an integer array
+    b_0..b_{D-1}, a_0..a_D, c_1..c_D with every c_w >= 1:
+
+        r_0 = row,   c_{w+1} r_{w+1} = r_w T - a_w r_w - b_{w-1} r_{w-1},
+
+    so that r_w = row p_w(T) for the polynomials p_w of the same recurrence
+    (``r_{-1}`` and ``b_{-1}`` are taken as 0).  Each row costs one
+    vector-matrix product on integer numerators over one denominator,
+    reduced after every step; no polynomial is expanded.  a_D and b_{D-1}
+    are part of the array but enter no row."""
+    if not t.is_square():
+        raise ShapeError(f"the recurrence needs a square matrix, got {t.shape()}")
+    depth = len(c)
+    if len(b) != depth or len(a) != depth + 1:
+        raise ShapeError(f"array lengths ({len(b)},{len(a)},{depth}) do not fit together")
+    if not isinstance(row, RatMatrix):
+        row = RatMatrix.row_vector(row)
+    if row.rows != 1 or row.cols != t.rows:
+        raise ShapeError(f"row of shape {row.shape()} does not fit {t.shape()}")
+    cols = list(zip(*t._num))
+    dt = t._den
+    prev, dprev = (), 1
+    cur, dcur = row._num[0], row._den
+    rows = [(cur, dcur)]
+    for w in range(depth):
+        if c[w] < 1:
+            raise ShapeError(f"c_{w + 1} = {c[w]} < 1")
+        # r_w T - a_w r_w over dcur * dt
+        aw = a[w] * dt
+        nxt = [sum(map(mul, cur, col)) - aw * x for col, x in zip(cols, cur)]
+        den = dcur * dt
+        if w:
+            # minus b_{w-1} r_{w-1}, over the lcm of the two denominators
+            g = gcd(den, dprev)
+            s1, s2 = dprev // g, b[w - 1] * (den // g)
+            nxt = [x * s1 - s2 * y for x, y in zip(nxt, prev)]
+            den *= s1
+        den *= c[w]
+        g = gcd(den, *nxt)
+        if g != 1:
+            nxt = [x // g for x in nxt]
+            den //= g
+        prev, dprev, cur, dcur = cur, dcur, nxt, den
+        rows.append((cur, dcur))
+    den = lcm(*(d for _, d in rows))
+    num = tuple(tuple(x * (den // d) for x in v) for v, d in rows)
+    return RatMatrix._of(num, den)

@@ -1,0 +1,167 @@
+"""The three-term recurrence kernel against the polynomial route, and the
+indicator shortcut of structure verification against the generic product.
+
+Generated cases are bounded: arrays of diameter at most 6 and degree at
+most 8, square matrices up to 4 x 4 with numerators in [-9, 9] and
+denominators in [1, 9], alphabets up to 7.
+"""
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqpart.cli import main
+from eqpart.distributions import pcube_distribution
+from eqpart.drg import IntersectionArray, krawtchouk_p_polynomials, p_polynomials
+from eqpart.equitable import distance_coloring, structure_from_coloring, verify_structure
+from eqpart.errors import EqpartError, ShapeError
+from eqpart.graphs import graph_from_edges, hamming_graph
+from eqpart.ratmat import RatMatrix, recurrence_rows, row_poly_eval
+
+PROPS = settings(max_examples=60, deadline=None, database=None)
+
+numerators = st.integers(-9, 9)
+rationals = st.builds(Fraction, numerators, st.integers(1, 9))
+
+
+def square(k: int):
+    return st.lists(st.lists(rationals, min_size=k, max_size=k), min_size=k, max_size=k)
+
+
+def row(k: int):
+    return st.lists(rationals, min_size=k, max_size=k)
+
+
+@st.composite
+def arrays(draw) -> IntersectionArray:
+    """An intersection array as the graph axioms constrain one: c_1 = 1,
+    every c_w >= 1 and b_w >= 1 below the diameter, b_w + a_w + c_w = k."""
+    d = draw(st.integers(0, 6))
+    if d == 0:
+        return IntersectionArray(0, (), (0,), ())
+    k = draw(st.integers(2, 8))
+    c = [1] + [draw(st.integers(1, k - 1 if w < d else k)) for w in range(2, d + 1)]
+    b = [k] + [draw(st.integers(1, k - c[w - 1])) for w in range(1, d)]
+    a = tuple(k - (b[w] if w < d else 0) - (c[w - 1] if w else 0) for w in range(d + 1))
+    return IntersectionArray(d, tuple(b), a, tuple(c))
+
+
+def by_polynomials(f0, polys, t: RatMatrix) -> RatMatrix:
+    return RatMatrix([row_poly_eval(f0, polys[w], t).row(0) for w in range(len(polys))])
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(arrays(), row(k), square(k))))
+def test_recurrence_equals_the_p_polynomials(case):
+    ia, f0, t = case
+    t = RatMatrix(t)
+    rows = recurrence_rows(f0, ia.b, ia.a, ia.c, t)
+    assert rows == by_polynomials(f0, p_polynomials(ia), t)
+    assert rows.rows == ia.diameter + 1
+
+
+def test_an_array_with_c1_other_than_1_is_no_graphs_array():
+    # row sums hold, but a neighbour of u has u as its only neighbour at distance 0
+    with pytest.raises(EqpartError, match="c_1 = 2"):
+        IntersectionArray(1, (3,), (0, 1), (2,))
+
+
+def test_recurrence_rejects_arrays_that_do_not_fit():
+    t = RatMatrix.identity(2)
+    with pytest.raises(ShapeError, match="array lengths"):
+        recurrence_rows([1, 0], (1,), (0,), (1,), t)
+    with pytest.raises(ShapeError, match="c_2 = 0"):
+        recurrence_rows([1, 0], (2, 1), (0, 0, 0), (1, 0), t)
+    with pytest.raises(ShapeError, match="does not fit"):
+        recurrence_rows([1, 0, 0], (1,), (0, 0), (1,), t)
+
+
+@PROPS
+@given(st.integers(1, 8), st.integers(2, 7), st.data())
+def test_pcube_by_the_scaled_array_equals_krawtchouk_at_q_over_p(n, q, data):
+    p = data.draw(st.integers(1, q - 1))
+    k = data.draw(st.integers(1, 3))
+    s = RatMatrix(data.draw(square(k)))
+    f0 = data.draw(row(k))
+    shifted = (s - RatMatrix.identity(k).scale((p - 1) * n)).scale(Fraction(1, p))
+    expect = by_polynomials(f0, krawtchouk_p_polynomials(n, Fraction(q, p)), shifted)
+    assert pcube_distribution(n, p, q, s, f0).matrix == expect
+
+
+def test_cli_lattice_k30_equals_the_polynomial_route(capsys, tmp_path):
+    s = [["1/2", "3", "-2/3"], ["1", "0", "5/7"], ["-1", "2", "1/3"]]
+    f0 = [1, "2/3", -1]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(s))
+    code = main(["distrib", "lattice", "-m", "2", "-k", "30", "-q", "2",
+                 "--s", str(path), "--f0", json.dumps(f0)])
+    assert code == 0
+    half_s = RatMatrix(s).scale(Fraction(1, 2))
+    expect = by_polynomials(f0, krawtchouk_p_polynomials(30, 2), half_s)
+    assert json.loads(capsys.readouterr().out)["rows"] == expect.to_strings()
+
+
+# -- the indicator shortcut of verify_structure -----------------------------------
+
+
+@PROPS
+@given(st.integers(1, 4), st.data())
+def test_unit_columns_pick_the_rows_of_the_product(k, data):
+    colors = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))
+    f = RatMatrix([[int(j == c) for j in range(k)] for c in colors])
+    s = RatMatrix(data.draw(square(k)))
+    assert f.unit_columns() == colors
+    assert s.sum_rows([j] for j in colors) == f @ s
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(row(k), min_size=1, max_size=6)))
+def test_unit_columns_is_none_unless_every_row_is_a_unit_vector(rows):
+    units = all(sorted(r) == [0] * (len(r) - 1) + [1] for r in rows)
+    expect = [r.index(1) for r in rows] if units else None
+    assert RatMatrix(rows).unit_columns() == expect
+
+
+@st.composite
+def graph_values_params(draw):
+    """A random graph, a coloring's indicator matrix or arbitrary values on
+    it, and a parameter matrix that mostly does not fit them."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        f = [[int(j == c) for j in range(k)] for c in colors]
+    else:
+        f = draw(st.lists(row(k), min_size=n, max_size=n))
+    return graph_from_edges(n, edges), RatMatrix(f), RatMatrix(draw(square(k)))
+
+
+@PROPS
+@given(graph_values_params())
+def test_verify_structure_residual_is_af_minus_fs(case):
+    g, f, s = case
+    expect = g.adjacency_matrix() @ f - f @ s
+    for host in (g, g.adjacency_matrix()):
+        ok, residual = verify_structure(host, f, s)
+        assert residual == expect
+        assert ok == expect.is_zero()
+
+
+def test_structure_from_a_distance_coloring_multiplies_no_matrix(monkeypatch):
+    g = hamming_graph(6, 2)
+    col = distance_coloring(g, [0])
+    products = []
+    original = RatMatrix.__matmul__
+
+    def counting(a, b):
+        products.append((a.shape(), b.shape()))
+        return original(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counting)
+    struct = structure_from_coloring(g, col)
+    assert products == []
+    assert struct.params.shape() == (7, 7)

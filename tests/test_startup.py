@@ -43,13 +43,21 @@ def loaded_by(*argv) -> set[str]:
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    s = tmp_path_factory.mktemp("startup") / "s.json"
+    tmp = tmp_path_factory.mktemp("startup")
+    s, johnson = tmp / "s.json", tmp / "j.json"
     s.write_text("[[0, 2], [2, 0]]")
+    johnson.write_text('{"gen": "johnson", "n": 6, "k": 3}')
     return {
         "help": loaded_by("--help"),
         "lattice": loaded_by("distrib", "lattice", "-m", "2", "-k", "2", "-q", "2",
                              "--s", str(s), "--f0", "[1, 0]"),
+        "pcube": loaded_by("distrib", "pcube", "-n", "3", "-p", "1", "-q", "2",
+                           "--s", str(s), "--f0", '[1, "1/2"]'),
+        "vertex": loaded_by("distrib", "vertex", "--graph", str(johnson), "--s", str(s),
+                            "--color", "0"),
     }
+
+GRAPH_FREE = ["lattice", "pcube", "vertex"]
 
 
 def eqpart_modules(loaded: set[str]) -> set[str]:
@@ -71,3 +79,11 @@ def test_graph_free_lattice_loads_no_structure_module(runs):
 @pytest.mark.parametrize("run", ["help", "lattice"])
 def test_no_run_imports_dataclasses(runs, run):
     assert "dataclasses" not in runs[run]
+
+
+@pytest.mark.parametrize("run", GRAPH_FREE)
+def test_graph_free_closed_form_loads_no_graph_polynomial_or_fraction_code(runs, run):
+    loaded = runs[run]
+    assert "eqpart.distributions" in loaded
+    assert not loaded & {"eqpart.graphs", "eqpart.polys", "fractions"}
+    assert not eqpart_modules(loaded) & STRUCTURE_MODULES
