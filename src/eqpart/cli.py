@@ -56,17 +56,24 @@ def _load_json(path: str):
         raise EqpartError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix_file(path: str) -> RatMatrix:
+def _load_matrix_file(path: str, budget: int | None = None) -> RatMatrix:
+    """The matrix in the JSON file at ``path``: an array of rows, bare or
+    under one of the keys s, matrix, params and R.  Given a vertex
+    ``budget``, a coloring file ({"graph": ..., "colors": ...}) is read
+    too, as its quotient matrix."""
     from .ratmat import from_json
 
     doc = _load_json(path)
     if isinstance(doc, dict):
-        for key in ("s", "matrix", "params", "R"):
-            if key in doc:
-                doc = doc[key]
-                break
-        else:
+        if budget is not None and "colors" in doc:
+            from .equitable import load_coloring, quotient_matrix
+
+            col = load_coloring(doc, budget)
+            return quotient_matrix(col.graph, col)
+        key = next((key for key in ("s", "matrix", "params", "R") if key in doc), None)
+        if key is None:
             raise EqpartError(f"{path} holds no matrix under a known key")
+        doc = doc[key]
     return from_json(doc)
 
 
@@ -356,39 +363,21 @@ def _cmd_distrib_pcube(args) -> int:
     budget = args.vertex_budget
     g = code = None
     if _needs_graph(args):
-        from .graphs import decode_word, hamming_graph
+        from .graphs import hamming_graph
 
         g = hamming_graph(args.n, args.q, budget)
-        code = [
-            v for v in range(g.n) if all(x < args.p for x in decode_word(v, args.n, args.q))
-        ]
+        code = [v for v, word in enumerate(g.labels) if max(word) < args.p]
     spec = {"gen": "hamming", "n": args.n, "q": args.q}
     s, f0, f = _formula_inputs(args, g, spec, code, budget)
     dist = pcube_distribution(args.n, args.p, args.q, s, f0)
     return _distrib_output(args, dist.matrix, g, code, f)
 
 
-def _load_params_operand(path: str, budget: int) -> RatMatrix:
-    from .equitable import load_coloring, quotient_matrix
-    from .ratmat import from_json
-
-    doc = _load_json(path)
-    if isinstance(doc, dict) and "colors" in doc:
-        col = load_coloring(doc, budget)
-        return quotient_matrix(col.graph, col)
-    if isinstance(doc, dict):
-        for key in ("s", "matrix", "params", "R"):
-            if key in doc:
-                return from_json(doc[key])
-        raise EqpartError(f"{path}: expected a coloring or a matrix")
-    return from_json(doc)
-
-
 def _cmd_local_params(args) -> int:
     from .equitable import tensor_params
 
-    r1 = _load_params_operand(args.left, args.vertex_budget)
-    r2 = _load_params_operand(args.right, args.vertex_budget)
+    r1 = _load_matrix_file(args.left, args.vertex_budget)
+    r2 = _load_matrix_file(args.right, args.vertex_budget)
     _emit({"params": tensor_params(r1, r2).to_strings()})
     return 0
 

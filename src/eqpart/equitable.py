@@ -24,7 +24,6 @@ from .errors import (
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     Graph,
-    decode_word,
     direct_product,
     distances_from_set,
     encode_word,
@@ -63,12 +62,7 @@ class Coloring(Record):
 
     def indicator(self) -> RatMatrix:
         """N x k matrix whose row v is the unit tuple of the vertex's color."""
-        rows = []
-        for c in self.colors:
-            row = [0] * self.n_colors
-            row[c] = 1
-            rows.append(row)
-        return RatMatrix(rows)
+        return indicator(self.colors, self.n_colors)
 
     def class_sizes(self) -> list[int]:
         sizes = [0] * self.n_colors
@@ -78,6 +72,13 @@ class Coloring(Record):
 
     def class_vertices(self, c: int) -> list[int]:
         return [v for v, col in enumerate(self.colors) if col == c]
+
+
+def indicator(colors: Sequence[int], k: int) -> RatMatrix:
+    """The matrix with k columns whose row v is the unit vector e_c for
+    c = ``colors[v]``; vertices of one color share one row tuple."""
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return RatMatrix([units[c] for c in colors])
 
 
 def coloring_from_list(g: Graph, colors: Sequence[int]) -> Coloring:
@@ -96,28 +97,62 @@ def all_one_coloring(g: Graph) -> Coloring:
     return Coloring(g, (0,) * g.n, 1)
 
 
+def _first_unequal(g: Graph, colors: Sequence[int], k: int) -> tuple[list, int | None]:
+    """(reps, bad): reps[i] is the first vertex of color i (None for an
+    empty class); bad is the first vertex, in vertex order, whose sorted
+    neighbor colors differ from those of the first vertex of its color, or
+    None when there is none, that is when the coloring is equitable."""
+    reps: list[int | None] = [None] * k
+    seen: list[tuple | None] = [None] * k
+    color_of = colors.__getitem__
+    for v, nbrs in enumerate(g.adj):
+        key = tuple(sorted(map(color_of, nbrs)))
+        i = colors[v]
+        if seen[i] is None:
+            seen[i], reps[i] = key, v
+        elif seen[i] != key:
+            return reps, v
+    return reps, None
+
+
+def _color_counts(g: Graph, colors: Sequence[int], v: int, k: int) -> tuple[int, ...]:
+    """How many neighbors of v have each color 0..k-1."""
+    counts = [0] * k
+    for u in g.adj[v]:
+        counts[colors[u]] += 1
+    return tuple(counts)
+
+
+def _quotient_rows(g: Graph, c: Coloring) -> list[tuple[int, ...]]:
+    if c.graph.n != g.n:
+        raise ShapeError("coloring belongs to a different graph")
+    k = c.n_colors
+    reps, bad = _first_unequal(g, c.colors, k)
+    if bad is not None:
+        rep = reps[c.colors[bad]]
+        counts = (_color_counts(g, c.colors, rep, k), _color_counts(g, c.colors, bad, k))
+        raise NotEquitableError((rep, bad), counts)
+    return [_color_counts(g, c.colors, rep, k) for rep in reps]
+
+
 def quotient_matrix(g: Graph, c: Coloring) -> RatMatrix:
     """Neighbor-count matrix S with S_ij = #{color-j neighbors of a color-i
     vertex}; raises NotEquitableError with the first witness pair scanned in
     vertex order if the counts are not uniform on some class.
     """
-    if c.graph.n != g.n:
-        raise ShapeError("coloring belongs to a different graph")
-    k = c.n_colors
-    rep: list[int | None] = [None] * k
-    profiles: list[tuple[int, ...] | None] = [None] * k
-    for v in range(g.n):
-        counts = [0] * k
-        for u in g.adj[v]:
-            counts[c.colors[u]] += 1
-        profile = tuple(counts)
-        i = c.colors[v]
-        if profiles[i] is None:
-            profiles[i] = profile
-            rep[i] = v
-        elif profiles[i] != profile:
-            raise NotEquitableError((rep[i], v), (profiles[i], profile))
-    return RatMatrix([list(p) for p in profiles])
+    return RatMatrix(_quotient_rows(g, c))
+
+
+def _counts_match(g: Graph, colors: list[int], s: RatMatrix) -> bool:
+    """Whether A f = f S for the indicator f of ``colors`` over ``g``: every
+    vertex has the same neighbor colors as the first vertex of its color,
+    and those first vertices' neighbor counts per color are S's rows."""
+    reps, bad = _first_unequal(g, colors, s.rows)
+    if bad is not None:
+        return False
+    used = [v for v in reps if v is not None]
+    counts = RatMatrix([_color_counts(g, colors, v, s.rows) for v in used])
+    return counts == s.sum_rows([colors[v]] for v in used)
 
 
 def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
@@ -127,13 +162,18 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
     neighbours (``f.sum_rows(adj)``: O(edges) additions of integer
     numerators), or a square RatMatrix.  When every row of f is a unit
     vector (a coloring's indicator matrix), f S is S's rows picked by the
-    rows' colors, O(N k) instead of the O(N k**2) product.
+    rows' colors, O(N k) instead of the O(N k**2) product; over a graph,
+    such an f is first checked by counting each vertex's neighbors per
+    color, and the residual is computed only when that check fails.
     """
     if not s.is_square() or s.rows != f.cols:
         raise ShapeError(f"parameter matrix {s.shape()} does not fit values {f.shape()}")
+    cols = f.unit_columns()
     if isinstance(a, Graph):
         if a.n != f.rows:
             raise ShapeError(f"value matrix has {f.rows} rows for {a.n} vertices")
+        if cols is not None and _counts_match(a, cols, s):
+            return True, RatMatrix.zeros(f.rows, f.cols)
         af = f.sum_rows(a.adj)
     elif isinstance(a, RatMatrix):
         if not a.is_square() or a.rows != f.rows:
@@ -141,7 +181,6 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
         af = a @ f
     else:
         raise ShapeError(f"host must be a Graph or RatMatrix, not {type(a).__name__}")
-    cols = f.unit_columns()
     fs = f @ s if cols is None else s.sum_rows([j] for j in cols)
     residual = af - fs
     return residual.is_zero(), residual
@@ -207,14 +246,14 @@ def check_completely_regular(g: Graph, code: Iterable[int]) -> CompletelyRegular
     """Build the distance coloring, derive its quotient matrix, and confirm
     the tridiagonal pattern."""
     col = distance_coloring(g, code)
-    r = quotient_matrix(g, col)
-    for i in range(r.rows):
-        for j in range(r.cols):
-            if abs(i - j) > 1 and r[i, j] != 0:
+    rows = _quotient_rows(g, col)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if abs(i - j) > 1 and x != 0:
                 raise NotTridiagonalError(
-                    f"quotient entry ({i},{j}) = {r[i, j]} off the three diagonals"
+                    f"quotient entry ({i},{j}) = {x} off the three diagonals"
                 )
-    return CompletelyRegularCode(g, col.distance_code, col.n_colors - 1, r)
+    return CompletelyRegularCode(g, col.distance_code, col.n_colors - 1, RatMatrix(rows))
 
 
 def lattice_coloring(m: int, k: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Coloring:
@@ -228,15 +267,11 @@ def lattice_coloring(m: int, k: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET
     if m < 1 or k < 1:
         raise EqpartError(f"lattice coloring needs m, k >= 1, got m={m}, k={k}")
     g = hamming_graph(m * k, q, budget)
-    colors = []
-    for v in range(g.n):
-        word = decode_word(v, m * k, q)
-        total = [0] * k
-        for b in range(m):
-            for i in range(k):
-                total[i] += word[b * k + i]
-        colors.append(encode_word([x % q for x in total], q))
-    return Coloring(g, tuple(colors), q**k)
+    # coordinate i of the block sum adds word[i], word[k + i], ... = word[i::k]
+    colors = tuple(
+        encode_word([sum(word[i::k]) % q for i in range(k)], q) for word in g.labels
+    )
+    return Coloring(g, colors, q**k)
 
 
 def fiber_coloring(g1: Graph, g2: Graph, budget: int = DEFAULT_VERTEX_BUDGET) -> Coloring:

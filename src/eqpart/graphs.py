@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from ._record import Record
 from .errors import (
@@ -101,18 +100,23 @@ def hamming_graph(n: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     size = q**n
     _check_budget(size, budget)
     powers = [q ** (n - 1 - i) for i in range(n)]
-    labels = []
+    # the offsets u - v from v to its neighbours u that change coordinate i
+    # from x, below v and above it.  A change in coordinate i moves v by at
+    # least q**(n-1-i) and a change in any later one by less, so the lower
+    # offsets in coordinate order, then the upper ones in reverse, are sorted.
+    lower = [[[(a - x) * p for a in range(x)] for x in range(q)] for p in powers]
+    upper = [[[(a - x) * p for a in range(x + 1, q)] for x in range(q)] for p in powers]
+    upper.reverse()
+    labels = tuple(itertools.product(range(q), repeat=n))  # in index order
     adj = []
-    for v in range(size):
-        word = decode_word(v, n, q)
-        labels.append(word)
-        nbrs = []
-        for i in range(n):
-            for a in range(q):
-                if a != word[i]:
-                    nbrs.append(v + (a - word[i]) * powers[i])
-        adj.append(tuple(sorted(nbrs)))
-    return Graph(size, tuple(adj), labels=tuple(labels), name=f"H({n},{q})")
+    for v, word in enumerate(labels):
+        offsets = []
+        for choices, x in zip(lower, word):
+            offsets += choices[x]
+        for choices, x in zip(upper, reversed(word)):
+            offsets += choices[x]
+        adj.append(tuple([v + d for d in offsets]))
+    return Graph(size, tuple(adj), labels=labels, name=f"H({n},{q})")
 
 
 def decode_word(index: int, n: int, q: int) -> tuple[int, ...]:
@@ -189,14 +193,20 @@ def direct_product(g1: Graph, g2: Graph, budget: int = DEFAULT_VERTEX_BUDGET) ->
 
 
 def _product_rows(g1: Graph, g2: Graph):
-    """The adjacency rows of ``direct_product(g1, g2)``, in vertex order."""
+    """The adjacency rows of ``direct_product(g1, g2)``, in vertex order.
+
+    The neighbours (v1, u2) of (u1, u2) with v1 < u1 lie below the block of
+    u1, those with v1 > u1 above it, and (u1, v2) inside it, so sorted
+    factor rows give sorted product rows without a sort."""
     n2 = g2.n
-    for u1 in range(g1.n):
+    for u1, nbrs1 in enumerate(g1.adj):
         base = u1 * n2
-        right = [tuple(base + v2 for v2 in g2.adj[u2]) for u2 in range(n2)]
-        for u2 in range(n2):
-            left = tuple(v1 * n2 + u2 for v1 in g1.adj[u1])
-            yield tuple(sorted(left + right[u2]))
+        lower = [v1 * n2 for v1 in nbrs1 if v1 < u1]
+        upper = [v1 * n2 for v1 in nbrs1 if v1 > u1]
+        for u2, nbrs2 in enumerate(g2.adj):
+            yield tuple(
+                [x + u2 for x in lower] + [base + v2 for v2 in nbrs2] + [x + u2 for x in upper]
+            )
 
 
 def is_direct_product(g: Graph, g1: Graph, g2: Graph) -> bool:
@@ -247,37 +257,58 @@ def diameter(g: Graph) -> int:
     return max(eccentricity(g, v) for v in range(g.n))
 
 
-def _values_of(f) -> RatMatrix:
-    if isinstance(f, RatMatrix):
-        return f
-    values = getattr(f, "values", None)
-    if isinstance(values, RatMatrix):
-        return values
-    indicator = getattr(f, "indicator", None)
-    if callable(indicator):
-        return indicator()
-    raise ShapeError(f"cannot read per-vertex values from {type(f).__name__}")
+def vertex_values(g: Graph, f) -> tuple:
+    """The per-vertex values of ``f`` over ``g``, as (colors, values, k).
+
+    ``f`` is a coloring, a perfect structure or a RatMatrix with one row per
+    vertex.  k is the length of a row and values the RatMatrix of rows (None
+    for a coloring).  colors lists each vertex's c when every row is a unit
+    vector e_c (a coloring, or rows that ``unit_columns`` reads as unit
+    vectors), and is None otherwise."""
+    colors = getattr(f, "colors", None)
+    if colors is not None:
+        values, n, k = None, len(colors), f.n_colors
+    else:
+        values = f if isinstance(f, RatMatrix) else getattr(f, "values", None)
+        if not isinstance(values, RatMatrix):
+            raise ShapeError(f"cannot read per-vertex values from {type(f).__name__}")
+        n, k, colors = values.rows, values.cols, values.unit_columns()
+    if n != g.n:
+        raise ShapeError(f"value matrix has {n} rows for {g.n} vertices")
+    return colors, values, k
 
 
-def distance_w_sum(g: Graph, v: int, w: int, f) -> tuple[Fraction, ...]:
+def class_sums(per_vertex: tuple, classes: Sequence[int], n_classes: int) -> RatMatrix:
+    """The n_classes-row matrix whose row i sums the values of the vertices v
+    with ``classes[v] == i``; ``per_vertex`` is what :func:`vertex_values`
+    read.
+
+    Unit-vector values are counted per (class, colour) pair in plain ints;
+    other values are summed with ``RatMatrix.sum_rows`` over each class."""
+    colors, values, k = per_vertex
+    if colors is not None:
+        rows = [[0] * k for _ in range(n_classes)]
+        for (i, c), count in Counter(zip(classes, colors)).items():
+            rows[i][c] = count
+        return RatMatrix(rows)
+    groups = [[] for _ in range(n_classes)]
+    for v, i in enumerate(classes):
+        groups[i].append(v)
+    return values.sum_rows(groups)
+
+
+def distance_w_sum(g: Graph, v: int, w: int, f) -> tuple:
     """Sum of the vector values of ``f`` over all vertices at distance
-    exactly ``w`` from ``v``.
+    exactly ``w`` from ``v``, as a tuple of Fractions.
 
     ``f`` may be a RatMatrix of per-vertex rows, a perfect structure, or a
     coloring.
     """
-    values = _values_of(f)
-    if values.rows != g.n:
-        raise ShapeError(f"value matrix has {values.rows} rows for {g.n} vertices")
+    values = vertex_values(g, f)
     dist = bfs_distances(g, [v])
     if w < 0 or w > max(dist):
         raise EqpartError(f"distance {w} out of range (eccentricity {max(dist)})")
-    total = [Fraction(0)] * values.cols
-    for u, d in enumerate(dist):
-        if d == w:
-            for j, x in enumerate(values.row(u)):
-                total[j] += x
-    return tuple(total)
+    return class_sums(values, [int(d == w) for d in dist], 2).row(1)
 
 
 def graph_to_json(g: Graph) -> dict:

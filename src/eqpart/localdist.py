@@ -16,13 +16,18 @@ Index flattening is frozen as rows (i1 * k2 + i2) and columns
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record
 from .drg import closed_form_rows
-from .equitable import PerfectStructure, tensor_params
+from .equitable import Coloring, PerfectStructure, indicator, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
-from .graphs import DEFAULT_VERTEX_BUDGET, Graph, direct_product, is_direct_product
+from .graphs import (
+    DEFAULT_VERTEX_BUDGET,
+    Graph,
+    class_sums,
+    direct_product,
+    is_direct_product,
+    vertex_values,
+)
 from .ratmat import RatMatrix, tensor
 
 
@@ -38,6 +43,17 @@ class TensorStructure(Record):
         return self.product.params
 
 
+def _pair_colors(g1: PerfectStructure, g2: PerfectStructure) -> list[int] | None:
+    """The pair coloring (i1, i2) -> i1 * k2 + i2 of the direct product, in
+    its vertex order, when the values of both factors are unit vectors, read
+    from the values themselves; None otherwise."""
+    c1, c2 = g1.values.unit_columns(), g2.values.unit_columns()
+    if c1 is None or c2 is None:
+        return None
+    k2 = g2.values.cols
+    return [i1 * k2 + i2 for i1 in c1 for i2 in c2]
+
+
 def tensor_structure(
     g1: PerfectStructure, g2: PerfectStructure, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> TensorStructure:
@@ -45,21 +61,20 @@ def tensor_structure(
 
     Construction re-verifies the defining equation on the product graph, so
     a successful return is itself the structural proof.  If both inputs are
-    colorings the product values are again indicator rows.
+    colorings the product values are the indicator rows of the pair
+    coloring, which are the Kronecker product of theirs.
     """
     prod_graph = direct_product(g1.graph, g2.graph, budget)
-    values = tensor(g1.values, g2.values)
     params = tensor_params(g1.params, g2.params)
+    pairs = _pair_colors(g1, g2)
     coloring = None
-    if g1.coloring is not None and g2.coloring is not None:
-        k2 = g2.coloring.n_colors
-        colors = tuple(
-            g1.coloring.colors[v // g2.graph.n] * k2 + g2.coloring.colors[v % g2.graph.n]
-            for v in range(prod_graph.n)
-        )
-        from .equitable import Coloring
-
-        coloring = Coloring(prod_graph, colors, g1.coloring.n_colors * k2)
+    if pairs is None:
+        values = tensor(g1.values, g2.values)
+    else:
+        k = g1.values.cols * g2.values.cols
+        values = indicator(pairs, k)
+        if g1.coloring is not None and g2.coloring is not None:
+            coloring = Coloring(prod_graph, tuple(pairs), k)
     product = PerfectStructure(prod_graph, values, params, coloring=coloring)
     return TensorStructure(g1, g2, product)
 
@@ -71,7 +86,7 @@ def rearrange(h: RatMatrix, n_left: int, n_right: int) -> RatMatrix:
     m = h.cols
     rows = []
     for i1 in range(n_left):
-        row: list[Fraction] = []
+        row = []
         for i2 in range(n_right):
             row.extend(h.row(i1 * n_right + i2))
         rows.append(row)
@@ -137,7 +152,12 @@ def tensor_distribution(
     if not isinstance(f.host, Graph) or not is_direct_product(f.host, g1.graph, g2.graph):
         raise ShapeError("f is not a structure over the direct product of the factors")
     k1, k2, m = g1.values.cols, g2.values.cols, f.values.cols
-    h = tensor(g1.values, g2.values).transpose() @ f.values
+    pairs = _pair_colors(g1, g2)
+    if pairs is None:
+        h = tensor(g1.values, g2.values).transpose() @ f.values
+    else:
+        # the contingency sums of f over the pair colors
+        h = class_sums(vertex_values(f.host, f.values), pairs, k1 * k2)
     lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h
     if lhs != h @ f.params:
         raise StructureError("product distribution identity failed")

@@ -149,7 +149,7 @@ class RatMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> RatMatrix:
-        return RatMatrix([[0] * cols for _ in range(rows)])
+        return RatMatrix([(0,) * cols] * rows)
 
     @staticmethod
     def identity(n: int) -> RatMatrix:

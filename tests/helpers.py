@@ -201,3 +201,41 @@ def ref_sum_rows(a, groups):
 def fractions_of(m: RatMatrix) -> list[list[Fraction]]:
     """The entries of a RatMatrix as Fraction rows, read through its public API."""
     return [list(row) for row in m]
+
+
+# -- naive references for the graph route ----------------------------------------
+
+
+def ref_hamming_graph(n: int, q: int) -> tuple[tuple, tuple]:
+    """(labels, adjacency rows) of H(n, q): vertex v is the base-q word of v,
+    coordinate 0 most significant, and its neighbours are the words that
+    differ from it in one coordinate, sorted."""
+    labels, adj = [], []
+    for v in range(q**n):
+        word = tuple(v // q ** (n - 1 - i) % q for i in range(n))
+        labels.append(word)
+        adj.append(tuple(sorted(
+            v + (a - x) * q ** (n - 1 - i) for i, x in enumerate(word) for a in range(q) if a != x
+        )))
+    return tuple(labels), tuple(adj)
+
+
+def ref_value_rows(f) -> list[list[Fraction]]:
+    """Per-vertex value rows as Fractions: unit rows for a coloring, the
+    rows of a RatMatrix or of a structure's values otherwise."""
+    colors = getattr(f, "colors", None)
+    if colors is not None:
+        return [[Fraction(int(c == j)) for j in range(f.n_colors)] for c in colors]
+    return fractions_of(f if isinstance(f, RatMatrix) else f.values)
+
+
+def ref_class_sums(classes, n_classes: int, rows) -> list[list[Fraction]]:
+    """Row i: the sum of ``rows[v]`` over the vertices v of class i."""
+    return ref_sum_rows(rows, [[v for v, c in enumerate(classes) if c == i]
+                               for i in range(n_classes)])
+
+
+def ref_residual(g: Graph, f_rows, s_rows) -> list[list[Fraction]]:
+    """A f - f S with A the adjacency matrix of g, in Fractions."""
+    adjacency = [[Fraction(int(v in g.adj[u])) for v in range(g.n)] for u in range(g.n)]
+    return ref_sub(ref_matmul(adjacency, f_rows), ref_matmul(f_rows, s_rows))

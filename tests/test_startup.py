@@ -47,6 +47,11 @@ def runs(tmp_path_factory):
     s, johnson = tmp / "s.json", tmp / "j.json"
     s.write_text("[[0, 2], [2, 0]]")
     johnson.write_text('{"gen": "johnson", "n": 6, "k": 3}')
+    h4, weights, code = tmp / "h4.json", tmp / "w4.json", tmp / "code.json"
+    h4.write_text('{"gen": "hamming", "n": 4, "q": 2}')
+    weights.write_text(json.dumps({"graph": json.loads(h4.read_text()),
+                                   "colors": [bin(v).count("1") for v in range(16)]}))
+    code.write_text("[0, 15]")
     return {
         "help": loaded_by("--help"),
         "lattice": loaded_by("distrib", "lattice", "-m", "2", "-k", "2", "-q", "2",
@@ -55,6 +60,10 @@ def runs(tmp_path_factory):
                            "--s", str(s), "--f0", '[1, "1/2"]'),
         "vertex": loaded_by("distrib", "vertex", "--graph", str(johnson), "--s", str(s),
                             "--color", "0"),
+        "vertex_oracle": loaded_by("distrib", "vertex", "--graph", str(h4), "--coloring",
+                                   str(weights), "--color", "1", "--verify-oracle"),
+        "quotient": loaded_by("quotient", "--graph", str(h4), "--coloring", str(weights)),
+        "crc-check": loaded_by("crc-check", "--graph", str(h4), "--code", str(code)),
     }
 
 GRAPH_FREE = ["lattice", "pcube", "vertex"]
@@ -87,3 +96,9 @@ def test_graph_free_closed_form_loads_no_graph_polynomial_or_fraction_code(runs,
     assert "eqpart.distributions" in loaded
     assert not loaded & {"eqpart.graphs", "eqpart.polys", "fractions"}
     assert not eqpart_modules(loaded) & STRUCTURE_MODULES
+
+
+@pytest.mark.parametrize("run", ["vertex_oracle", "quotient", "crc-check"])
+def test_graph_route_on_a_coloring_loads_no_fraction_code(runs, run):
+    assert "eqpart.graphs" in runs[run]
+    assert not runs[run] & {"fractions", "decimal", "numbers"}
