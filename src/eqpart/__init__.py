@@ -65,7 +65,6 @@ _EXPORTS = {
         "DEFAULT_VERTEX_BUDGET",
         "Graph",
         "direct_product",
-        "distance_w_sum",
         "distances_from_set",
         "graph_from_edges",
         "halved_cube",
@@ -84,7 +83,7 @@ _EXPORTS = {
         "unrearrange",
     ),
     "oracle": ("brute_distribution", "brute_pair_distribution"),
-    "ratmat": ("RatMatrix", "Rational", "mat_poly_eval", "solve", "tensor"),
+    "ratmat": ("RatMatrix", "tensor"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

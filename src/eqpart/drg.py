@@ -5,13 +5,15 @@ distance w, the number of neighbors of v at distance w-1 (resp. w, w+1)
 from u depends only on w; those counts c_w, a_w, b_w form the intersection
 array.  The array is all a closed-form distribution needs: its rows
 f0 p_w(T) follow from the three-term recurrence, which
-:func:`closed_form_rows` runs (:func:`eqpart.ratmat.recurrence_rows`).
+:func:`closed_form_rows` runs as the row kernel
+:func:`eqpart.ratmat.recurrence_rows` on the array's tridiagonal matrix.
 The Hamming, Johnson and halved-cube arrays have closed forms, so a
 generator spec yields its array without building the graph; this module
 imports :mod:`eqpart.graphs` only to build or inspect one.
 
 The polynomial families (P-polynomials, Krawtchouk, Eberlein) live in
-:mod:`eqpart.polys`; each of their names also resolves here.
+:mod:`eqpart.polys`, which no distribution imports; each of their names
+also resolves here, on first access.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from math import comb
 from ._record import Record
 from .errors import DEFAULT_VERTEX_BUDGET, EqpartError, NotDistanceRegularError
 from .inputs import read_spec
-from .ratmat import RatMatrix, recurrence_rows, row_poly_eval
+from .ratmat import RatMatrix, recurrence_rows, tridiagonal
 
 # names defined in eqpart.polys, looked up there on first access
 _POLYS_NAMES = frozenset((
@@ -233,12 +235,9 @@ def regular_degree(spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | Non
 # -- closed-form rows ------------------------------------------------------
 
 
-def closed_form_rows(g: Graph | IntersectionArray, t: RatMatrix, f0: RatMatrix,
-                     ppolys: PPolynomials | None = None) -> RatMatrix:
-    """Rows f0 p_w(T), w = 0..D: by the recurrence of the intersection array
-    ``g`` (or of the distance-regular graph ``g``), or with the polynomial
-    family ``ppolys`` when one is given."""
-    if ppolys is not None:
-        return RatMatrix([row_poly_eval(f0, ppolys[w], t).row(0) for w in range(len(ppolys))])
+def closed_form_rows(g: Graph | IntersectionArray, t: RatMatrix, f0: RatMatrix) -> RatMatrix:
+    """Rows f0 p_w(T), w = 0..D, for the intersection array ``g`` (or that
+    of the distance-regular graph ``g``): the row kernel on the array's
+    tridiagonal matrix."""
     ia = g if isinstance(g, IntersectionArray) else intersection_array(g)
-    return recurrence_rows(f0, ia.b, ia.a, ia.c, t)
+    return recurrence_rows(f0, tridiagonal(ia.b, ia.a, ia.c), t)

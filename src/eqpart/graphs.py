@@ -249,14 +249,6 @@ def distances_from_set(g: Graph, code: Iterable[int]) -> tuple[list[int], int]:
     return dist, max(dist)
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    return max(bfs_distances(g, [v]))
-
-
-def diameter(g: Graph) -> int:
-    return max(eccentricity(g, v) for v in range(g.n))
-
-
 def vertex_values(g: Graph, f) -> tuple:
     """The per-vertex values of ``f`` over ``g``, as (colors, values, k).
 
@@ -295,20 +287,6 @@ def class_sums(per_vertex: tuple, classes: Sequence[int], n_classes: int) -> Rat
     for v, i in enumerate(classes):
         groups[i].append(v)
     return values.sum_rows(groups)
-
-
-def distance_w_sum(g: Graph, v: int, w: int, f) -> tuple:
-    """Sum of the vector values of ``f`` over all vertices at distance
-    exactly ``w`` from ``v``, as a tuple of Fractions.
-
-    ``f`` may be a RatMatrix of per-vertex rows, a perfect structure, or a
-    coloring.
-    """
-    values = vertex_values(g, f)
-    dist = bfs_distances(g, [v])
-    if w < 0 or w > max(dist):
-        raise EqpartError(f"distance {w} out of range (eccentricity {max(dist)})")
-    return class_sums(values, [int(d == w) for d in dist], 2).row(1)
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -80,30 +80,18 @@ def tensor_structure(
 
 
 def rearrange(h: RatMatrix, n_left: int, n_right: int) -> RatMatrix:
-    """(n_left*n_right) x m  ->  n_left x (n_right*m), entrywise bijection."""
+    """(n_left*n_right) x m  ->  n_left x (n_right*m), entrywise bijection:
+    the row-major reshape, so row i1 of h* is rows (i1, 0..n_right-1) of h."""
     if h.rows != n_left * n_right:
         raise ShapeError(f"{h.rows} rows cannot split as {n_left} x {n_right}")
-    m = h.cols
-    rows = []
-    for i1 in range(n_left):
-        row = []
-        for i2 in range(n_right):
-            row.extend(h.row(i1 * n_right + i2))
-        rows.append(row)
-    return RatMatrix(rows)
+    return h.reshape(n_left, n_right * h.cols)
 
 
 def unrearrange(h_star: RatMatrix, n_right: int) -> RatMatrix:
     """Inverse of :func:`rearrange`."""
     if h_star.cols % n_right:
         raise ShapeError(f"{h_star.cols} columns do not split into {n_right} groups")
-    m = h_star.cols // n_right
-    rows = []
-    for i1 in range(h_star.rows):
-        full = h_star.row(i1)
-        for i2 in range(n_right):
-            rows.append(full[i2 * m : (i2 + 1) * m])
-    return RatMatrix(rows)
+    return h_star.reshape(h_star.rows * n_right, h_star.cols // n_right)
 
 
 def star_params(r2: RatMatrix, s: RatMatrix) -> RatMatrix:
@@ -176,16 +164,11 @@ def tensor_distribution(
 
 
 def reconstruct_local(
-    g1: Graph | IntersectionArray,
-    r2: RatMatrix,
-    s: RatMatrix,
-    h_star_0,
-    ppolys: PPolynomials | None = None,
+    g1: Graph | IntersectionArray, r2: RatMatrix, s: RatMatrix, h_star_0
 ) -> RatMatrix:
     """All rows of h* from its first row, for a distance-regular left factor
     given as a graph or its intersection array:
-    row i = row_0 p_i(I (x) S - R2 (x) I), by the recurrence of that array
-    or with the polynomial family ``ppolys`` when one is given."""
+    row i = row_0 p_i(I (x) S - R2 (x) I), by the recurrence of that array."""
     mat = star_params(r2, s)
     if isinstance(h_star_0, RatMatrix):
         row0 = h_star_0
@@ -195,7 +178,7 @@ def reconstruct_local(
         raise ShapeError(
             f"first row has shape {row0.shape()}, expected 1 x {mat.rows}"
         )
-    return closed_form_rows(g1, mat, row0, ppolys)
+    return closed_form_rows(g1, mat, row0)
 
 
 def extract_local(rd: RearrangedDistribution) -> tuple[RatMatrix, RatMatrix]:
@@ -208,6 +191,6 @@ def extract_local(rd: RearrangedDistribution) -> tuple[RatMatrix, RatMatrix]:
     """
     if not (rd.left_is_distance and rd.right_is_distance):
         raise EqpartError("local blocks need distance colorings on both factors")
-    first = RatMatrix([rd.h.row(i2) for i2 in range(rd.n_right)])
-    second = RatMatrix([rd.h.row(i1 * rd.n_right) for i1 in range(rd.n_left)])
+    first = rd.h.sum_rows([i2] for i2 in range(rd.n_right))
+    second = rd.h.sum_rows([i1 * rd.n_right] for i1 in range(rd.n_left))
     return first, second

@@ -1,19 +1,20 @@
-"""Exact polynomials: the P-polynomials of an intersection array, the
-Krawtchouk and Eberlein closed forms, and the Fraction-level matrix
-routines (whole-matrix polynomials, linear solves) that check the kernel.
+"""Exact polynomials: the P-polynomials of an intersection array and the
+Krawtchouk and Eberlein closed forms.
 
 The distance-w adjacency matrix of a distance-regular graph is p_w(A) for
 the degree-w polynomials of the three-term recurrence
 
     c_{w+1} * p_{w+1}(x) = (x - a_w) * p_w(x) - b_{w-1} * p_{w-1}(x).
 
-The closed-form distributions do not expand these polynomials: they run
-the recurrence on rows (:func:`eqpart.ratmat.recurrence_rows`).  The
-coefficients here serve a caller that passes its own family (``ppolys``),
-the polynomial route of first-row reconstruction, and the cross-checks of
-the recurrence against the Krawtchouk and Eberlein closed forms.
-:mod:`eqpart.drg` resolves the polynomial names of this module as its own,
-and :mod:`eqpart.ratmat` resolves ``mat_poly_eval`` and ``solve``.
+No distribution expands these polynomials: every one runs the recurrence
+on rows (:func:`eqpart.ratmat.recurrence_rows`), and no function of this
+package calls into this module.  It stays for two readers.  The ``drg.poly``
+layer of the benchmark's tracer (``perfbench/tracer.py``) wraps
+``p_polynomials``, ``krawtchouk_p_polynomials``, ``krawtchouk`` and
+``eberlein``, looked up as names of :mod:`eqpart.drg`, which resolves every
+name of this module on first access.  The tests check the row kernel
+against these coefficients and the recurrence against the Krawtchouk and
+Eberlein closed forms.
 
 Polynomials are plain lists of Fractions, constant term first.
 """
@@ -24,8 +25,8 @@ from fractions import Fraction
 
 from ._record import Record
 from .drg import IntersectionArray
-from .errors import EqpartError, ShapeError
-from .ratmat import RatMatrix, parse_rational, rat_str
+from .errors import EqpartError
+from .ratmat import parse_rational, rat_str
 
 Poly = list[Fraction]
 
@@ -213,45 +214,3 @@ def eberlein(w: int, n: int, k: int) -> Poly:
         term = poly_mul(term, binomial_poly(Fraction(n - k), -1, w - j))
         acc = poly_add(acc, poly_scale((-1) ** j, term))
     return acc
-
-
-# -- matrix polynomials and linear solves on Fractions -----------------------
-
-
-def mat_poly_eval(coeffs: Sequence, m: RatMatrix) -> RatMatrix:
-    """Evaluate sum(coeffs[i] * m**i) exactly by Horner's rule.
-
-    ``coeffs`` is constant-term first; ``m`` must be square.
-    """
-    if not m.is_square():
-        raise ShapeError(f"polynomial evaluation needs a square matrix, got {m.shape()}")
-    cs = [parse_rational(c) for c in coeffs]
-    if not cs:
-        return RatMatrix.zeros(m.rows, m.rows)
-    ident = RatMatrix.identity(m.rows)
-    acc = ident.scale(cs[-1])
-    for c in reversed(cs[:-1]):
-        acc = acc @ m + ident.scale(c)
-    return acc
-
-
-def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Solve a @ x = b exactly for square full-rank ``a`` (Gaussian elimination)."""
-    if not a.is_square():
-        raise ShapeError(f"solve needs a square matrix, got {a.shape()}")
-    if a.rows != b.rows:
-        raise ShapeError(f"incompatible right-hand side {b.shape()} for {a.shape()}")
-    n = a.rows
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ShapeError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return RatMatrix([row[n:] for row in aug])

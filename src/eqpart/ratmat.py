@@ -5,11 +5,15 @@ common denominator, in canonical form: the gcd of the denominator and every
 numerator is 1, so a zero matrix has denominator 1 and an integer matrix is
 plain integer rows over 1.  Two matrices are equal exactly when their
 reduced rational entries are, and that is a comparison of the stored form.
-Sums, products, Kronecker products, polynomial rows and the rows of a
-three-term recurrence are computed on the integer numerators, and text is
-rendered from them.  ``fractions.Fraction`` appears only where a caller
-reads a scalar (``row``, indexing, iteration) or hands one in, and is
-imported there, so that a run which never does loads no ``fractions``.
+Sums, products, Kronecker products, reshapes, polynomial rows and the rows
+of a lower-Hessenberg recurrence are computed on the integer numerators,
+and text is rendered from them.  That recurrence (:func:`recurrence_rows`)
+is the one row kernel of every weight distribution: first-row
+reconstruction runs it on a code's quotient matrix, and each closed form on
+the tridiagonal matrix of an intersection array (:func:`tridiagonal`).
+``fractions.Fraction`` appears only where a caller reads a scalar (``row``,
+indexing, iteration) or hands one in, and is imported there, so that a run
+which never does loads no ``fractions``.
 Matrices are small or sparse-valued (quotient matrices, indicator rows,
 distributions), so dense row-major storage and schoolbook algorithms are
 the right tool; nothing here ever touches floats.
@@ -22,22 +26,9 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .errors import ShapeError
+from .errors import ReconstructionError, ShapeError
 
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def __getattr__(name: str):
-    if name == "Rational":
-        from fractions import Fraction
-
-        return Fraction
-    if name in ("mat_poly_eval", "solve"):
-        # Fraction-level reference routines, defined in eqpart.polys
-        from . import polys
-
-        return getattr(polys, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pair(value) -> tuple[int, int]:
@@ -272,6 +263,13 @@ class RatMatrix:
     def transpose(self) -> RatMatrix:
         return RatMatrix._of(tuple(zip(*self._num)), self._den)
 
+    def reshape(self, rows: int, cols: int) -> RatMatrix:
+        """The same entries, read row by row, as a rows x cols matrix."""
+        if rows < 1 or cols < 1 or rows * cols != self.rows * self.cols:
+            raise ShapeError(f"cannot reshape {self.shape()} to {(rows, cols)}")
+        flat = tuple(chain.from_iterable(self._num))
+        return RatMatrix._of(tuple(flat[i:i + cols] for i in range(0, len(flat), cols)), self._den)
+
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
@@ -347,52 +345,102 @@ def row_poly_eval(row, coeffs: Sequence, m: RatMatrix) -> RatMatrix:
     return RatMatrix._of((tuple(acc),), den)
 
 
-def recurrence_rows(row, b: Sequence[int], a: Sequence[int], c: Sequence[int],
-                    t: RatMatrix) -> RatMatrix:
-    """Rows r_0..r_D of the three-term recurrence of an integer array
-    b_0..b_{D-1}, a_0..a_D, c_1..c_D with every c_w >= 1:
+def tridiagonal(b: Sequence, a: Sequence, c: Sequence) -> RatMatrix:
+    """The tridiagonal B = R^T of an array b_0..b_{D-1}, a_0..a_D, c_1..c_D
+    with every c_w >= 1: B[w,w] = a_w, B[w,w+1] = c_{w+1}, B[w+1,w] = b_w.
 
-        r_0 = row,   c_{w+1} r_{w+1} = r_w T - a_w r_w - b_{w-1} r_{w-1},
-
-    so that r_w = row p_w(T) for the polynomials p_w of the same recurrence
-    (``r_{-1}`` and ``b_{-1}`` are taken as 0).  Each row costs one
-    vector-matrix product on integer numerators over one denominator,
-    reduced after every step; no polynomial is expanded.  a_D and b_{D-1}
-    are part of the array but enter no row."""
-    if not t.is_square():
-        raise ShapeError(f"the recurrence needs a square matrix, got {t.shape()}")
+    R is the quotient matrix of the distance partition of a code or a
+    vertex, so ``recurrence_rows(row, tridiagonal(b, a, c), T)`` runs the
+    three-term recurrence c_{w+1} r_{w+1} = r_w T - a_w r_w - b_{w-1} r_{w-1},
+    whose rows are r_w = row p_w(T) for the polynomials p_w of the array.
+    c_1 may differ from 1 (a scaled array, or the array of a code)."""
     depth = len(c)
     if len(b) != depth or len(a) != depth + 1:
         raise ShapeError(f"array lengths ({len(b)},{len(a)},{depth}) do not fit together")
+    for w, cw in enumerate(c, 1):
+        if cw < 1:
+            raise ShapeError(f"c_{w} = {cw} < 1")
+    rows = []
+    for w in range(depth + 1):
+        row = [0] * (depth + 1)
+        row[w] = a[w]
+        if w:
+            row[w - 1] = b[w - 1]
+        if w < depth:
+            row[w + 1] = c[w]
+        rows.append(row)
+    return RatMatrix(rows)
+
+
+def _check_hessenberg(b: RatMatrix, n_rows: int) -> None:
+    """The rows 0..n_rows-2 of B, which the recurrence reads, must vanish
+    above the superdiagonal and be nonzero on it."""
+    if not b.is_square():
+        raise ShapeError(f"reconstruction matrix must be square, got {b.shape()}")
+    if n_rows > b.rows:
+        raise ShapeError(f"cannot produce {n_rows} rows from a {b.rows}-row matrix")
+    for i in range(n_rows - 1):
+        row = b._num[i]
+        if row[i + 1] == 0:
+            raise ReconstructionError(f"superdiagonal entry ({i},{i + 1}) is zero")
+        for j in range(i + 2, b.cols):
+            if row[j] != 0:
+                raise ReconstructionError(
+                    f"entry ({i},{j}) = {_text(row[j], b._den)} above the superdiagonal"
+                )
+
+
+def recurrence_rows(row, b: RatMatrix, t: RatMatrix, n_rows: int | None = None) -> RatMatrix:
+    """Rows r_0..r_{n-1}, n = ``n_rows`` (B.rows by default), of the
+    recurrence of a lower-Hessenberg matrix B with a nonzero superdiagonal:
+
+        r_0 = row,   B[i,i+1] r_{i+1} = r_i T - sum_{j<=i} B[i,j] r_j.
+
+    For B = R^T, with R the quotient matrix of a completely regular code and
+    T the parameters S of a perfect structure, these are the rows of the
+    structure's distribution from its first row; for a tridiagonal B
+    (:func:`tridiagonal`) they are row p_w(T) for the polynomials p_w of an
+    intersection array.  Each row costs one vector-matrix product and one
+    combination per nonzero B[i,j], on integer numerators over one
+    denominator, reduced after every step; no polynomial is expanded.  Row
+    n-1 of B enters no row."""
+    n = b.rows if n_rows is None else n_rows
+    _check_hessenberg(b, n)
+    if not t.is_square():
+        raise ShapeError(f"the recurrence needs a square matrix, got {t.shape()}")
     if not isinstance(row, RatMatrix):
         row = RatMatrix.row_vector(row)
     if row.rows != 1 or row.cols != t.rows:
         raise ShapeError(f"row of shape {row.shape()} does not fit {t.shape()}")
     cols = list(zip(*t._num))
-    dt = t._den
-    prev, dprev = (), 1
-    cur, dcur = row._num[0], row._den
-    rows = [(cur, dcur)]
-    for w in range(depth):
-        if c[w] < 1:
-            raise ShapeError(f"c_{w + 1} = {c[w]} < 1")
-        # r_w T - a_w r_w over dcur * dt
-        aw = a[w] * dt
-        nxt = [sum(map(mul, cur, col)) - aw * x for col, x in zip(cols, cur)]
+    dt, db = t._den, b._den
+    rows = [(row._num[0], row._den)]
+    for i in range(n - 1):
+        cur, dcur = rows[i]
+        # r_i T over dcur * dt
+        acc = [sum(map(mul, cur, col)) for col in cols]
         den = dcur * dt
-        if w:
-            # minus b_{w-1} r_{w-1}, over the lcm of the two denominators
-            g = gcd(den, dprev)
-            s1, s2 = dprev // g, b[w - 1] * (den // g)
-            nxt = [x * s1 - s2 * y for x, y in zip(nxt, prev)]
-            den *= s1
-        den *= c[w]
-        g = gcd(den, *nxt)
+        brow = b._num[i]
+        for j in range(i + 1):
+            if brow[j]:
+                # minus (B[i,j] / db) r_j, over the lcm of the two denominators
+                vj, dj = rows[j]
+                d2 = db * dj
+                g = gcd(den, d2)
+                s1, s2 = d2 // g, brow[j] * (den // g)
+                acc = [x * s1 - s2 * y for x, y in zip(acc, vj)]
+                den *= s1
+        # over B[i,i+1] = sup / db, with the sign moved to the numerators
+        sup = brow[i + 1]
+        scale = db if sup > 0 else -db
+        if scale != 1:
+            acc = [x * scale for x in acc]
+        den *= abs(sup)
+        g = gcd(den, *acc)
         if g != 1:
-            nxt = [x // g for x in nxt]
+            acc = [x // g for x in acc]
             den //= g
-        prev, dprev, cur, dcur = cur, dcur, nxt, den
-        rows.append((cur, dcur))
+        rows.append((acc, den))
     den = lcm(*(d for _, d in rows))
     num = tuple(tuple(x * (den // d) for x in v) for v, d in rows)
     return RatMatrix._of(num, den)

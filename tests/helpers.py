@@ -1,15 +1,20 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and references for the test suite.
 
 Everything here is deliberately primitive: breadth-first search, direct
-counting, and integer arithmetic.  Nothing imports the polynomial or
-distribution code paths it is used to check.
+counting, integer arithmetic, and Fraction-level polynomials and matrices.
+Nothing imports the row kernel or the distribution code it is used to
+check.  The polynomial route of first-row reconstruction lives here as the
+reference the kernel (``eqpart.ratmat.recurrence_rows``) is checked against.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
-from eqpart.graphs import Graph, bfs_distances
-from eqpart.ratmat import RatMatrix
+from eqpart.errors import EqpartError, ShapeError
+from eqpart.graphs import Graph, bfs_distances, class_sums, vertex_values
+from eqpart.polys import poly_add, poly_mul_x, poly_scale
+from eqpart.ratmat import RatMatrix, parse_rational, row_poly_eval
 
 
 def all_pairs_distances(g: Graph) -> list[list[int]]:
@@ -239,3 +244,93 @@ def ref_residual(g: Graph, f_rows, s_rows) -> list[list[Fraction]]:
     """A f - f S with A the adjacency matrix of g, in Fractions."""
     adjacency = [[Fraction(int(v in g.adj[u])) for v in range(g.n)] for u in range(g.n)]
     return ref_sub(ref_matmul(adjacency, f_rows), ref_matmul(f_rows, s_rows))
+
+
+def eccentricity(g: Graph, v: int) -> int:
+    return max(bfs_distances(g, [v]))
+
+
+def diameter(g: Graph) -> int:
+    return max(eccentricity(g, v) for v in range(g.n))
+
+
+def distance_w_sum(g: Graph, v: int, w: int, f) -> tuple:
+    """Sum of the vector values of ``f`` over all vertices at distance
+    exactly ``w`` from ``v``, as a tuple of Fractions.
+
+    ``f`` may be a RatMatrix of per-vertex rows, a perfect structure, or a
+    coloring.
+    """
+    values = vertex_values(g, f)
+    dist = bfs_distances(g, [v])
+    if w < 0 or w > max(dist):
+        raise EqpartError(f"distance {w} out of range (eccentricity {max(dist)})")
+    return class_sums(values, [int(d == w) for d in dist], 2).row(1)
+
+
+# -- Fraction-level matrix polynomials, solves and the polynomial route ------------
+
+
+def mat_poly_eval(coeffs: Sequence, m: RatMatrix) -> RatMatrix:
+    """Evaluate sum(coeffs[i] * m**i) exactly by Horner's rule.
+
+    ``coeffs`` is constant-term first; ``m`` must be square.
+    """
+    if not m.is_square():
+        raise ShapeError(f"polynomial evaluation needs a square matrix, got {m.shape()}")
+    cs = [parse_rational(c) for c in coeffs]
+    if not cs:
+        return RatMatrix.zeros(m.rows, m.rows)
+    ident = RatMatrix.identity(m.rows)
+    acc = ident.scale(cs[-1])
+    for c in reversed(cs[:-1]):
+        acc = acc @ m + ident.scale(c)
+    return acc
+
+
+def solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Solve a @ x = b exactly for square full-rank ``a`` (Gaussian elimination)."""
+    if not a.is_square():
+        raise ShapeError(f"solve needs a square matrix, got {a.shape()}")
+    if a.rows != b.rows:
+        raise ShapeError(f"incompatible right-hand side {b.shape()} for {a.shape()}")
+    n = a.rows
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ShapeError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return RatMatrix([row[n:] for row in aug])
+
+
+def reconstruction_polynomials(b: RatMatrix, n_rows: int) -> list[list[Fraction]]:
+    """Degree-i polynomials q_i with row_i = row_0 * q_i(S), from the
+    recursion of a lower-Hessenberg B at the polynomial level:
+    B[i-1,i] q_i = x q_{i-1} - sum_{j<i} B[i-1,j] q_j."""
+    polys: list[list[Fraction]] = [[Fraction(1)]]
+    for i in range(1, n_rows):
+        acc = poly_mul_x(polys[i - 1])
+        for j in range(i):
+            coef = b[i - 1, j]
+            if coef != 0:
+                acc = poly_add(acc, poly_scale(-coef, polys[j]))
+        polys.append(poly_scale(1 / b[i - 1, i], acc))
+    return polys
+
+
+def rows_by_polynomials(row, polys, t: RatMatrix) -> RatMatrix:
+    """Row w = row q_w(T) for each polynomial of a family (a list of
+    coefficient lists or a ``PPolynomials``), each evaluated by Horner's rule."""
+    return RatMatrix([row_poly_eval(row, polys[w], t).row(0) for w in range(len(polys))])
+
+
+def rows_by_matrix_polynomials(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> RatMatrix:
+    """The polynomial route of first-row reconstruction: row i = h0 q_i(S)."""
+    return rows_by_polynomials(h0, reconstruction_polynomials(b, n_rows), s)

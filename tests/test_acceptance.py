@@ -14,8 +14,7 @@ from eqpart.distributions import (
     fiber_distribution,
     lattice_distribution,
     pcube_distribution,
-    rows_by_matrix_polynomials,
-    rows_by_recurrence,
+    reconstruct_from_first_row,
     subcube_distribution,
     vertex_distribution,
 )
@@ -56,7 +55,7 @@ from eqpart.localdist import (
     unrearrange,
 )
 from eqpart.oracle import brute_distribution
-from eqpart.ratmat import RatMatrix, from_json, mat_poly_eval
+from eqpart.ratmat import RatMatrix, from_json
 
 from helpers import (
     all_pairs_distances,
@@ -64,6 +63,9 @@ from helpers import (
     check_polynomials_give_distance_matrices,
     distance_w_matrix,
     label_distance_matrix,
+    mat_poly_eval,
+    rows_by_matrix_polynomials,
+    rows_by_polynomials,
 )
 
 H = functools.lru_cache(maxsize=None)(hamming_graph)
@@ -163,7 +165,9 @@ def test_criterion_3_vertex_distribution_vs_enumeration():
     code = hamming_code_vertices(3)
     col = distance_coloring(g, code)
     s = quotient_matrix(g, col)
-    dist = vertex_distribution(g, s, 0, ppolys=p_polynomials(hamming_intersection_array(7, 2)))
+    dist = vertex_distribution(g, s, 0)
+    polys = p_polynomials(hamming_intersection_array(7, 2))
+    assert dist.matrix == rows_by_polynomials(RatMatrix([[1, 0]]), polys, s)
     column = tuple(dist.matrix[w, 0] for w in range(8))
     assert column == (1, 0, 0, 7, 7, 0, 0, 1)
     weights = [0] * 8
@@ -172,7 +176,7 @@ def test_criterion_3_vertex_distribution_vs_enumeration():
     assert column == tuple(weights)
 
 
-@criterion("criterion 4: both reconstruction routes on 100 code instances")
+@criterion("criterion 4: kernel and polynomial reconstruction on 100 code instances")
 def test_criterion_4_reconstruction_routes():
     crc_pool = []
     for g, code in [
@@ -217,9 +221,8 @@ def test_criterion_4_reconstruction_routes():
                 ]
             )
             h0 = [Fraction(rng.randint(-9, 9)) for _ in range(k)]
-        direct = rows_by_recurrence(b, s, h0, n_rows)
-        poly = rows_by_matrix_polynomials(b, s, h0, n_rows)
-        assert direct == poly
+        kernel = reconstruct_from_first_row(b, s, h0, n_rows).matrix
+        assert kernel == rows_by_matrix_polynomials(b, s, h0, n_rows)
         checked += 1
     assert checked == 100
 
@@ -271,7 +274,9 @@ def test_criterion_5_oracle_sweep():
             for v in sample:
                 j = f.colors[v]
                 if j not in per_color:
-                    per_color[j] = vertex_distribution(g, s, j, ppolys=polys).matrix
+                    per_color[j] = vertex_distribution(g, s, j).matrix
+                    e_j = RatMatrix([[int(i == j) for i in range(s.rows)]])
+                    assert per_color[j] == rows_by_polynomials(e_j, polys, s)
                 assert per_color[j] == brute_distribution(g, [v], f)
                 comparisons += 1
 

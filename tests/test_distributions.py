@@ -10,9 +10,6 @@ from eqpart.distributions import (
     lattice_distribution,
     pcube_distribution,
     reconstruct_from_first_row,
-    reconstruction_polynomials,
-    rows_by_matrix_polynomials,
-    rows_by_recurrence,
     subcube_distribution,
     vertex_distribution,
 )
@@ -28,6 +25,8 @@ from eqpart.errors import EqpartError, ReconstructionError, ShapeError
 from eqpart.graphs import decode_word, direct_product, hamming_graph, johnson_graph
 from eqpart.oracle import brute_distribution
 from eqpart.ratmat import RatMatrix, from_json
+
+from helpers import reconstruction_polynomials, rows_by_matrix_polynomials
 
 S3 = from_json([[0, 4, 0], [1, 1, 2], [0, 2, 2]])
 
@@ -122,12 +121,12 @@ def test_reconstruct_code_eigenfunction():
 
 def test_reconstruct_pattern_errors():
     with pytest.raises(ReconstructionError):
-        rows_by_recurrence(from_json([[0, 0], [1, 0]]), from_json([[1]]), [1], 2)
+        reconstruct_from_first_row(from_json([[0, 0], [1, 0]]), from_json([[1]]), [1], 2)
     bad = from_json([[0, 1, 5], [1, 0, 1], [0, 1, 0]])
     with pytest.raises(ReconstructionError):
-        rows_by_recurrence(bad, from_json([[1]]), [1], 3)
+        reconstruct_from_first_row(bad, from_json([[1]]), [1], 3)
     with pytest.raises(ShapeError):
-        rows_by_recurrence(from_json([[0, 1], [1, 0]]), from_json([[1]]), [1], 5)
+        reconstruct_from_first_row(from_json([[0, 1], [1, 0]]), from_json([[1]]), [1], 5)
 
 
 def test_reconstruction_polynomial_degrees():
@@ -155,9 +154,8 @@ def test_both_reconstruction_routes_agree_on_random_inputs():
             [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
         )
         h0 = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
-        direct = rows_by_recurrence(b, s, h0, n)
-        poly = rows_by_matrix_polynomials(b, s, h0, n)
-        assert direct == poly
+        kernel = reconstruct_from_first_row(b, s, h0, n).matrix
+        assert kernel == rows_by_matrix_polynomials(b, s, h0, n)
 
 
 # -- vertex distributions ----------------------------------------------------

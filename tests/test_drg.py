@@ -26,9 +26,12 @@ from eqpart.graphs import (
     hamming_graph,
     johnson_graph,
 )
-from eqpart.ratmat import mat_poly_eval
-
-from helpers import all_pairs_distances, counting_intersection_numbers, distance_w_matrix
+from helpers import (
+    all_pairs_distances,
+    counting_intersection_numbers,
+    distance_w_matrix,
+    mat_poly_eval,
+)
 
 
 def test_intersection_array_k2():

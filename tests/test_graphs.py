@@ -12,9 +12,7 @@ from eqpart.graphs import (
     Graph,
     bfs_distances,
     decode_word,
-    diameter,
     direct_product,
-    distance_w_sum,
     distances_from_set,
     encode_word,
     graph_from_edges,
@@ -25,6 +23,8 @@ from eqpart.graphs import (
     load_graph,
 )
 from eqpart.ratmat import RatMatrix, tensor
+
+from helpers import diameter, distance_w_sum
 
 
 def hamming_distance(a, b):

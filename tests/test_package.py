@@ -64,16 +64,15 @@ EXPORTS = {
         "VertexBudgetError",
     ],
     "graphs": [
-        "DEFAULT_VERTEX_BUDGET", "Graph", "direct_product", "distance_w_sum",
-        "distances_from_set", "graph_from_edges", "halved_cube", "hamming_graph",
-        "johnson_graph", "load_graph",
+        "DEFAULT_VERTEX_BUDGET", "Graph", "direct_product", "distances_from_set",
+        "graph_from_edges", "halved_cube", "hamming_graph", "johnson_graph", "load_graph",
     ],
     "localdist": [
         "RearrangedDistribution", "TensorStructure", "extract_local", "rearrange",
         "reconstruct_local", "tensor_distribution", "tensor_structure", "unrearrange",
     ],
     "oracle": ["brute_distribution", "brute_pair_distribution"],
-    "ratmat": ["RatMatrix", "Rational", "mat_poly_eval", "solve", "tensor"],
+    "ratmat": ["RatMatrix", "tensor"],
 }
 
 

@@ -7,12 +7,12 @@ from eqpart.errors import ShapeError
 from eqpart.ratmat import (
     RatMatrix,
     from_json,
-    mat_poly_eval,
     parse_rational,
     rat_str,
-    solve,
     tensor,
 )
+
+from helpers import mat_poly_eval, solve
 
 
 def rand_matrix(rng, rows, cols, span=6):

@@ -1,9 +1,11 @@
-"""The three-term recurrence kernel against the polynomial route, and the
-indicator shortcut of structure verification against the generic product.
+"""The row kernel against the polynomial route, and the indicator shortcut
+of structure verification against the generic product.
 
-Generated cases are bounded: arrays of diameter at most 6 and degree at
-most 8, square matrices up to 4 x 4 with numerators in [-9, 9] and
-denominators in [1, 9], alphabets up to 7.
+The kernel (``recurrence_rows``) runs the recurrence of a lower-Hessenberg
+matrix B; the reference expands its polynomials (``helpers``).  Generated
+cases are bounded: arrays of diameter at most 6 and degree at most 8,
+Hessenberg matrices up to 7 x 7 and square matrices up to 4 x 4 with
+numerators in [-9, 9] and denominators in [1, 9], alphabets up to 7.
 """
 import json
 from fractions import Fraction
@@ -13,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqpart.cli import main
-from eqpart.distributions import pcube_distribution
+from eqpart import distributions
+from eqpart.distributions import pcube_distribution, reconstruct_from_first_row
 from eqpart.drg import IntersectionArray, krawtchouk_p_polynomials, p_polynomials
 from eqpart.equitable import distance_coloring, structure_from_coloring, verify_structure
-from eqpart.errors import EqpartError, ShapeError
+from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import graph_from_edges, hamming_graph
-from eqpart.ratmat import RatMatrix, recurrence_rows, row_poly_eval
+from eqpart.ratmat import RatMatrix, recurrence_rows, tridiagonal
+
+from helpers import rows_by_matrix_polynomials, rows_by_polynomials
 
 PROPS = settings(max_examples=60, deadline=None, database=None)
 
@@ -48,17 +53,13 @@ def arrays(draw) -> IntersectionArray:
     return IntersectionArray(d, tuple(b), a, tuple(c))
 
 
-def by_polynomials(f0, polys, t: RatMatrix) -> RatMatrix:
-    return RatMatrix([row_poly_eval(f0, polys[w], t).row(0) for w in range(len(polys))])
-
-
 @PROPS
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(arrays(), row(k), square(k))))
 def test_recurrence_equals_the_p_polynomials(case):
     ia, f0, t = case
     t = RatMatrix(t)
-    rows = recurrence_rows(f0, ia.b, ia.a, ia.c, t)
-    assert rows == by_polynomials(f0, p_polynomials(ia), t)
+    rows = recurrence_rows(f0, tridiagonal(ia.b, ia.a, ia.c), t)
+    assert rows == rows_by_polynomials(f0, p_polynomials(ia), t)
     assert rows.rows == ia.diameter + 1
 
 
@@ -71,11 +72,11 @@ def test_an_array_with_c1_other_than_1_is_no_graphs_array():
 def test_recurrence_rejects_arrays_that_do_not_fit():
     t = RatMatrix.identity(2)
     with pytest.raises(ShapeError, match="array lengths"):
-        recurrence_rows([1, 0], (1,), (0,), (1,), t)
+        recurrence_rows([1, 0], tridiagonal((1,), (0,), (1,)), t)
     with pytest.raises(ShapeError, match="c_2 = 0"):
-        recurrence_rows([1, 0], (2, 1), (0, 0, 0), (1, 0), t)
+        recurrence_rows([1, 0], tridiagonal((2, 1), (0, 0, 0), (1, 0)), t)
     with pytest.raises(ShapeError, match="does not fit"):
-        recurrence_rows([1, 0, 0], (1,), (0, 0), (1,), t)
+        recurrence_rows([1, 0, 0], tridiagonal((1,), (0, 0), (1,)), t)
 
 
 @PROPS
@@ -86,7 +87,7 @@ def test_pcube_by_the_scaled_array_equals_krawtchouk_at_q_over_p(n, q, data):
     s = RatMatrix(data.draw(square(k)))
     f0 = data.draw(row(k))
     shifted = (s - RatMatrix.identity(k).scale((p - 1) * n)).scale(Fraction(1, p))
-    expect = by_polynomials(f0, krawtchouk_p_polynomials(n, Fraction(q, p)), shifted)
+    expect = rows_by_polynomials(f0, krawtchouk_p_polynomials(n, Fraction(q, p)), shifted)
     assert pcube_distribution(n, p, q, s, f0).matrix == expect
 
 
@@ -99,8 +100,76 @@ def test_cli_lattice_k30_equals_the_polynomial_route(capsys, tmp_path):
                  "--s", str(path), "--f0", json.dumps(f0)])
     assert code == 0
     half_s = RatMatrix(s).scale(Fraction(1, 2))
-    expect = by_polynomials(f0, krawtchouk_p_polynomials(30, 2), half_s)
+    expect = rows_by_polynomials(f0, krawtchouk_p_polynomials(30, 2), half_s)
     assert json.loads(capsys.readouterr().out)["rows"] == expect.to_strings()
+
+
+@st.composite
+def hessenberg(draw):
+    """(B, n_rows): a lower-Hessenberg B, tridiagonal half of the time, with
+    rational entries and a nonzero (possibly negative) superdiagonal in the
+    rows the recurrence reads; n_rows may be less than B.rows, and the rows
+    it does not read are arbitrary."""
+    size = draw(st.integers(1, 7))
+    n_rows = draw(st.integers(1, size))
+    band = draw(st.booleans())
+    nonzero = rationals.filter(bool)
+    rows = []
+    for i in range(size):
+        if i >= n_rows - 1:
+            rows.append(draw(row(size)))
+            continue
+        rows.append([
+            draw(nonzero) if j == i + 1
+            else Fraction(0) if j > i + 1 or (band and j < i - 1)
+            else draw(rationals)
+            for j in range(size)
+        ])
+    return RatMatrix(rows), n_rows
+
+
+@PROPS
+@given(hessenberg(), st.integers(1, 4).flatmap(lambda k: st.tuples(row(k), square(k))))
+def test_kernel_equals_the_polynomial_route_on_hessenberg_matrices(case, values):
+    b, n_rows = case
+    h0, s = values
+    s = RatMatrix(s)
+    expect = rows_by_matrix_polynomials(b, s, h0, n_rows)
+    assert recurrence_rows(h0, b, s, n_rows) == expect
+    assert reconstruct_from_first_row(b, s, h0, n_rows).matrix == expect
+
+
+def test_reconstruction_pattern_errors_name_the_entry():
+    s = RatMatrix([[1]])
+    with pytest.raises(ShapeError, match="must be square"):
+        reconstruct_from_first_row(RatMatrix([[0, 1]]), s, [1], 1)
+    with pytest.raises(ReconstructionError, match=r"superdiagonal entry \(0,1\) is zero"):
+        reconstruct_from_first_row(RatMatrix([[1, 0], [1, 0]]), s, [1], 2)
+    bad = RatMatrix([[0, 1, "5/2"], [1, 0, 1], [0, 1, 0]])
+    with pytest.raises(ReconstructionError, match=r"entry \(0,2\) = 5/2 above"):
+        reconstruct_from_first_row(bad, s, [1], 2)
+    # the rows the recurrence does not read are not checked
+    assert reconstruct_from_first_row(bad, s, [1], 1).matrix == RatMatrix([[1]])
+
+
+def test_a_kernel_that_drops_a_term_fails_the_certificate(monkeypatch):
+    # a vertex of H(3, 2) and its distance coloring: B = R^T, S = R
+    b = tridiagonal((3, 2, 1), (0, 0, 0, 0), (1, 2, 3))
+    s = b.transpose()
+    good = reconstruct_from_first_row(b, s, [1, 0, 0, 0], 4)
+    assert good.matrix == RatMatrix([[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
+
+    def dropped(row, b, t, n_rows=None):
+        # the recurrence without the subdiagonal terms B[i,i-1] r_{i-1}
+        rows = [list(RatMatrix.row_vector(row).row(0))]
+        for i in range(n_rows - 1):
+            nxt = (RatMatrix([rows[i]]) @ t - RatMatrix([rows[i]]).scale(b[i, i])).row(0)
+            rows.append([x / b[i, i + 1] for x in nxt])
+        return RatMatrix(rows)
+
+    monkeypatch.setattr(distributions, "recurrence_rows", dropped)
+    with pytest.raises(StructureError, match="fails"):
+        reconstruct_from_first_row(b, s, [1, 0, 0, 0], 4)
 
 
 # -- the indicator shortcut of verify_structure -----------------------------------

@@ -52,6 +52,14 @@ def runs(tmp_path_factory):
     weights.write_text(json.dumps({"graph": json.loads(h4.read_text()),
                                    "colors": [bin(v).count("1") for v in range(16)]}))
     code.write_text("[0, 15]")
+    h3, h3_weights, h3h3_weights = tmp / "h3.json", tmp / "w3.json", tmp / "w33.json"
+    h3.write_text('{"gen": "hamming", "n": 3, "q": 2}')
+    h3_weights.write_text(json.dumps({"graph": json.loads(h3.read_text()),
+                                      "colors": [bin(v).count("1") for v in range(8)]}))
+    h3h3 = {"gen": "product", "left": json.loads(h3.read_text()),
+            "right": json.loads(h3.read_text())}
+    h3h3_weights.write_text(json.dumps({"graph": h3h3,
+                                        "colors": [bin(v).count("1") for v in range(64)]}))
     return {
         "help": loaded_by("--help"),
         "lattice": loaded_by("distrib", "lattice", "-m", "2", "-k", "2", "-q", "2",
@@ -64,6 +72,10 @@ def runs(tmp_path_factory):
                                    str(weights), "--color", "1", "--verify-oracle"),
         "quotient": loaded_by("quotient", "--graph", str(h4), "--coloring", str(weights)),
         "crc-check": loaded_by("crc-check", "--graph", str(h4), "--code", str(code)),
+        "code_oracle": loaded_by("distrib", "code", "--graph", str(h4), "--code", str(code),
+                                 "--coloring", str(weights), "--verify-oracle"),
+        "local_distrib": loaded_by("local", "distrib", "--left", str(h3_weights),
+                                   "--right", str(h3_weights), "--coloring", str(h3h3_weights)),
     }
 
 GRAPH_FREE = ["lattice", "pcube", "vertex"]
@@ -102,3 +114,13 @@ def test_graph_free_closed_form_loads_no_graph_polynomial_or_fraction_code(runs,
 def test_graph_route_on_a_coloring_loads_no_fraction_code(runs, run):
     assert "eqpart.graphs" in runs[run]
     assert not runs[run] & {"fractions", "decimal", "numbers"}
+
+
+def test_distrib_code_loads_no_polynomial_drg_or_fraction_code(runs):
+    assert "eqpart.distributions" in runs["code_oracle"]
+    assert not runs["code_oracle"] & {"eqpart.polys", "eqpart.drg", "fractions"}
+
+
+def test_local_distrib_loads_no_fraction_code(runs):
+    assert "eqpart.localdist" in runs["local_distrib"]
+    assert not runs["local_distrib"] & {"fractions", "decimal", "numbers"}
