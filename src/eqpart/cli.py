@@ -3,7 +3,13 @@
 Every command reads JSON files, prints a single JSON document on stdout, and
 is deterministic.  All rationals travel as "p/q" strings (plain integers are
 accepted on input).  Exit codes: 0 on success, 1 on domain errors, 2 on
-argument errors.
+argument errors.  --vertex-budget may stand after a command or its mode.
+
+Every ``distrib`` mode runs one pipeline, so each option means the same in
+all of them: --s gives S and --f0 the first row f0 (``vertex`` takes no
+--f0: its row is e_color); --coloring or --structure gives the values f,
+from which S and f0 (f summed over the code) follow where they are not
+given, and which --verify-oracle sums by brute force.
 """
 from __future__ import annotations
 
@@ -135,7 +141,7 @@ def _load_f(args, graph, spec, budget) -> PerfectStructure | None:
     """Read the structure being distributed, from --coloring or --structure.
 
     Either file must be over ``graph``, which the command built from
-    ``spec`` (see :func:`_needs_graph`)."""
+    ``spec``."""
     if args.coloring:
         from .equitable import structure_from_coloring
 
@@ -154,13 +160,6 @@ def _load_f(args, graph, spec, budget) -> PerfectStructure | None:
     return None
 
 
-def _needs_graph(args) -> bool:
-    """Whether a closed-form command must build its graph: to read the
-    distributed values (and so also to sum f0 over the code) or to run the
-    oracle.  Otherwise the formula needs only the parameters."""
-    return bool(args.coloring or args.structure or args.verify_oracle)
-
-
 def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
     if formula.shape() != oracle.shape():
         return f"formula has shape {formula.shape()}, oracle {oracle.shape()}"
@@ -174,19 +173,6 @@ def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
         f"first difference at row {i}, column {j}: "
         f"formula {formula[i, j]}, oracle {oracle[i, j]}"
     )
-
-
-def _distrib_output(args, rows: RatMatrix, graph, code, f: PerfectStructure | None):
-    if args.verify_oracle:
-        if f is None:
-            raise EqpartError("--verify-oracle needs --coloring or --structure")
-        from .oracle import brute_distribution
-
-        brute = brute_distribution(graph, code, f)
-        if brute != rows:
-            raise EqpartError("formula and oracle disagree: " + _first_difference(rows, brute))
-    _emit({"rows": rows.to_strings()})
-    return 0
 
 
 # -- commands ---------------------------------------------------------------
@@ -249,128 +235,120 @@ def _cmd_crc_check(args) -> int:
     return 0
 
 
-def _cmd_distrib_vertex(args) -> int:
+def _mode_vertex(args, budget, build):
     from .distributions import vertex_distribution
     from .drg import spec_intersection_array
 
-    budget = args.vertex_budget
     spec = _load_json(args.graph)
     g = None
-    if _needs_graph(args):
+    if build:
         from .graphs import load_graph
 
         g = load_graph(spec, budget)
     ia = spec_intersection_array(spec, budget, g)
-    f = _load_f(args, g, spec, budget)
-    if args.s:
-        s = _load_matrix_file(args.s)
-    elif f is not None:
-        s = f.params
-    else:
-        raise EqpartError("need --s or --coloring to know the parameter matrix")
-    dist = vertex_distribution(ia, s, args.color)
-    code = None
-    if args.verify_oracle:
-        if f is None:
-            raise EqpartError("--verify-oracle needs --coloring or --structure")
-        if f.coloring is None:
-            raise EqpartError("--verify-oracle for a vertex needs a coloring")
-        code = [f.coloring.colors.index(args.color)]
-    return _distrib_output(args, dist.matrix, g, code, f)
+    return spec, g, None, lambda s, f0: vertex_distribution(ia, s, args.color)
 
 
-def _cmd_distrib_code(args) -> int:
+def _mode_code(args, budget, build):
     from .distributions import reconstruct_from_first_row
     from .equitable import check_completely_regular
     from .graphs import load_graph
 
     spec = _load_json(args.graph)
-    g = load_graph(spec, args.vertex_budget)
+    g = load_graph(spec, budget)
     code = _load_code_file(args.code)
-    f = _load_f(args, g, spec, args.vertex_budget)
-    if f is None:
-        raise EqpartError("need --coloring or --structure for the distributed values")
     crc = check_completely_regular(g, code)
-    h0 = f.values.sum_rows([code])
-    dist = reconstruct_from_first_row(crc.params.transpose(), f.params, h0, crc.rho + 1)
-    return _distrib_output(args, dist.matrix, g, code, f)
+    b, n_rows = crc.params.transpose(), crc.rho + 1
+    return spec, g, code, lambda s, h0: reconstruct_from_first_row(b, s, h0, n_rows)
 
 
-def _formula_inputs(args, graph, spec, code, budget):
-    """S and f0 for the closed-form commands, either given or derived from f.
+def _mode_lattice(args, budget, build):
+    from .distributions import lattice_distribution
 
-    ``graph`` (built from ``spec``) and ``code`` are None on the graph-free
-    route, where neither --coloring nor --structure is set."""
+    g = code = None
+    if build:
+        from .equitable import lattice_coloring
+
+        base = lattice_coloring(args.m, args.k, args.q, budget)
+        g, code = base.graph, base.class_vertices(0)
+    spec = {"gen": "hamming", "n": args.m * args.k, "q": args.q}
+    return spec, g, code, lambda s, f0: lattice_distribution(args.m, args.k, args.q, s, f0)
+
+
+def _mode_fiber(args, budget, build):
+    from .distributions import fiber_distribution
+    from .drg import regular_degree, spec_intersection_array
+
+    left_spec, right_spec = _load_json(args.left), _load_json(args.right)
+    left = right = prod = code = None
+    if build:
+        from .graphs import direct_product, load_graph
+
+        left, right = load_graph(left_spec, budget), load_graph(right_spec, budget)
+        prod = direct_product(left, right, budget)
+        code = [v1 * right.n for v1 in range(left.n)]
+    d = regular_degree(left_spec, budget, left)
+    ia = spec_intersection_array(right_spec, budget, right)
+    spec = {"gen": "product", "left": left_spec, "right": right_spec}
+    return spec, prod, code, lambda s, f0: fiber_distribution(ia, d, s, f0)
+
+
+def _mode_pcube(args, budget, build):
+    from .distributions import pcube_distribution
+
+    g = code = None
+    if build:
+        from .graphs import hamming_graph
+
+        g = hamming_graph(args.n, args.q, budget)
+        code = [v for v, word in enumerate(g.labels) if max(word) < args.p]
+    spec = {"gen": "hamming", "n": args.n, "q": args.q}
+    return spec, g, code, lambda s, f0: pcube_distribution(args.n, args.p, args.q, s, f0)
+
+
+_DISTRIB_MODES = {"vertex": _mode_vertex, "code": _mode_code, "lattice": _mode_lattice,
+                  "fiber": _mode_fiber, "pcube": _mode_pcube}
+
+
+def _cmd_distrib(args) -> int:
+    """The distrib pipeline.  A ``_mode_*`` function returns its graph's
+    spec, the graph and the code (None unless ``build``; ``_mode_code``
+    builds them always, for R) and its form, a function of S and f0."""
+    budget = args.vertex_budget
+    build = bool(args.coloring or args.structure or args.verify_oracle)
+    spec, graph, code, form = _DISTRIB_MODES[args.mode](args, budget, build)
     f = _load_f(args, graph, spec, budget)
     if args.s:
         s = _load_matrix_file(args.s)
     elif f is not None:
         s = f.params
     else:
-        raise EqpartError("need --s/--f0 or --coloring/--structure")
-    if args.f0:
-        f0 = _parse_row(args.f0)
-    elif f is not None:
-        f0 = f.values.sum_rows([code])
-    else:
-        raise EqpartError("need --f0 or --coloring/--structure")
-    return s, f0, f
+        raise EqpartError("need --s or --coloring/--structure")
+    f0 = None
+    if args.mode != "vertex":
+        if args.f0:
+            f0 = _parse_row(args.f0)
+        elif f is not None:
+            f0 = f.values.sum_rows([code])
+        else:
+            raise EqpartError("need --f0 or --coloring/--structure")
+    rows = form(s, f0).matrix
+    if args.verify_oracle:
+        if f is None:
+            raise EqpartError("--verify-oracle needs --coloring or --structure")
+        if args.mode == "vertex":  # the first vertex whose value is e_color
+            colors = f.values.unit_columns() or ()
+            if args.color not in colors:
+                raise EqpartError(f"--verify-oracle for a vertex needs 0/1 values with a "
+                                  f"vertex of color {args.color}")
+            code = [colors.index(args.color)]
+        from .oracle import brute_distribution
 
-
-def _cmd_distrib_lattice(args) -> int:
-    from .distributions import lattice_distribution
-
-    budget = args.vertex_budget
-    g = code = None
-    if _needs_graph(args):
-        from .equitable import lattice_coloring
-
-        base = lattice_coloring(args.m, args.k, args.q, budget)
-        g, code = base.graph, base.class_vertices(0)
-    spec = {"gen": "hamming", "n": args.m * args.k, "q": args.q}
-    s, f0, f = _formula_inputs(args, g, spec, code, budget)
-    dist = lattice_distribution(args.m, args.k, args.q, s, f0)
-    return _distrib_output(args, dist.matrix, g, code, f)
-
-
-def _cmd_distrib_fiber(args) -> int:
-    from .distributions import fiber_distribution
-    from .drg import regular_degree, spec_intersection_array
-
-    budget = args.vertex_budget
-    left_spec, right_spec = _load_json(args.left), _load_json(args.right)
-    left = right = prod = code = None
-    if _needs_graph(args):
-        from .graphs import load_graph
-
-        left, right = load_graph(left_spec, budget), load_graph(right_spec, budget)
-    d = regular_degree(left_spec, budget, left)
-    ia = spec_intersection_array(right_spec, budget, right)
-    if left is not None:
-        from .graphs import direct_product
-
-        prod = direct_product(left, right, budget)
-        code = [v1 * right.n for v1 in range(left.n)]
-    spec = {"gen": "product", "left": left_spec, "right": right_spec}
-    s, f0, f = _formula_inputs(args, prod, spec, code, budget)
-    dist = fiber_distribution(ia, d, s, f0)
-    return _distrib_output(args, dist.matrix, prod, code, f)
-
-
-def _cmd_distrib_pcube(args) -> int:
-    from .distributions import pcube_distribution
-
-    budget = args.vertex_budget
-    g = code = None
-    if _needs_graph(args):
-        from .graphs import hamming_graph
-
-        g = hamming_graph(args.n, args.q, budget)
-        code = [v for v, word in enumerate(g.labels) if max(word) < args.p]
-    spec = {"gen": "hamming", "n": args.n, "q": args.q}
-    s, f0, f = _formula_inputs(args, g, spec, code, budget)
-    dist = pcube_distribution(args.n, args.p, args.q, s, f0)
-    return _distrib_output(args, dist.matrix, g, code, f)
+        brute = brute_distribution(graph, code, f)
+        if brute != rows:
+            raise EqpartError("formula and oracle disagree: " + _first_difference(rows, brute))
+    _emit({"rows": rows.to_strings()})
+    return 0
 
 
 def _cmd_local_params(args) -> int:
@@ -458,9 +436,9 @@ def _req(*flags, **kwargs) -> tuple:
     return flags, dict(kwargs, required=True)
 
 
-_DISTRIB_VALUES = (
-    _opt("--s", help="parameter matrix file"),
-    _opt("--f0", help="first row as a JSON array"),
+_S = _opt("--s", help="parameter matrix file")
+_F0 = _opt("--f0", help="first row as a JSON array")
+_F = (
     _opt("--coloring", help="coloring file for the distributed values"),
     _opt("--structure", help="structure file for the distributed values"),
     _opt("--verify-oracle", action="store_true"),
@@ -482,17 +460,16 @@ _COMMANDS = {
     "verify": ("check a perfect structure file", _cmd_verify, (_req("--structure"),), None),
     "crc-check": ("check a vertex set for complete regularity", _cmd_crc_check,
                   (_req("--graph"), _req("--code")), None),
-    "distrib": ("closed-form distributions", None, (), ("mode", {
-        "vertex": (_cmd_distrib_vertex,
-                   _DISTRIB_VALUES + (_req("--graph"), _req("--color", type=int))),
-        "code": (_cmd_distrib_code, _DISTRIB_VALUES + (_req("--graph"), _req("--code"))),
-        "lattice": (_cmd_distrib_lattice, _DISTRIB_VALUES + (
-            _req("-m", type=int), _req("-k", type=int), _req("-q", type=int))),
-        "fiber": (_cmd_distrib_fiber, _DISTRIB_VALUES + (
-            _req("--left", help="regular factor graph file"),
-            _req("--right", help="distance-regular factor graph file"))),
-        "pcube": (_cmd_distrib_pcube, _DISTRIB_VALUES + (
-            _req("-n", type=int), _req("-p", type=int), _req("-q", type=int))),
+    "distrib": ("closed-form distributions", _cmd_distrib, (), ("mode", {
+        "vertex": (None, (_S, *_F, _req("--graph"), _req("--color", type=int))),
+        "code": (None, (_S, _F0, *_F, _req("--graph"), _req("--code"))),
+        "lattice": (None, (_S, _F0, *_F,
+                           _req("-m", type=int), _req("-k", type=int), _req("-q", type=int))),
+        "fiber": (None, (_S, _F0, *_F,
+                         _req("--left", help="regular factor graph file"),
+                         _req("--right", help="distance-regular factor graph file"))),
+        "pcube": (None, (_S, _F0, *_F,
+                         _req("-n", type=int), _req("-p", type=int), _req("-q", type=int))),
     })),
     "local": ("product-structure machinery", None, (), ("mode", {
         "params": (_cmd_local_params, (_req("--left", help="coloring or matrix file"),
@@ -542,10 +519,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                 p.add_argument(*flags, **kwargs)
 
     common = argparse.ArgumentParser(add_help=False)
+    # no default here, which would replace a budget given before the mode
     common.add_argument(
         "--vertex-budget",
         type=int,
-        default=DEFAULT_VERTEX_BUDGET,
+        default=argparse.SUPPRESS,
         help="abort rather than build graphs larger than this",
     )
 
@@ -554,6 +532,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         description="exact weight distributions of equitable partitions and "
         "completely regular codes",
     )
+    parser.set_defaults(vertex_budget=DEFAULT_VERTEX_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, arguments, modes) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)

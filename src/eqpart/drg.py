@@ -81,12 +81,6 @@ class IntersectionArray(Record):
     def degree(self) -> int:
         return self.b[0] if self.b else 0
 
-    def c_at(self, w: int) -> int:
-        return self.c[w - 1] if w >= 1 else 0
-
-    def b_at(self, w: int) -> int:
-        return self.b[w] if w < self.diameter else 0
-
 
 def _array_from_bc(b: Sequence[int], c: Sequence[int]) -> IntersectionArray:
     """Complete b_0..b_{D-1} and c_1..c_D with a_w = b_0 - b_w - c_w."""

@@ -137,7 +137,7 @@ def p_polynomials(ia: IntersectionArray) -> PPolynomials:
     if ia.diameter >= 1:
         polys.append([Fraction(0), Fraction(1)])
     for w in range(1, ia.diameter):
-        c_next = ia.c_at(w + 1)
+        c_next = ia.c[w]
         assert c_next >= 1
         top = poly_add(
             poly_mul_x(polys[w]),

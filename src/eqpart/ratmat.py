@@ -140,7 +140,11 @@ class RatMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> RatMatrix:
-        return RatMatrix([(0,) * cols] * rows)
+        if rows < 1:
+            raise ShapeError("matrix needs at least one row")
+        if cols < 1:
+            raise ShapeError("matrix needs at least one column")
+        return RatMatrix._of(((0,) * cols,) * rows, 1)
 
     @staticmethod
     def identity(n: int) -> RatMatrix:
@@ -313,36 +317,18 @@ def tensor(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 def row_poly_eval(row, coeffs: Sequence, m: RatMatrix) -> RatMatrix:
     """The single row ``row @ mat_poly_eval(coeffs, m)`` without building the
-    full matrix polynomial; quadratic instead of cubic per Horner step.
-
-    The running row is integer numerators over one denominator, reduced
-    after every step."""
+    full matrix polynomial: Horner's rule on rows, quadratic instead of
+    cubic per step."""
     if not m.is_square():
         raise ShapeError(f"polynomial evaluation needs a square matrix, got {m.shape()}")
     if not isinstance(row, RatMatrix):
         row = RatMatrix.row_vector(row)
-    vec, dv = row._num[0], row._den
-    if len(vec) != m.rows:
-        raise ShapeError(f"row of length {len(vec)} does not fit {m.shape()}")
-    cs = [_pair(c) for c in coeffs]
-    if not cs:
-        return RatMatrix.zeros(1, m.rows)
-    cols = list(zip(*m._num))
-    dm = m._den
-    p, q = cs[-1]
-    acc, den = [p * x for x in vec], q * dv
-    for p, q in reversed(cs[:-1]):
-        # acc/den @ M/dm + (p/q) vec/dv over the lcm of the two denominators
-        d1, d2 = den * dm, q * dv
-        g = gcd(d1, d2)
-        s1, s2 = d2 // g, p * (d1 // g)
-        acc = [sum(map(mul, acc, col)) * s1 + s2 * x for col, x in zip(cols, vec)]
-        den = d1 * s1
-        g = gcd(den, *acc)
-        if g != 1:
-            acc = [a // g for a in acc]
-            den //= g
-    return RatMatrix._of((tuple(acc),), den)
+    if row.rows != 1 or row.cols != m.rows:
+        raise ShapeError(f"row of shape {row.shape()} does not fit {m.shape()}")
+    acc = RatMatrix.zeros(1, m.rows)
+    for c in reversed(coeffs):
+        acc = acc @ m + row.scale(c)
+    return acc
 
 
 def tridiagonal(b: Sequence, a: Sequence, c: Sequence) -> RatMatrix:

@@ -146,14 +146,14 @@ def check_polynomials_give_distance_matrices(g: Graph, ia, dist=None) -> None:
     assert (t_prev == distance_matrix(0)).all()
     if ia.diameter == 0:
         return
-    assert ia.c_at(1) == 1
+    assert ia.c[0] == 1
     t_cur = adj.copy()
     assert (t_cur == distance_matrix(1)).all()
     degree = ia.degree
     for w in range(1, ia.diameter):
-        c_next = ia.c_at(w + 1)
-        assert (degree + ia.a[w]) * scale + ia.b_at(w - 1) * ia.c_at(w) * scale_prev < 2**62
-        t_next = adj @ t_cur - ia.a[w] * t_cur - (ia.b_at(w - 1) * ia.c_at(w)) * t_prev
+        c_next = ia.c[w]
+        assert (degree + ia.a[w]) * scale + ia.b[w - 1] * ia.c[w - 1] * scale_prev < 2**62
+        t_next = adj @ t_cur - ia.a[w] * t_cur - (ia.b[w - 1] * ia.c[w - 1]) * t_prev
         scale_prev, scale = scale, scale * c_next
         t_prev, t_cur = t_cur, t_next
         assert (t_cur == scale * distance_matrix(w + 1)).all(), (

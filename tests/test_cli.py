@@ -358,3 +358,75 @@ def test_vertex_budget_flag(capsys, tmp_path):
     )
     capsys.readouterr()
     assert code == 1
+
+
+# -- one distrib pipeline: every option means the same in every mode ---------
+
+
+def test_distrib_code_from_s_and_f0_equals_the_coloring_route(capsys, tmp_path):
+    from eqpart.codes import hamming_code_vertices
+
+    h72 = {"gen": "hamming", "n": 7, "q": 2}
+    graph = write(tmp_path, "h72.json", h72)
+    code_f = write(tmp_path, "code.json", hamming_code_vertices(3))
+    coloring = write(tmp_path, "weight.json",
+                     {"graph": h72, "colors": [bin(v).count("1") for v in range(128)]})
+    code, by_coloring = run_cli(capsys, "distrib", "code", "--graph", graph, "--code", code_f,
+                                "--coloring", coloring, "--verify-oracle")
+    assert code == 0
+    assert by_coloring["rows"][0] == ["1", "0", "0", "7", "7", "0", "0", "1"]
+    code, quotient = run_cli(capsys, "quotient", "--graph", graph, "--coloring", coloring)
+    assert code == 0
+    s = write(tmp_path, "s.json", quotient)
+    code, by_formula = run_cli(capsys, "distrib", "code", "--graph", graph, "--code", code_f,
+                               "--s", s, "--f0", json.dumps(by_coloring["rows"][0]))
+    assert (code, by_formula) == (0, by_coloring)
+
+
+def vertex_oracle_argv(tmp_path, values_option, values_doc, s_doc, color):
+    return ["distrib", "vertex", "--graph", write(tmp_path, "h23.json", H23),
+            values_option, write(tmp_path, "values.json", values_doc),
+            "--s", write(tmp_path, "s.json", s_doc), "--color", str(color), "--verify-oracle"]
+
+
+def test_distrib_vertex_oracle_with_an_absent_color_exits_1(capsys, tmp_path):
+    # a 4-colour S passes the range check of colour 3, which no vertex has
+    s4 = [[0, 4, 0, 0], [1, 1, 2, 0], [0, 2, 2, 0], [0, 0, 0, 4]]
+    code = main(vertex_oracle_argv(tmp_path, "--coloring", vertex_coloring_doc(), s4, 3))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_distrib_vertex_oracle_reads_an_indicator_structure(capsys, tmp_path):
+    s = [[0, 4, 0], [1, 1, 2], [0, 2, 2]]
+    f = [[int(c == j) for j in range(3)] for c in vertex_coloring_doc()["colors"]]
+    argv = vertex_oracle_argv(tmp_path, "--structure", {"graph": H23, "f": f, "s": s}, s, 0)
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0
+    assert doc == {"rows": [["1", "0", "0"], ["0", "4", "0"], ["0", "0", "4"]]}
+
+
+def test_distrib_vertex_takes_no_f0(capsys, tmp_path):
+    graph = write(tmp_path, "h23.json", H23)
+    s = write(tmp_path, "s.json", [[0, 4, 0], [1, 1, 2], [0, 2, 2]])
+    with pytest.raises(SystemExit) as err:
+        main(["distrib", "vertex", "--graph", graph, "--s", s, "--color", "0", "--f0", "[1]"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["distrib", "--vertex-budget", "4", "vertex"],
+                                     ["local", "--vertex-budget", "4", "distrib"]],
+                         ids=" ".join)
+def test_vertex_budget_before_the_mode_holds(capsys, tmp_path, command):
+    h32 = {"gen": "hamming", "n": 3, "q": 2}
+    coloring = write(tmp_path, "weight.json",
+                     {"graph": h32, "colors": [bin(v).count("1") for v in range(8)]})
+    if command[0] == "distrib":
+        rest = ["--graph", write(tmp_path, "h32.json", h32), "--coloring", coloring,
+                "--color", "0", "--verify-oracle"]
+    else:
+        rest = ["--left", coloring, "--right", coloring]
+    code = main(command + rest)
+    assert code == 1
+    assert "exceeds the budget of 4" in capsys.readouterr().err

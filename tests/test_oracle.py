@@ -12,11 +12,7 @@ from eqpart.equitable import (
 )
 from eqpart.errors import ShapeError
 from eqpart.graphs import hamming_graph
-from eqpart.oracle import (
-    brute_distribution,
-    brute_distribution_report,
-    brute_pair_distribution,
-)
+from eqpart.oracle import brute_distribution, brute_pair_distribution
 from eqpart.ratmat import from_json
 
 
@@ -42,14 +38,6 @@ def test_eigenfunction_rows():
     values = from_json([[7 if v in members else -1] for v in range(g.n)])
     struct = PerfectStructure(g, values, from_json([[-1]]))
     assert brute_distribution(g, code, struct) == from_json([[112], [-112]])
-
-
-def test_report_metadata():
-    g = hamming_graph(2, 2)
-    report = brute_distribution_report(g, [0], all_one_coloring(g))
-    assert report.method == "bfs-sum"
-    assert report.elapsed >= 0
-    assert report.computed == from_json([[1], [2], [1]])
 
 
 def test_pair_distribution_diagonal_for_same_coloring():

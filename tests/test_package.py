@@ -36,7 +36,6 @@ from eqpart.localdist import (
     tensor_distribution,
     tensor_structure,
 )
-from eqpart.oracle import OracleReport
 from eqpart.ratmat import from_json
 
 # defining module -> the public names the package takes from it
@@ -163,11 +162,6 @@ RECORDS = {
     ),
     RearrangedDistribution: (_rearranged, RearrangedDistribution(
         from_json([[1]]), from_json([[1]]), 1, 1, 1), "h"),
-    OracleReport: (
-        lambda: OracleReport(from_json([[1], [2]]), "bfs-sum", 0.5),
-        OracleReport(from_json([[1], [2]]), "bfs-sum", 0.25),
-        "elapsed",
-    ),
 }
 
 

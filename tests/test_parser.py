@@ -22,7 +22,7 @@ HELP = {
     ("verify",): ["--structure"],
     ("crc-check",): ["--graph", "--code"],
     ("distrib",): ["vertex", "code", "lattice", "fiber", "pcube"],
-    ("distrib", "vertex"): DISTRIB_VALUES + ["--graph", "--color"],
+    ("distrib", "vertex"): [v for v in DISTRIB_VALUES if v != "--f0"] + ["--graph", "--color"],
     ("distrib", "code"): DISTRIB_VALUES + ["--graph", "--code"],
     ("distrib", "lattice"): DISTRIB_VALUES + ["-m", "-k", "-q"],
     ("distrib", "fiber"): DISTRIB_VALUES + ["--left", "--right"],
