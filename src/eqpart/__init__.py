@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 # module -> the public names it defines; each module is a public name too
 _EXPORTS = {
     "distributions": (
-        "Distribution",
         "distribution",
         "fiber_distribution",
         "lattice_distribution",

@@ -26,7 +26,7 @@ from .errors import DEFAULT_VERTEX_BUDGET, EqpartError
 # there (a tracer's wrapper, a test's counting stub) shows here too.
 _LIBRARY_NAMES = {
     "distributions": ("fiber_distribution", "lattice_distribution", "pcube_distribution",
-                      "reconstruct_from_first_row", "vertex_distribution"),
+                      "reconstruct_from_first_row", "reconstruct_local", "vertex_distribution"),
     "drg": ("hamming_intersection_array", "intersection_array", "regular_degree",
             "spec_intersection_array"),
     "equitable": ("PerfectStructure", "all_one_coloring", "check_completely_regular",
@@ -35,7 +35,7 @@ _LIBRARY_NAMES = {
                   "verify_structure"),
     "graphs": ("Graph", "direct_product", "graph_to_json", "halved_cube", "hamming_graph",
                "johnson_graph", "load_graph", "read_ints", "spec_key"),
-    "localdist": ("reconstruct_local", "tensor_distribution", "tensor_structure"),
+    "localdist": ("tensor_distribution", "tensor_structure"),
     "oracle": ("brute_distribution",),
     "ratmat": ("RatMatrix", "from_json", "parse_rational"),
 }
@@ -52,13 +52,19 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _load_json(path: str):
+def _load_json(path: str, text: str | None = None):
+    """The JSON document in the UTF-8 file at ``path`` or, given ``text``,
+    in that argument text, which ``path`` then names (say "--f0").  Input
+    that cannot be read, decoded or parsed, or that nests deeper than the
+    parser recurses, raises EqpartError naming ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        if text is None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
     except OSError as exc:
         raise EqpartError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise EqpartError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -94,20 +100,15 @@ def _load_code_file(path: str) -> list[int]:
     return read_ints(doc, f"code file {path}")
 
 
-def _parse_row(text: str) -> list:
-    """The JSON array ``text``, each entry checked to be an exact rational
-    (an int or a "p/q" string)."""
-    from .ratmat import _pair
+def _parse_row(text: str, option: str) -> RatMatrix:
+    """The row vector that the JSON array ``text``, given as ``option``,
+    holds; each entry must be an int or a "p/q" string."""
+    from .ratmat import RatMatrix
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EqpartError(f"row argument is not valid JSON: {exc}") from exc
+    doc = _load_json(option, text)
     if not isinstance(doc, list):
-        raise EqpartError("row argument must be a JSON array")
-    for x in doc:
-        _pair(x)
-    return doc
+        raise EqpartError(f"{option} must be a JSON array")
+    return RatMatrix.row_vector(doc)
 
 
 def _emit(doc) -> None:
@@ -327,12 +328,12 @@ def _cmd_distrib(args) -> int:
     f0 = None
     if args.mode != "vertex":
         if args.f0:
-            f0 = _parse_row(args.f0)
+            f0 = _parse_row(args.f0, "--f0")
         elif f is not None:
             f0 = f.values.sum_rows([code])
         else:
             raise EqpartError("need --f0 or --coloring/--structure")
-    rows = form(s, f0).matrix
+    rows = form(s, f0)
     if args.verify_oracle:
         if f is None:
             raise EqpartError("--verify-oracle needs --coloring or --structure")
@@ -381,13 +382,13 @@ def _cmd_local_distrib(args) -> int:
 
 
 def _cmd_local_reconstruct(args) -> int:
+    from .distributions import reconstruct_local
     from .drg import spec_intersection_array
-    from .localdist import reconstruct_local
 
     ia = spec_intersection_array(_load_json(args.graph), args.vertex_budget)
     r2 = _load_matrix_file(args.right_s)
     s = _load_matrix_file(args.s)
-    h0 = _parse_row(args.h0)
+    h0 = _parse_row(args.h0, "--h0")
     h_star = reconstruct_local(ia, r2, s, h0)
     _emit({"h_star": h_star.to_strings()})
     return 0
@@ -552,13 +553,22 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Its exact numbers may have any number of digits:
+    the interpreter's limit on int-string conversion is lifted while the
+    command reads and prints them, and restored on return."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
+    # a Python without the limit has neither function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
     try:
         return args.func(args)
     except EqpartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

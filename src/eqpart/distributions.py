@@ -10,51 +10,21 @@ each colour over the code.  One row kernel computes those rows
 (:func:`eqpart.ratmat.recurrence_rows`), and a matrix identity certifies
 them on every call.
 
-The remaining functions are closed forms for specific code families:
-distributions with respect to a vertex of a distance-regular graph, to the
-zero class of the block-sum coloring, to a factor fiber of a direct product,
-and to a smaller-alphabet subcube.  Each is row w = f0 p_w(T) for the
-polynomials p_w of an integer intersection array and a matrix T = aS + bI:
-the same kernel on the array's tridiagonal matrix
-(:func:`eqpart.ratmat.tridiagonal`), with no polynomial expanded and no
-graph built.  The Hamming arrays of the lattice, subcube and pcube forms
-are written out here; :mod:`eqpart.drg`, for any other array, is imported
-by the forms that take one.
+The remaining functions are closed forms: distributions with respect to a
+vertex of a distance-regular graph, to the zero class of the block-sum
+coloring, to a factor fiber of a direct product, to a smaller-alphabet
+subcube, and the rearranged product distribution h* of :mod:`eqpart.localdist`.
+Each is row w = f0 p_w(T) for the polynomials p_w of an integer
+intersection array and a matrix T (aS + bI, or I (x) S - R2 (x) I for h*):
+the same kernel on the array's tridiagonal matrix, with no polynomial
+expanded and no graph built.  :mod:`eqpart.drg` is imported only by the
+forms that take an array.  Every function returns the rows as one
+RatMatrix, and the kernel is the one reader and checker of a first row.
 """
 from __future__ import annotations
 
-from ._record import Record
 from .errors import EqpartError, ShapeError, StructureError
-from .ratmat import RatMatrix, recurrence_rows, tridiagonal
-
-
-class Distribution(Record):
-    """Stack of row vectors, one per color of g (or per distance class)."""
-
-    matrix: RatMatrix
-    source: str = ""
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.rows
-
-    def row(self, i: int):
-        return self.matrix.row(i)
-
-    def to_json(self) -> dict:
-        return {"rows": self.matrix.to_strings()}
-
-
-def _as_row(v, width: int | None = None) -> RatMatrix:
-    if isinstance(v, RatMatrix):
-        if v.rows != 1:
-            raise ShapeError(f"expected a single row, got {v.shape()}")
-        row = v
-    else:
-        row = RatMatrix.row_vector(v)
-    if width is not None and row.cols != width:
-        raise ShapeError(f"row has {row.cols} entries, expected {width}")
-    return row
+from .ratmat import RatMatrix, recurrence_rows, tensor, tridiagonal
 
 
 def _same_host(g: PerfectStructure, f: PerfectStructure) -> bool:
@@ -68,7 +38,7 @@ def _same_host(g: PerfectStructure, f: PerfectStructure) -> bool:
     return False
 
 
-def distribution(g: PerfectStructure, f: PerfectStructure) -> Distribution:
+def distribution(g: PerfectStructure, f: PerfectStructure) -> RatMatrix:
     """g^T f, with the governing identity R^T (g^T f) = (g^T f) S asserted."""
     if g.values.rows != f.values.rows:
         raise ShapeError(
@@ -79,10 +49,10 @@ def distribution(g: PerfectStructure, f: PerfectStructure) -> Distribution:
     h = g.values.transpose() @ f.values
     if g.params.transpose() @ h != h @ f.params:
         raise StructureError("distribution identity failed; inputs are inconsistent")
-    return Distribution(h, source="pairwise")
+    return h
 
 
-def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> Distribution:
+def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> RatMatrix:
     """All rows of a perfect structure over ``b`` from its first row:
     B[i,i+1] h_{i+1} = h_i S - sum_{j<=i} B[i,j] h_j, by the row kernel
     :func:`eqpart.ratmat.recurrence_rows`.
@@ -94,7 +64,7 @@ def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> D
     one raises StructureError.
     """
     h = recurrence_rows(h0, b, s, n_rows)
-    if h.sum_rows([[0]]) != _as_row(h0, s.rows):
+    if h.sum_rows([[0]]) != (h0 if isinstance(h0, RatMatrix) else RatMatrix.row_vector(h0)):
         raise StructureError("first-row reconstruction does not start at h0")
     n = h.rows
     if n > 1:
@@ -103,7 +73,17 @@ def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> D
         padded = h.sum_rows([[i] for i in range(n)] + [[]] * (b.rows - n))
         if b.sum_rows(head) @ padded != h.sum_rows(head) @ s:
             raise StructureError("first-row reconstruction fails B[:n-1] H = H[:n-1] S")
-    return Distribution(h, source="first-row reconstruction")
+    return h
+
+
+def closed_form_rows(g: Graph | IntersectionArray, t: RatMatrix, f0) -> RatMatrix:
+    """Rows f0 p_w(T), w = 0..D, for the intersection array ``g`` (or that
+    of the distance-regular graph ``g``): the row kernel on the array's
+    tridiagonal matrix."""
+    from .drg import IntersectionArray, intersection_array
+
+    ia = g if isinstance(g, IntersectionArray) else intersection_array(g)
+    return recurrence_rows(f0, tridiagonal(ia.b, ia.a, ia.c), t)
 
 
 def _hamming_matrix(n: int, q: int, p: int = 1) -> RatMatrix:
@@ -120,53 +100,44 @@ def _hamming_matrix(n: int, q: int, p: int = 1) -> RatMatrix:
     )
 
 
-def vertex_distribution(g: Graph | IntersectionArray, s: RatMatrix, j: int) -> Distribution:
+def vertex_distribution(g: Graph | IntersectionArray, s: RatMatrix, j: int) -> RatMatrix:
     """Distribution of an S-perfect coloring with respect to any color-j
     vertex of a distance-regular graph: row w = e_j p_w(S).
 
     ``g`` is the graph or just its intersection array.
     """
-    from .drg import closed_form_rows
-
     if not 0 <= j < s.rows:
         raise ShapeError(f"color {j} out of range for a {s.rows}-color structure")
-    e_j = RatMatrix.row_vector([int(i == j) for i in range(s.rows)])
-    return Distribution(closed_form_rows(g, s, e_j), source=f"vertex color {j}")
+    return closed_form_rows(g, s, [int(i == j) for i in range(s.rows)])
 
 
-def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> Distribution:
+def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to the zero class of the block-sum coloring
     of the length-(m*k) Hamming graph: row w = f0 p_w(S/m), with the p_w of
     the length-k Hamming graph H(k, q).
     """
     if m < 1 or k < 1 or q < 2:
         raise EqpartError(f"needs m, k >= 1 and q >= 2, got m={m}, k={k}, q={q}")
-    f0 = _as_row(f0, s.rows)
-    return Distribution(recurrence_rows(f0, _hamming_matrix(k, q), s / m), source="lattice")
+    return recurrence_rows(f0, _hamming_matrix(k, q), s / m)
 
 
-def fiber_distribution(g2: Graph | IntersectionArray, d: int, s: RatMatrix, f0) -> Distribution:
+def fiber_distribution(g2: Graph | IntersectionArray, d: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to a left-factor fiber of a direct product
     whose left factor is d-regular: row w = f0 p_w(S - d I), with the p_w of
     the (distance-regular) right factor, given as a graph or its array.
     """
-    from .drg import closed_form_rows
-
-    f0 = _as_row(f0, s.rows)
-    shifted = s - RatMatrix.identity(s.rows).scale(d)
-    return Distribution(closed_form_rows(g2, shifted, f0), source="fiber")
+    return closed_form_rows(g2, s - RatMatrix.identity(s.rows).scale(d), f0)
 
 
-def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> Distribution:
+def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Fiber specialization for an m-dimensional subcube of the
     length-(m+k) Hamming graph: shift by the subcube degree (q-1)m and use
     the polynomials of the length-k complement H(k, q)."""
-    f0 = _as_row(f0, s.rows)
     shifted = s - RatMatrix.identity(s.rows).scale((q - 1) * m)
-    return Distribution(recurrence_rows(f0, _hamming_matrix(k, q), shifted), source="subcube")
+    return recurrence_rows(f0, _hamming_matrix(k, q), shifted)
 
 
-def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> Distribution:
+def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to the same-dimension subcube over the
     smaller alphabet {0..p-1}, p < q.
 
@@ -178,8 +149,21 @@ def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> Distribution
     """
     if n < 1 or not 1 <= p < q:
         raise EqpartError(f"needs n >= 1 and 1 <= p < q, got n={n}, p={p}, q={q}")
-    f0 = _as_row(f0, s.rows)
     shifted = s - RatMatrix.identity(s.rows).scale((p - 1) * n)
-    return Distribution(
-        recurrence_rows(f0, _hamming_matrix(n, q, p), shifted), source="small-alphabet subcube"
-    )
+    return recurrence_rows(f0, _hamming_matrix(n, q, p), shifted)
+
+
+def star_params(r2: RatMatrix, s: RatMatrix) -> RatMatrix:
+    """Parameters governing the rearranged product distribution h*:
+    I (x) S - R2 (x) I."""
+    return tensor(RatMatrix.identity(r2.rows), s) - tensor(r2, RatMatrix.identity(s.rows))
+
+
+def reconstruct_local(
+    g1: Graph | IntersectionArray, r2: RatMatrix, s: RatMatrix, h_star_0
+) -> RatMatrix:
+    """All rows of the rearranged product distribution h* from its first
+    row, for a distance-regular left factor given as a graph or its
+    intersection array: row i = row_0 p_i(I (x) S - R2 (x) I), by the
+    recurrence of that array (see :mod:`eqpart.localdist`)."""
+    return closed_form_rows(g1, star_params(r2, s), h_star_0)

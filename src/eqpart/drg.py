@@ -3,13 +3,14 @@
 A connected regular graph is distance-regular when, for vertices u, v at
 distance w, the number of neighbors of v at distance w-1 (resp. w, w+1)
 from u depends only on w; those counts c_w, a_w, b_w form the intersection
-array.  The array is all a closed-form distribution needs: its rows
-f0 p_w(T) follow from the three-term recurrence, which
-:func:`closed_form_rows` runs as the row kernel
-:func:`eqpart.ratmat.recurrence_rows` on the array's tridiagonal matrix.
+array.  Equivalently, every vertex is a completely regular code and all
+share one quotient matrix, the array's tridiagonal matrix: that is how
+:func:`intersection_array` checks a built graph.  The array is all a
+closed-form distribution needs (:func:`eqpart.distributions.closed_form_rows`).
 The Hamming, Johnson and halved-cube arrays have closed forms, so a
 generator spec yields its array without building the graph; this module
-imports :mod:`eqpart.graphs` only to build or inspect one.
+imports :mod:`eqpart.graphs` and :mod:`eqpart.equitable` only to build or
+inspect one.
 
 The polynomial families (P-polynomials, Krawtchouk, Eberlein) live in
 :mod:`eqpart.polys`, which no distribution imports; each of their names
@@ -21,9 +22,8 @@ from collections.abc import Sequence
 from math import comb
 
 from ._record import Record
-from .errors import DEFAULT_VERTEX_BUDGET, EqpartError, NotDistanceRegularError
+from .errors import DEFAULT_VERTEX_BUDGET, EqpartError, NotDistanceRegularError, NotEquitableError
 from .inputs import read_spec
-from .ratmat import RatMatrix, recurrence_rows, tridiagonal
 
 # names defined in eqpart.polys, looked up there on first access
 _POLYS_NAMES = frozenset((
@@ -91,39 +91,39 @@ def _array_from_bc(b: Sequence[int], c: Sequence[int]) -> IntersectionArray:
 
 
 def intersection_array(g: Graph) -> IntersectionArray:
-    """Compute the intersection array, verifying distance-regularity over
-    every vertex pair; raises NotDistanceRegularError with a witness pair.
+    """Compute the intersection array, verifying distance-regularity.
+
+    A graph is distance-regular exactly when every vertex is a completely
+    regular code and all of them share one quotient matrix; row w of that
+    tridiagonal matrix is (c_w, a_w, b_w).  Raises NotDistanceRegularError
+    with a witness pair: two vertices at one distance from a third with
+    different neighbour counts per distance, or two vertices whose distance
+    partitions have different quotient matrices.
     """
     if g.n == 0:
         raise EqpartError("empty graph")
-    degs = g.degrees()
-    k = degs[0]
-    for v, d in enumerate(degs):
-        if d != k:
-            raise NotDistanceRegularError((0, v), f"degrees {k} and {d} differ")
-    from .graphs import bfs_distances
+    from .equitable import check_completely_regular
 
-    dist = [bfs_distances(g, [u]) for u in range(g.n)]
-    diam = max(max(row) for row in dist)
-    b: dict[int, int] = {}
-    c: dict[int, int] = {}
-    witness: dict[int, tuple[int, int]] = {}
+    first = None
     for u in range(g.n):
-        du = dist[u]
-        for v in range(g.n):
-            w = du[v]
-            closer = sum(1 for t in g.adj[v] if du[t] == w - 1)
-            farther = sum(1 for t in g.adj[v] if du[t] == w + 1)
-            if w not in b:
-                b[w], c[w] = farther, closer
-                witness[w] = (u, v)
-            elif b[w] != farther or c[w] != closer:
-                raise NotDistanceRegularError(
-                    (u, v),
-                    f"at distance {w}: counts ({closer},{farther}) vs "
-                    f"({c[w]},{b[w]}) seen at pair {witness[w]}",
-                )
-    return _array_from_bc([b[w] for w in range(diam)], [c[w] for w in range(1, diam + 1)])
+        try:
+            r = check_completely_regular(g, [u]).params
+        except NotEquitableError as exc:
+            counts = " != ".join(map(str, exc.profiles))
+            raise NotDistanceRegularError(
+                exc.witness, f"at one distance from vertex {u}, counts per distance {counts}"
+            ) from exc
+        if first is None:
+            first = r
+        elif r != first:
+            raise NotDistanceRegularError(
+                (0, u), f"distance partitions with quotient matrices {first.to_strings()} and "
+                f"{r.to_strings()}"
+            )
+    rows = [[int(x) for x in row] for row in first.to_strings()]
+    d = len(rows) - 1
+    return _array_from_bc([rows[w][w + 1] for w in range(d)],
+                          [rows[w][w - 1] for w in range(1, d + 1)])
 
 
 def hamming_intersection_array(n: int, q: int) -> IntersectionArray:
@@ -224,14 +224,3 @@ def regular_degree(spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | Non
     if not graph.is_regular():
         raise EqpartError(f"{graph.n}-vertex graph is not regular")
     return graph.degree(0)
-
-
-# -- closed-form rows ------------------------------------------------------
-
-
-def closed_form_rows(g: Graph | IntersectionArray, t: RatMatrix, f0: RatMatrix) -> RatMatrix:
-    """Rows f0 p_w(T), w = 0..D, for the intersection array ``g`` (or that
-    of the distance-regular graph ``g``): the row kernel on the array's
-    tridiagonal matrix."""
-    ia = g if isinstance(g, IntersectionArray) else intersection_array(g)
-    return recurrence_rows(f0, tridiagonal(ia.b, ia.a, ia.c), t)

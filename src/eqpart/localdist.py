@@ -10,6 +10,10 @@ structure over R1^T with parameters I (x) S - R2 (x) I.  That turns the
 reconstruction machinery of :mod:`eqpart.distributions` loose on h*: when g1
 is the distance coloring of a vertex of a distance-regular graph, all rows
 of h* — hence both local distributions of f — follow from the first row.
+That formula, :func:`reconstruct_local`, and the parameters of h*,
+:func:`star_params`, are defined in :mod:`eqpart.distributions` with the
+other closed forms, so that it runs without this module and the graph code
+it imports; both names are bound here too.
 
 Index flattening is frozen as rows (i1 * k2 + i2) and columns
 (i2 * m + j); the round-trip between h and h* is exact.
@@ -17,7 +21,7 @@ Index flattening is frozen as rows (i1 * k2 + i2) and columns
 from __future__ import annotations
 
 from ._record import Record
-from .drg import closed_form_rows
+from .distributions import reconstruct_local, star_params  # noqa: F401 - re-exported
 from .equitable import Coloring, PerfectStructure, indicator, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
 from .graphs import (
@@ -94,11 +98,6 @@ def unrearrange(h_star: RatMatrix, n_right: int) -> RatMatrix:
     return h_star.reshape(h_star.rows * n_right, h_star.cols // n_right)
 
 
-def star_params(r2: RatMatrix, s: RatMatrix) -> RatMatrix:
-    """Parameters governing h*: I (x) S - R2 (x) I."""
-    return tensor(RatMatrix.identity(r2.rows), s) - tensor(r2, RatMatrix.identity(s.rows))
-
-
 class RearrangedDistribution(Record):
     """The pair (h, h*) with its index metadata.
 
@@ -161,24 +160,6 @@ def tensor_distribution(
         left_is_distance=_is_distance(g1),
         right_is_distance=_is_distance(g2),
     )
-
-
-def reconstruct_local(
-    g1: Graph | IntersectionArray, r2: RatMatrix, s: RatMatrix, h_star_0
-) -> RatMatrix:
-    """All rows of h* from its first row, for a distance-regular left factor
-    given as a graph or its intersection array:
-    row i = row_0 p_i(I (x) S - R2 (x) I), by the recurrence of that array."""
-    mat = star_params(r2, s)
-    if isinstance(h_star_0, RatMatrix):
-        row0 = h_star_0
-    else:
-        row0 = RatMatrix.row_vector(h_star_0)
-    if row0.rows != 1 or row0.cols != mat.rows:
-        raise ShapeError(
-            f"first row has shape {row0.shape()}, expected 1 x {mat.rows}"
-        )
-    return closed_form_rows(g1, mat, row0)
 
 
 def extract_local(rd: RearrangedDistribution) -> tuple[RatMatrix, RatMatrix]:

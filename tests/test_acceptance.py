@@ -167,8 +167,8 @@ def test_criterion_3_vertex_distribution_vs_enumeration():
     s = quotient_matrix(g, col)
     dist = vertex_distribution(g, s, 0)
     polys = p_polynomials(hamming_intersection_array(7, 2))
-    assert dist.matrix == rows_by_polynomials(RatMatrix([[1, 0]]), polys, s)
-    column = tuple(dist.matrix[w, 0] for w in range(8))
+    assert dist == rows_by_polynomials(RatMatrix([[1, 0]]), polys, s)
+    column = tuple(dist[w, 0] for w in range(8))
     assert column == (1, 0, 0, 7, 7, 0, 0, 1)
     weights = [0] * 8
     for v in code:
@@ -221,7 +221,7 @@ def test_criterion_4_reconstruction_routes():
                 ]
             )
             h0 = [Fraction(rng.randint(-9, 9)) for _ in range(k)]
-        kernel = reconstruct_from_first_row(b, s, h0, n_rows).matrix
+        kernel = reconstruct_from_first_row(b, s, h0, n_rows)
         assert kernel == rows_by_matrix_polynomials(b, s, h0, n_rows)
         checked += 1
     assert checked == 100
@@ -274,7 +274,7 @@ def test_criterion_5_oracle_sweep():
             for v in sample:
                 j = f.colors[v]
                 if j not in per_color:
-                    per_color[j] = vertex_distribution(g, s, j).matrix
+                    per_color[j] = vertex_distribution(g, s, j)
                     e_j = RatMatrix([[int(i == j) for i in range(s.rows)]])
                     assert per_color[j] == rows_by_polynomials(e_j, polys, s)
                 assert per_color[j] == brute_distribution(g, [v], f)
@@ -292,7 +292,7 @@ def test_criterion_5_oracle_sweep():
                 for f in f_pool:
                     s = quotient_matrix(g, f)
                     dist = lattice_distribution(m, k, q, s, sum_over(code, f))
-                    assert dist.matrix == brute_distribution(g, code, f)
+                    assert dist == brute_distribution(g, code, f)
                     comparisons += 1
 
     # distributions with respect to a product fiber
@@ -324,7 +324,7 @@ def test_criterion_5_oracle_sweep():
             else:
                 s, f0 = quotient_matrix(prod, f), sum_over(code, f)
             dist = fiber_distribution(right, d, s, f0)
-            assert dist.matrix == brute_distribution(prod, code, f)
+            assert dist == brute_distribution(prod, code, f)
             comparisons += 1
 
     # subcube specialization of the fiber formula
@@ -344,8 +344,8 @@ def test_criterion_5_oracle_sweep():
                     s = quotient_matrix(g, f)
                     f0 = sum_over(code, f)
                     dist = subcube_distribution(m, k, q, s, f0)
-                    assert dist.matrix == brute_distribution(g, code, f)
-                    assert dist.matrix == fiber_distribution(H(k, q), (q - 1) * m, s, f0).matrix
+                    assert dist == brute_distribution(g, code, f)
+                    assert dist == fiber_distribution(H(k, q), (q - 1) * m, s, f0)
                     comparisons += 1
 
     # smaller-alphabet subcube of the same dimension
@@ -358,7 +358,7 @@ def test_criterion_5_oracle_sweep():
             for f in f_pool:
                 s = quotient_matrix(g, f)
                 dist = pcube_distribution(n, p, q, s, sum_over(code, f))
-                assert dist.matrix == brute_distribution(g, code, f)
+                assert dist == brute_distribution(g, code, f)
                 comparisons += 1
 
     assert comparisons >= 500

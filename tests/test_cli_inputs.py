@@ -238,3 +238,89 @@ def test_matrix_that_is_not_an_array_of_arrays_exits_1(capsys, tmp_path, doc):
     code, out, err = run(capsys, "distrib", "lattice", "-m", "1", "-k", "1", "-q", "2",
                          "--s", s, "--f0", "[1]")
     assert code == 1 and out == "" and err.startswith("error: ")
+
+
+# -- one JSON reader: files and row arguments ---------------------------------------
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def json_option_argv(tmp_path, option, bad):
+    """An argv that reads ``bad`` (a path, or the text of --f0) as ``option``,
+    every other input valid."""
+    graph = write(tmp_path, "h3.json", h(3))
+    one = write(tmp_path, "one.json", [[1]])
+    lattice = ["distrib", "lattice", "-m", "1", "-k", "1", "-q", "2"]
+    return {
+        "--graph": ["crc-check", "--graph", bad, "--code", write(tmp_path, "c.json", [0])],
+        "--s": [*lattice, "--s", bad, "--f0", "[1]"],
+        "--coloring": ["quotient", "--graph", graph, "--coloring", bad],
+        "--code": ["crc-check", "--graph", graph, "--code", bad],
+        "--f0": [*lattice, "--s", one, "--f0", bad],
+    }[option]
+
+
+@pytest.mark.parametrize("option,fault", [
+    *((option, fault) for option in ("--graph", "--s", "--coloring", "--code")
+      for fault in ("non-utf-8", "nested")),
+    ("--f0", "nested"),
+])
+def test_unreadable_json_exits_1_naming_the_input(capsys, tmp_path, option, fault):
+    if option == "--f0":
+        bad = DEEP
+    else:
+        path = tmp_path / "bad.json"
+        if fault == "nested":
+            path.write_text(DEEP)
+        else:
+            path.write_bytes(b'{"gen": "hamming", "n": 3, "q": 2, "x": "\xff\xfe"}')
+        bad = str(path)
+    code, out, err = run(capsys, *json_option_argv(tmp_path, option, bad))
+    assert code == 1 and out == ""
+    named = "--f0" if option == "--f0" else bad
+    assert err.startswith(f"error: {named} is not valid JSON: ")
+
+
+# -- exact numbers of any length ----------------------------------------------------
+
+
+def test_rows_past_the_int_digit_limit_print_and_read_back(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    s = write(tmp_path, "s.json", [["10000000000"]])
+    code, out, err = run(capsys, "distrib", "lattice", "-m", "1", "-k", "600", "-q", "2",
+                         "--s", s, "--f0", "[1]")
+    assert code == 0, err
+    longest = max((row[0] for row in json.loads(out)["rows"]), key=len)
+    assert len(longest) > 4300
+    one = write(tmp_path, "one.json", [[1]])
+    lattice = ["distrib", "lattice", "-m", "1", "-k", "1", "-q", "2", "--s", one]
+    # as a JSON integer literal and as a string
+    for f0 in (f"[{longest}]", json.dumps([longest])):
+        code, out, err = run(capsys, *lattice, "--f0", f0)
+        assert code == 0, err
+        assert json.loads(out) == {"rows": [[longest], [longest]]}
+    # the interpreter's own limit is back after each run
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# -- one first-row check in every mode ----------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["lattice", "fiber", "pcube", "code", "local reconstruct"])
+def test_wrong_width_row_has_one_message_in_every_mode(capsys, tmp_path, mode):
+    s = write(tmp_path, "s.json", [[0, 1], [1, 0]])
+    h1, h3 = write(tmp_path, "h1.json", h(1)), write(tmp_path, "h3.json", h(3))
+    row = ["--s", s, "--f0", "[1]"]
+    argv = {
+        "lattice": ["distrib", "lattice", "-m", "1", "-k", "1", "-q", "2", *row],
+        "fiber": ["distrib", "fiber", "--left", h1, "--right", h1, *row],
+        "pcube": ["distrib", "pcube", "-n", "1", "-p", "1", "-q", "2", *row],
+        "code": ["distrib", "code", "--graph", h3,
+                 "--code", write(tmp_path, "code.json", [0, 7]), *row],
+        "local reconstruct": ["local", "reconstruct", "--graph", h1,
+                              "--right-s", write(tmp_path, "r2.json", [[1]]),
+                              "--s", s, "--h0", "[1]"],
+    }[mode]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: row of shape (1, 1) does not fit (2, 2)\n"

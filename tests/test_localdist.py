@@ -208,7 +208,7 @@ def test_extract_local_single_vertex_right_factor():
     # distribution of f with respect to the left vertex coloring
     from eqpart.distributions import distribution
 
-    assert second == distribution(s1, f).matrix
+    assert second == distribution(s1, f)
     assert first.shape() == (1, rd.n_values)
 
 

@@ -1,7 +1,7 @@
 """The public ``eqpart`` names and the value semantics of its record classes.
 
 Every name the package exports is the object its defining module holds.
-Records (graphs, colorings, structures, arrays, distributions) are frozen
+Records (graphs, colorings, structures, arrays, product distributions) are frozen
 values: equal fields make equal records with equal hashes, fields cannot be
 reassigned, and construction still checks its inputs.
 """
@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 import eqpart
-from eqpart.distributions import Distribution
 from eqpart.drg import (
     IntersectionArray,
     PPolynomials,
@@ -41,7 +40,7 @@ from eqpart.ratmat import from_json
 # defining module -> the public names the package takes from it
 EXPORTS = {
     "distributions": [
-        "Distribution", "distribution", "fiber_distribution", "lattice_distribution",
+        "distribution", "fiber_distribution", "lattice_distribution",
         "pcube_distribution", "reconstruct_from_first_row", "subcube_distribution",
         "vertex_distribution",
     ],
@@ -148,11 +147,6 @@ RECORDS = {
         lambda: p_polynomials(hamming_intersection_array(2, 2)),
         p_polynomials(hamming_intersection_array(3, 2)),
         "polys",
-    ),
-    Distribution: (
-        lambda: Distribution(from_json([[1, 0], [0, 2]]), "vertex"),
-        Distribution(from_json([[1, 0], [0, 2]]), "lattice"),
-        "matrix",
     ),
     TensorStructure: (
         lambda: tensor_structure(_vertex_structure(H22), _vertex_structure(H22)),

@@ -52,6 +52,9 @@ def runs(tmp_path_factory):
     weights.write_text(json.dumps({"graph": json.loads(h4.read_text()),
                                    "colors": [bin(v).count("1") for v in range(16)]}))
     code.write_text("[0, 15]")
+    j84, one = tmp / "j84.json", tmp / "one.json"
+    j84.write_text('{"gen": "johnson", "n": 8, "k": 4}')
+    one.write_text("[[1]]")
     h3, h3_weights, h3h3_weights = tmp / "h3.json", tmp / "w3.json", tmp / "w33.json"
     h3.write_text('{"gen": "hamming", "n": 3, "q": 2}')
     h3_weights.write_text(json.dumps({"graph": json.loads(h3.read_text()),
@@ -74,6 +77,8 @@ def runs(tmp_path_factory):
         "crc-check": loaded_by("crc-check", "--graph", str(h4), "--code", str(code)),
         "code_oracle": loaded_by("distrib", "code", "--graph", str(h4), "--code", str(code),
                                  "--coloring", str(weights), "--verify-oracle"),
+        "local_reconstruct": loaded_by("local", "reconstruct", "--graph", str(j84),
+                                       "--right-s", str(one), "--s", str(s), "--h0", "[1, 0]"),
         "local_distrib": loaded_by("local", "distrib", "--left", str(h3_weights),
                                    "--right", str(h3_weights), "--coloring", str(h3h3_weights)),
     }
@@ -124,3 +129,9 @@ def test_distrib_code_loads_no_polynomial_drg_or_fraction_code(runs):
 def test_local_distrib_loads_no_fraction_code(runs):
     assert "eqpart.localdist" in runs["local_distrib"]
     assert not runs["local_distrib"] & {"fractions", "decimal", "numbers"}
+
+
+def test_local_reconstruct_loads_no_graph_structure_or_product_code(runs):
+    loaded = runs["local_reconstruct"]
+    assert {"eqpart.distributions", "eqpart.drg"} <= loaded
+    assert not loaded & {"eqpart.graphs", "eqpart.equitable", "eqpart.localdist"}
