@@ -5,6 +5,11 @@ is deterministic.  All rationals travel as "p/q" strings (plain integers are
 accepted on input).  Exit codes: 0 on success, 1 on domain errors, 2 on
 argument errors.  --vertex-budget may stand after a command or its mode.
 
+A run builds each graph spec once.  Every graph it needs (a command's own,
+the graph of a coloring or structure file, a product's factors) comes from
+one table per run, keyed by :func:`eqpart.inputs.spec_key`; a file over
+another spec is built and compared with the command's graph by adjacency.
+
 Every ``distrib`` mode runs one pipeline, so each option means the same in
 all of them: --s gives S and --f0 the first row f0 (``vertex`` takes no
 --f0: its row is e_color); --coloring or --structure gives the values f,
@@ -20,36 +25,36 @@ import sys
 from .errors import DEFAULT_VERTEX_BUDGET, EqpartError
 
 # Each command imports the library functions it calls, so that a run loads
-# only the modules its command needs (``--help`` none of them).  The names
-# this module imported at its top before that stay readable as attributes,
-# looked up in their defining module on every access, so that a rebinding
-# there (a tracer's wrapper, a test's counting stub) shows here too.
-_LIBRARY_NAMES = {
-    "distributions": ("fiber_distribution", "lattice_distribution", "pcube_distribution",
-                      "reconstruct_from_first_row", "reconstruct_local", "vertex_distribution"),
-    "drg": ("hamming_intersection_array", "intersection_array", "regular_degree",
-            "spec_intersection_array"),
-    "equitable": ("PerfectStructure", "all_one_coloring", "check_completely_regular",
-                  "distance_coloring", "lattice_coloring", "load_coloring", "load_structure",
-                  "quotient_matrix", "read_structure", "structure_from_coloring",
-                  "verify_structure"),
-    "graphs": ("Graph", "direct_product", "graph_to_json", "halved_cube", "hamming_graph",
-               "johnson_graph", "load_graph", "read_ints", "spec_key"),
-    "localdist": ("tensor_distribution", "tensor_structure"),
-    "oracle": ("brute_distribution",),
-    "ratmat": ("RatMatrix", "from_json", "parse_rational"),
-}
+# only the modules its command needs (``--help`` none of them).
 
 
 def __getattr__(name: str):
-    from importlib import import_module
+    """``vertex_distribution``, looked up in :mod:`eqpart.distributions` on
+    every access: the benchmark tracer's tests read the wrapper it installs
+    there through this module."""
+    if name == "vertex_distribution":
+        from .distributions import vertex_distribution
 
-    if name == "codes":
-        return import_module(".codes", __package__)
-    for module, names in _LIBRARY_NAMES.items():
-        if name in names:
-            return getattr(import_module(f".{module}", __package__), name)
+        return vertex_distribution
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _graph_table(budget: int):
+    """The graph loader of one run, a function from a graph spec to its
+    Graph: it builds each spec once, by :func:`eqpart.graphs.load_graph`
+    with a product's factors loaded through itself, and returns that Graph
+    for every later spec with the same key."""
+    graphs = {}
+
+    def load(spec) -> Graph:
+        from .graphs import load_graph, spec_key
+
+        key = spec_key(spec)
+        if key not in graphs:
+            graphs[key] = load_graph(spec, budget, load)
+        return graphs[key]
+
+    return load
 
 
 def _load_json(path: str, text: str | None = None):
@@ -68,19 +73,35 @@ def _load_json(path: str, text: str | None = None):
         raise EqpartError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix_file(path: str, budget: int | None = None) -> RatMatrix:
+def _read_values(doc, load, structure: bool = False, over=None):
+    """The coloring file ``doc`` as a Coloring or, given ``structure``, the
+    structure file ``doc`` as a PerfectStructure, its graph built by
+    ``load``.  Given ``over``, a test of a Graph, the file's graph must pass
+    it."""
+    from .equitable import load_coloring, load_structure
+    from .graphs import Graph
+
+    values = load_structure(doc, load) if structure else load_coloring(doc, load)
+    graph = values.host if structure else values.graph
+    if over is not None and not (isinstance(graph, Graph) and over(graph)):
+        what = "structure" if structure else "coloring"
+        raise EqpartError(f"{what} file is over a different graph")
+    return values
+
+
+def _load_matrix_file(path: str, load=None) -> RatMatrix:
     """The matrix in the JSON file at ``path``: an array of rows, bare or
-    under one of the keys s, matrix, params and R.  Given a vertex
-    ``budget``, a coloring file ({"graph": ..., "colors": ...}) is read
-    too, as its quotient matrix."""
+    under one of the keys s, matrix, params and R.  Given a graph loader
+    ``load``, a coloring file ({"graph": ..., "colors": ...}) is read too,
+    as its quotient matrix."""
     from .ratmat import from_json
 
     doc = _load_json(path)
     if isinstance(doc, dict):
-        if budget is not None and "colors" in doc:
-            from .equitable import load_coloring, quotient_matrix
+        if load is not None and "colors" in doc:
+            from .equitable import quotient_matrix
 
-            col = load_coloring(doc, budget)
+            col = _read_values(doc, load)
             return quotient_matrix(col.graph, col)
         key = next((key for key in ("s", "matrix", "params", "R") if key in doc), None)
         if key is None:
@@ -115,49 +136,16 @@ def _emit(doc) -> None:
     print(json.dumps(doc))
 
 
-def _prebuilt(doc, graph: Graph, spec) -> Graph | None:
-    """``graph`` when the coloring or structure file ``doc`` names the graph
-    spec that ``graph`` was built from, so that its graph is not built a
-    second time; None when the file's graph must be loaded and compared."""
-    from .inputs import spec_key
-
-    if isinstance(doc, dict) and "graph" in doc and spec_key(doc["graph"]) == spec_key(spec):
-        return graph
-    return None
-
-
-def _load_coloring_over(path: str, graph: Graph, spec, budget):
-    """The coloring file at ``path``, which must be over ``graph``, the graph
-    the command built from ``spec``."""
-    from .equitable import load_coloring
-
-    doc = _load_json(path)
-    col = load_coloring(doc, budget, _prebuilt(doc, graph, spec))
-    if not col.graph.same_adjacency(graph):
-        raise EqpartError("coloring file is over a different graph")
-    return col
-
-
-def _load_f(args, graph, spec, budget) -> PerfectStructure | None:
-    """Read the structure being distributed, from --coloring or --structure.
-
-    Either file must be over ``graph``, which the command built from
-    ``spec``."""
+def _load_f(args, load, over) -> PerfectStructure | None:
+    """The structure being distributed, from --coloring or --structure,
+    over a graph that passes ``over`` (see :func:`_read_values`)."""
     if args.coloring:
         from .equitable import structure_from_coloring
 
-        return structure_from_coloring(
-            graph, _load_coloring_over(args.coloring, graph, spec, budget)
-        )
+        col = _read_values(_load_json(args.coloring), load, over=over)
+        return structure_from_coloring(col.graph, col)
     if args.structure:
-        from .equitable import load_structure
-        from .graphs import Graph
-
-        doc = _load_json(args.structure)
-        struct = load_structure(doc, budget, _prebuilt(doc, graph, spec))
-        if not isinstance(struct.host, Graph) or not struct.host.same_adjacency(graph):
-            raise EqpartError("structure file is over a different graph")
-        return struct
+        return _read_values(_load_json(args.structure), load, structure=True, over=over)
     return None
 
 
@@ -177,148 +165,133 @@ def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
 
 
 # -- commands ---------------------------------------------------------------
+#
+# Each handler takes the parsed arguments and the run's graph loader.
 
 
-def _cmd_gen(args) -> int:
-    from .graphs import (
-        direct_product,
-        graph_to_json,
-        halved_cube,
-        hamming_graph,
-        johnson_graph,
-        load_graph,
-    )
+def _cmd_gen(args, load) -> int:
+    from .graphs import graph_to_json
 
-    budget = args.vertex_budget
-    if args.family == "hamming":
-        g = hamming_graph(args.n, args.q, budget)
-    elif args.family == "johnson":
-        g = johnson_graph(args.n, args.k, budget)
-    elif args.family == "halved":
-        g = halved_cube(args.n, args.sign, budget)
+    if args.family == "product":
+        spec = {"gen": "product", "left": _load_json(args.left), "right": _load_json(args.right)}
     else:
-        left = load_graph(_load_json(args.left), budget)
-        right = load_graph(_load_json(args.right), budget)
-        g = direct_product(left, right, budget)
-    _emit(graph_to_json(g))
+        keys = {"hamming": ("n", "q"), "johnson": ("n", "k"), "halved": ("n", "sign")}
+        spec = {"gen": args.family, **{key: getattr(args, key) for key in keys[args.family]}}
+    _emit(graph_to_json(load(spec)))
     return 0
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args, load) -> int:
     from .equitable import quotient_matrix
-    from .graphs import load_graph
 
-    spec = _load_json(args.graph)
-    g = load_graph(spec, args.vertex_budget)
-    col = _load_coloring_over(args.coloring, g, spec, args.vertex_budget)
-    s = quotient_matrix(g, col)
-    _emit({"k": col.n_colors, "s": s.to_strings()})
+    g = load(_load_json(args.graph))
+    col = _read_values(_load_json(args.coloring), load, over=g.same_adjacency)
+    _emit({"k": col.n_colors, "s": quotient_matrix(g, col).to_strings()})
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, load) -> int:
     from .equitable import read_structure, verify_structure
 
-    host, f, s = read_structure(_load_json(args.structure), args.vertex_budget)
+    host, f, s = read_structure(_load_json(args.structure), load)
     ok, residual = verify_structure(host, f, s)
     _emit({"ok": ok, "residual": residual.to_strings()})
     return 0 if ok else 1
 
 
-def _cmd_crc_check(args) -> int:
+def _cmd_crc_check(args, load) -> int:
     from .equitable import check_completely_regular
-    from .graphs import load_graph
 
-    g = load_graph(_load_json(args.graph), args.vertex_budget)
-    code = _load_code_file(args.code)
-    crc = check_completely_regular(g, code)
+    g = load(_load_json(args.graph))
+    crc = check_completely_regular(g, _load_code_file(args.code))
     _emit({"rho": crc.rho, "R": crc.params.to_strings()})
     return 0
 
 
-def _mode_vertex(args, budget, build):
+def _mode_vertex(args, load):
     from .distributions import vertex_distribution
     from .drg import spec_intersection_array
 
     spec = _load_json(args.graph)
-    g = None
-    if build:
-        from .graphs import load_graph
 
-        g = load_graph(spec, budget)
-    ia = spec_intersection_array(spec, budget, g)
-    return spec, g, None, lambda s, f0: vertex_distribution(ia, s, args.color)
+    def form(s, f0):
+        return vertex_distribution(spec_intersection_array(spec, load), s, args.color)
+
+    return spec, lambda: None, form
 
 
-def _mode_code(args, budget, build):
+def _mode_code(args, load):
     from .distributions import reconstruct_from_first_row
     from .equitable import check_completely_regular
-    from .graphs import load_graph
 
     spec = _load_json(args.graph)
-    g = load_graph(spec, budget)
     code = _load_code_file(args.code)
-    crc = check_completely_regular(g, code)
-    b, n_rows = crc.params.transpose(), crc.rho + 1
-    return spec, g, code, lambda s, h0: reconstruct_from_first_row(b, s, h0, n_rows)
+
+    def form(s, h0):
+        crc = check_completely_regular(load(spec), code)
+        return reconstruct_from_first_row(crc.params.transpose(), s, h0)
+
+    return spec, lambda: code, form
 
 
-def _mode_lattice(args, budget, build):
+def _mode_lattice(args, load):
     from .distributions import lattice_distribution
 
-    g = code = None
-    if build:
+    m, k, q = args.m, args.k, args.q
+
+    def code():
         from .equitable import lattice_coloring
 
-        base = lattice_coloring(args.m, args.k, args.q, budget)
-        g, code = base.graph, base.class_vertices(0)
-    spec = {"gen": "hamming", "n": args.m * args.k, "q": args.q}
-    return spec, g, code, lambda s, f0: lattice_distribution(args.m, args.k, args.q, s, f0)
+        return lattice_coloring(m, k, q, load).class_vertices(0)
+
+    spec = {"gen": "hamming", "n": m * k, "q": q}
+    return spec, code, lambda s, f0: lattice_distribution(m, k, q, s, f0)
 
 
-def _mode_fiber(args, budget, build):
+def _mode_fiber(args, load):
     from .distributions import fiber_distribution
     from .drg import regular_degree, spec_intersection_array
 
-    left_spec, right_spec = _load_json(args.left), _load_json(args.right)
-    left = right = prod = code = None
-    if build:
-        from .graphs import direct_product, load_graph
+    left, right = _load_json(args.left), _load_json(args.right)
 
-        left, right = load_graph(left_spec, budget), load_graph(right_spec, budget)
-        prod = direct_product(left, right, budget)
-        code = [v1 * right.n for v1 in range(left.n)]
-    d = regular_degree(left_spec, budget, left)
-    ia = spec_intersection_array(right_spec, budget, right)
-    spec = {"gen": "product", "left": left_spec, "right": right_spec}
-    return spec, prod, code, lambda s, f0: fiber_distribution(ia, d, s, f0)
+    def code():
+        n_left, n_right = load(left).n, load(right).n
+        return [v1 * n_right for v1 in range(n_left)]
+
+    def form(s, f0):
+        d = regular_degree(left, load)
+        return fiber_distribution(spec_intersection_array(right, load), d, s, f0)
+
+    return {"gen": "product", "left": left, "right": right}, code, form
 
 
-def _mode_pcube(args, budget, build):
+def _mode_pcube(args, load):
     from .distributions import pcube_distribution
 
-    g = code = None
-    if build:
-        from .graphs import hamming_graph
+    n, p, q = args.n, args.p, args.q
+    spec = {"gen": "hamming", "n": n, "q": q}
 
-        g = hamming_graph(args.n, args.q, budget)
-        code = [v for v, word in enumerate(g.labels) if max(word) < args.p]
-    spec = {"gen": "hamming", "n": args.n, "q": args.q}
-    return spec, g, code, lambda s, f0: pcube_distribution(args.n, args.p, args.q, s, f0)
+    def code():
+        return [v for v, word in enumerate(load(spec).labels) if max(word) < p]
+
+    return spec, code, lambda s, f0: pcube_distribution(n, p, q, s, f0)
 
 
 _DISTRIB_MODES = {"vertex": _mode_vertex, "code": _mode_code, "lattice": _mode_lattice,
                   "fiber": _mode_fiber, "pcube": _mode_pcube}
 
 
-def _cmd_distrib(args) -> int:
+def _cmd_distrib(args, load) -> int:
     """The distrib pipeline.  A ``_mode_*`` function returns its graph's
-    spec, the graph and the code (None unless ``build``; ``_mode_code``
-    builds them always, for R) and its form, a function of S and f0."""
-    budget = args.vertex_budget
-    build = bool(args.coloring or args.structure or args.verify_oracle)
-    spec, graph, code, form = _DISTRIB_MODES[args.mode](args, budget, build)
-    f = _load_f(args, graph, spec, budget)
+    spec, its code (a function of no arguments, called only with f or the
+    oracle; ``vertex`` reads its code from f) and its form, a function of S
+    and f0.  Both build what they need through ``load`` when called."""
+    spec, code_of, form = _DISTRIB_MODES[args.mode](args, load)
+    graph = code = f = None
+    if args.coloring or args.structure or args.verify_oracle:
+        code = code_of()
+        graph = load(spec)
+        f = _load_f(args, load, graph.same_adjacency)
     if args.s:
         s = _load_matrix_file(args.s)
     elif f is not None:
@@ -352,40 +325,36 @@ def _cmd_distrib(args) -> int:
     return 0
 
 
-def _cmd_local_params(args) -> int:
+def _cmd_local_params(args, load) -> int:
     from .equitable import tensor_params
 
-    r1 = _load_matrix_file(args.left, args.vertex_budget)
-    r2 = _load_matrix_file(args.right, args.vertex_budget)
+    r1, r2 = (_load_matrix_file(path, load) for path in (args.left, args.right))
     _emit({"params": tensor_params(r1, r2).to_strings()})
     return 0
 
 
-def _cmd_local_distrib(args) -> int:
-    from .equitable import load_coloring, structure_from_coloring
-    from .graphs import direct_product
+def _cmd_local_distrib(args, load) -> int:
+    """The product is the graph of the --coloring or --structure file,
+    compared row by row with the product of the factors' graphs; no product
+    is built from the factors."""
+    from .equitable import structure_from_coloring
+    from .graphs import is_direct_product
     from .localdist import tensor_distribution
 
-    budget = args.vertex_budget
-    left_doc, right_doc = _load_json(args.left), _load_json(args.right)
-    left, right = load_coloring(left_doc, budget), load_coloring(right_doc, budget)
-    g1 = structure_from_coloring(left.graph, left)
-    g2 = structure_from_coloring(right.graph, right)
-    prod = direct_product(left.graph, right.graph, budget)
-    spec = {"gen": "product", "left": left_doc["graph"], "right": right_doc["graph"]}
-    f = _load_f(args, prod, spec, budget)
+    left, right = (_read_values(_load_json(path), load) for path in (args.left, args.right))
+    g1, g2 = (structure_from_coloring(col.graph, col) for col in (left, right))
+    f = _load_f(args, load, lambda g: is_direct_product(g, g1.graph, g2.graph))
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
-    rd = tensor_distribution(g1, g2, f)
-    _emit(rd.to_json())
+    _emit(tensor_distribution(g1, g2, f).to_json())
     return 0
 
 
-def _cmd_local_reconstruct(args) -> int:
+def _cmd_local_reconstruct(args, load) -> int:
     from .distributions import reconstruct_local
     from .drg import spec_intersection_array
 
-    ia = spec_intersection_array(_load_json(args.graph), args.vertex_budget)
+    ia = spec_intersection_array(_load_json(args.graph), load)
     r2 = _load_matrix_file(args.right_s)
     s = _load_matrix_file(args.s)
     h0 = _parse_row(args.h0, "--h0")
@@ -394,14 +363,12 @@ def _cmd_local_reconstruct(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    from .graphs import load_graph
+def _cmd_oracle(args, load) -> int:
     from .oracle import brute_distribution
 
-    spec = _load_json(args.graph)
-    g = load_graph(spec, args.vertex_budget)
+    g = load(_load_json(args.graph))
     code = _load_code_file(args.code)
-    f = _load_f(args, g, spec, args.vertex_budget)
+    f = _load_f(args, load, g.same_adjacency)
     if f is None:
         raise EqpartError("need --coloring or --structure for the summed values")
     rows = brute_distribution(g, code, f)
@@ -409,7 +376,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, load) -> int:
     from .selftest import checks
 
     results = []
@@ -553,7 +520,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  Its exact numbers may have any number of digits:
+    """Run one command, with a graph table of its own (a second call builds
+    its graphs again).  Its exact numbers may have any number of digits:
     the interpreter's limit on int-string conversion is lifted while the
     command reads and prints them, and restored on return."""
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -563,7 +531,7 @@ def main(argv=None) -> int:
     set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     set_limit(0)
     try:
-        return args.func(args)
+        return args.func(args, _graph_table(args.vertex_budget))
     except EqpartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -52,8 +52,8 @@ def distribution(g: PerfectStructure, f: PerfectStructure) -> RatMatrix:
     return h
 
 
-def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> RatMatrix:
-    """All rows of a perfect structure over ``b`` from its first row:
+def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0) -> RatMatrix:
+    """All B.rows rows of a perfect structure over ``b`` from its first row:
     B[i,i+1] h_{i+1} = h_i S - sum_{j<=i} B[i,j] h_j, by the row kernel
     :func:`eqpart.ratmat.recurrence_rows`.
 
@@ -63,15 +63,13 @@ def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> R
     exactly one solution H, so a passing check proves the rows; a failing
     one raises StructureError.
     """
-    h = recurrence_rows(h0, b, s, n_rows)
+    h = recurrence_rows(h0, b, s)
     if h.sum_rows([[0]]) != (h0 if isinstance(h0, RatMatrix) else RatMatrix.row_vector(h0)):
         raise StructureError("first-row reconstruction does not start at h0")
     n = h.rows
     if n > 1:
         head = [[i] for i in range(n - 1)]
-        # H with zero rows up to B's size: B[:n-1] vanishes beyond column n-1
-        padded = h.sum_rows([[i] for i in range(n)] + [[]] * (b.rows - n))
-        if b.sum_rows(head) @ padded != h.sum_rows(head) @ s:
+        if b.sum_rows(head) @ h != h.sum_rows(head) @ s:
             raise StructureError("first-row reconstruction fails B[:n-1] H = H[:n-1] S")
     return h
 

@@ -18,11 +18,11 @@ also resolves here, on first access.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from math import comb
 
 from ._record import Record
-from .errors import DEFAULT_VERTEX_BUDGET, EqpartError, NotDistanceRegularError, NotEquitableError
+from .errors import EqpartError, NotDistanceRegularError, NotEquitableError
 from .inputs import read_spec
 
 # names defined in eqpart.polys, looked up there on first access
@@ -185,14 +185,15 @@ def halved_cube_intersection_array(n: int) -> IntersectionArray:
 
 
 def spec_intersection_array(
-    spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
+    spec, load: Callable[[dict], Graph] | None = None
 ) -> IntersectionArray:
     """Intersection array of the graph a JSON spec describes.
 
     Hamming, Johnson and halved-cube specs take their closed forms and build
-    nothing.  Edge lists and products have no closed form: their graph is
-    built (or ``graph``, if the caller already built it, is used) and
-    :func:`intersection_array` checks distance-regularity pair by pair.
+    nothing.  Edge lists and products have no closed form: ``load``, a
+    function from a spec to its Graph (:func:`eqpart.graphs.load_graph` by
+    default), builds their graph, and :func:`intersection_array` checks
+    distance-regularity pair by pair.
     """
     kind, x, y = read_spec(spec)
     if kind == "hamming":
@@ -201,26 +202,24 @@ def spec_intersection_array(
         return johnson_intersection_array(x, y)
     if kind == "halved":
         return halved_cube_intersection_array(x)
-    if graph is None:
-        from .graphs import load_graph
-
-        graph = load_graph(spec, budget)
-    return intersection_array(graph)
+    if load is None:
+        from .graphs import load_graph as load
+    return intersection_array(load(spec))
 
 
-def regular_degree(spec, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None) -> int:
+def regular_degree(spec, load: Callable[[dict], Graph] | None = None) -> int:
     """Degree of the regular graph a JSON spec describes.
 
     Generators read it from their closed-form arrays; edge lists and
-    products are built (or ``graph`` is used) and checked.  Raises
-    EqpartError when the graph is not regular.
+    products are built by ``load``, as for :func:`spec_intersection_array`,
+    and checked.  Raises EqpartError when the graph is not regular.
     """
     if read_spec(spec)[0] in ("hamming", "johnson", "halved"):
         return spec_intersection_array(spec).degree
-    if graph is None:
-        from .graphs import load_graph
-
-        graph = load_graph(spec, budget)
+    if load is None:
+        from .graphs import load_graph as load
+    graph = load(spec)
     if not graph.is_regular():
         raise EqpartError(f"{graph.n}-vertex graph is not regular")
     return graph.degree(0)
+

@@ -11,7 +11,7 @@ of colors is the covering radius plus one.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from ._record import Record
 from .errors import (
@@ -27,7 +27,7 @@ from .graphs import (
     direct_product,
     distances_from_set,
     encode_word,
-    hamming_graph,
+    load_graph,
     read_ints,
     read_key,
 )
@@ -256,17 +256,20 @@ def check_completely_regular(g: Graph, code: Iterable[int]) -> CompletelyRegular
     return CompletelyRegularCode(g, col.distance_code, col.n_colors - 1, RatMatrix(rows))
 
 
-def lattice_coloring(m: int, k: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Coloring:
+def lattice_coloring(
+    m: int, k: int, q: int, load: Callable[[dict], Graph] = load_graph
+) -> Coloring:
     """Block-sum coloring of the length-(m*k) Hamming graph over {0..q-1}.
 
     A word is split into m consecutive blocks of length k; its color is the
     coordinatewise sum of the blocks mod q, read as a vertex index of the
     length-k Hamming graph.  The quotient matrix is m times the adjacency
-    matrix of that smaller graph.
+    matrix of that smaller graph, which ``load`` builds from its spec, as
+    for :func:`load_coloring`.
     """
     if m < 1 or k < 1:
         raise EqpartError(f"lattice coloring needs m, k >= 1, got m={m}, k={k}")
-    g = hamming_graph(m * k, q, budget)
+    g = load({"gen": "hamming", "n": m * k, "q": q})
     # coordinate i of the block sum adds word[i], word[k + i], ... = word[i::k]
     colors = tuple(
         encode_word([sum(word[i::k]) % q for i in range(k)], q) for word in g.labels
@@ -303,32 +306,24 @@ def coloring_to_json(c: Coloring) -> dict:
     return {"graph": graph_to_json(c.graph), "colors": list(c.colors)}
 
 
-def load_coloring(
-    spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
-) -> Coloring:
+def load_coloring(spec: dict, load: Callable[[dict], Graph] = load_graph) -> Coloring:
     """Read {"graph": <graph spec>, "colors": [c_0, ..., c_{N-1}]}.
 
-    ``graph``, when given, is the graph the file's spec describes, already
-    built by the caller; it is used instead of building the spec again."""
-    from .graphs import load_graph
-
-    graph_spec = read_key(spec, "graph", "coloring file")
-    g = graph if graph is not None else load_graph(graph_spec, budget)
+    ``load``, a function from a graph spec to its Graph, builds the graph;
+    a caller that keeps one graph per spec passes its own."""
+    g = load(read_key(spec, "graph", "coloring file"))
     return coloring_from_list(g, read_key(spec, "colors", "coloring file"))
 
 
-def read_structure(
-    spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
-) -> tuple:
+def read_structure(spec: dict, load: Callable[[dict], Graph] = load_graph) -> tuple:
     """Read the host, f and s of {"graph"|"matrix": ..., "f": [[...]],
     "s": [[...]]} with "p/q" entries, without checking A f = f S.
 
-    ``graph`` is as for :func:`load_coloring`."""
-    from .graphs import load_graph
+    ``load`` builds a "graph" host, as for :func:`load_coloring`."""
     from .ratmat import from_json
 
     if isinstance(spec, dict) and "graph" in spec:
-        host = graph if graph is not None else load_graph(spec["graph"], budget)
+        host = load(spec["graph"])
     elif isinstance(spec, dict) and "matrix" in spec:
         host = from_json(spec["matrix"])
     else:
@@ -337,9 +332,7 @@ def read_structure(
     return host, f, from_json(read_key(spec, "s", "structure file"))
 
 
-def load_structure(
-    spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, graph: Graph | None = None
-) -> PerfectStructure:
+def load_structure(spec: dict, load: Callable[[dict], Graph] = load_graph) -> PerfectStructure:
     """Read a structure file (see :func:`read_structure`); verification runs
     on construction."""
-    return PerfectStructure(*read_structure(spec, budget, graph))
+    return PerfectStructure(*read_structure(spec, load))

@@ -296,8 +296,11 @@ def graph_to_json(g: Graph) -> dict:
     return doc
 
 
-def load_graph(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
-    """Build a graph from its JSON description (see :func:`read_spec`)."""
+def load_graph(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, load=None) -> Graph:
+    """Build a graph from its JSON description (see :func:`read_spec`).
+
+    ``load``, a function from a spec to its Graph, gives a product's
+    factors; by default they are built by this function, with ``budget``."""
     kind, a, b = read_spec(spec)
     if kind == "edges":
         _check_budget(a, budget)
@@ -308,4 +311,5 @@ def load_graph(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
         return johnson_graph(a, b, budget)
     if kind == "halved":
         return halved_cube(a, b, budget)
-    return direct_product(load_graph(a, budget), load_graph(b, budget), budget)
+    load = load or (lambda factor: load_graph(factor, budget))
+    return direct_product(load(a), load(b), budget)

@@ -85,9 +85,12 @@ def read_spec(spec) -> tuple:
 
 
 def spec_key(spec) -> tuple:
-    """:func:`read_spec` with the factors of a product read as well: two
-    specs with equal keys describe the same graph, vertex order included."""
+    """:func:`read_spec` with the factors of a product read as well and an
+    edge list as a tuple of pairs, so that the key is hashable: two specs
+    with equal keys describe the same graph, vertex order included."""
     kind, a, b = read_spec(spec)
     if kind == "product":
         return (kind, spec_key(a), spec_key(b))
+    if kind == "edges":
+        return (kind, a, tuple(map(tuple, b)))
     return (kind, a, b)

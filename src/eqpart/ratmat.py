@@ -358,14 +358,12 @@ def tridiagonal(b: Sequence, a: Sequence, c: Sequence) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def _check_hessenberg(b: RatMatrix, n_rows: int) -> None:
-    """The rows 0..n_rows-2 of B, which the recurrence reads, must vanish
+def _check_hessenberg(b: RatMatrix) -> None:
+    """The rows 0..B.rows-2 of B, which the recurrence reads, must vanish
     above the superdiagonal and be nonzero on it."""
     if not b.is_square():
         raise ShapeError(f"reconstruction matrix must be square, got {b.shape()}")
-    if n_rows > b.rows:
-        raise ShapeError(f"cannot produce {n_rows} rows from a {b.rows}-row matrix")
-    for i in range(n_rows - 1):
+    for i in range(b.rows - 1):
         row = b._num[i]
         if row[i + 1] == 0:
             raise ReconstructionError(f"superdiagonal entry ({i},{i + 1}) is zero")
@@ -376,9 +374,9 @@ def _check_hessenberg(b: RatMatrix, n_rows: int) -> None:
                 )
 
 
-def recurrence_rows(row, b: RatMatrix, t: RatMatrix, n_rows: int | None = None) -> RatMatrix:
-    """Rows r_0..r_{n-1}, n = ``n_rows`` (B.rows by default), of the
-    recurrence of a lower-Hessenberg matrix B with a nonzero superdiagonal:
+def recurrence_rows(row, b: RatMatrix, t: RatMatrix) -> RatMatrix:
+    """Rows r_0..r_{n-1}, n = B.rows, of the recurrence of a
+    lower-Hessenberg matrix B with a nonzero superdiagonal:
 
         r_0 = row,   B[i,i+1] r_{i+1} = r_i T - sum_{j<=i} B[i,j] r_j.
 
@@ -390,8 +388,8 @@ def recurrence_rows(row, b: RatMatrix, t: RatMatrix, n_rows: int | None = None) 
     combination per nonzero B[i,j], on integer numerators over one
     denominator, reduced after every step; no polynomial is expanded.  Row
     n-1 of B enters no row."""
-    n = b.rows if n_rows is None else n_rows
-    _check_hessenberg(b, n)
+    n = b.rows
+    _check_hessenberg(b)
     if not t.is_square():
         raise ShapeError(f"the recurrence needs a square matrix, got {t.shape()}")
     if not isinstance(row, RatMatrix):

@@ -339,3 +339,19 @@ def rows_by_polynomials(row, polys, t: RatMatrix) -> RatMatrix:
 def rows_by_matrix_polynomials(b: RatMatrix, s: RatMatrix, h0, n_rows: int) -> RatMatrix:
     """The polynomial route of first-row reconstruction: row i = h0 q_i(S)."""
     return rows_by_polynomials(h0, reconstruction_polynomials(b, n_rows), s)
+
+
+def hamming_code_by_enumeration(r: int) -> list[int]:
+    """The length-(2**r - 1) Hamming code as the words of zero syndrome
+    among all 2**n binary words, parity-check column i+1 for coordinate i,
+    as vertex indices (coordinate 0 most significant)."""
+    n = 2**r - 1
+    out = []
+    for v in range(2**n):
+        syndrome = 0
+        for i in range(n):
+            if v >> (n - 1 - i) & 1:
+                syndrome ^= i + 1
+        if syndrome == 0:
+            out.append(v)
+    return out

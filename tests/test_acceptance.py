@@ -221,7 +221,7 @@ def test_criterion_4_reconstruction_routes():
                 ]
             )
             h0 = [Fraction(rng.randint(-9, 9)) for _ in range(k)]
-        kernel = reconstruct_from_first_row(b, s, h0, n_rows)
+        kernel = reconstruct_from_first_row(b, s, h0)
         assert kernel == rows_by_matrix_polynomials(b, s, h0, n_rows)
         checked += 1
     assert checked == 100

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from eqpart import cli, equitable, graphs, localdist
+from eqpart import equitable, graphs, localdist
 from eqpart.cli import main
 from eqpart.errors import ShapeError
 from eqpart.ratmat import from_json, parse_rational
@@ -37,19 +37,39 @@ def vertex_coloring(graph_spec, n):
     return {"graph": graph_spec, "colors": [bin(v).count("1") for v in range(2**n)]}
 
 
-@pytest.fixture
-def hamming_builds(monkeypatch):
-    """Count hamming_graph calls in every module that holds the function."""
+def count_calls(monkeypatch, name, entry):
+    """Record ``entry(args, result)`` for every call of the graphs function
+    ``name``, patched in every module that holds it."""
     calls = []
-    original = graphs.hamming_graph
+    original = getattr(graphs, name)
 
     def counting(*args, **kwargs):
-        calls.append(args[:2])
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append(entry(args, result))
+        return result
 
-    for module in (graphs, equitable, cli):
-        monkeypatch.setattr(module, "hamming_graph", counting)
+    for module in (graphs, equitable, localdist):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def hamming_builds(monkeypatch):
+    """(n, q) of every hamming_graph call."""
+    return count_calls(monkeypatch, "hamming_graph", lambda args, g: args[:2])
+
+
+@pytest.fixture
+def product_builds(monkeypatch):
+    """Vertex counts of the direct_product results."""
+    return count_calls(monkeypatch, "direct_product", lambda args, g: g.n)
+
+
+@pytest.fixture
+def edge_list_builds(monkeypatch):
+    """Vertex counts of the graph_from_edges results."""
+    return count_calls(monkeypatch, "graph_from_edges", lambda args, g: g.n)
 
 
 # -- each graph built once ---------------------------------------------------------
@@ -84,25 +104,8 @@ def test_local_distrib_builds_the_product_once(capsys, tmp_path, hamming_builds)
     code, out, _ = run(capsys, "local", "distrib", "--left", left, "--right", left,
                        "--coloring", f)
     assert code == 0 and json.loads(out)["k"] == 5
-    # one build per factor file; the product file reuses the command's product
-    assert hamming_builds == [(2, 2), (2, 2)]
-
-
-@pytest.fixture
-def product_builds(monkeypatch):
-    """Sizes of the direct_product results, counted in every module that holds
-    the function."""
-    sizes = []
-    original = graphs.direct_product
-
-    def counting(*args, **kwargs):
-        g = original(*args, **kwargs)
-        sizes.append(g.n)
-        return g
-
-    for module in (graphs, localdist, cli):
-        monkeypatch.setattr(module, "direct_product", counting)
-    return sizes
+    # both factor files and the product's factors name one spec, built once
+    assert hamming_builds == [(2, 2)]
 
 
 def test_local_distrib_on_h5h5_builds_the_product_graph_once(capsys, tmp_path,
@@ -140,7 +143,28 @@ def test_same_adjacency_under_another_spec_is_loaded_and_accepted(capsys, tmp_pa
     code, _, _ = run(capsys, "distrib", "vertex", "--graph", graph, "--coloring", coloring,
                      "--color", "0")
     assert code == 0
-    assert hamming_builds == [(6, 2), (3, 2), (3, 2)]
+    # the file's spec is built once more, its two equal factors once
+    assert hamming_builds == [(6, 2), (3, 2)]
+
+
+def test_fiber_over_one_factor_spec_builds_it_once(capsys, tmp_path, hamming_builds):
+    h3 = write(tmp_path, "h3.json", h(3))
+    coloring = write(tmp_path, "col.json",
+                     vertex_coloring({"gen": "product", "left": h(3), "right": h(3)}, 6))
+    code, out, _ = run(capsys, "distrib", "fiber", "--left", h3, "--right", h3,
+                       "--coloring", coloring, "--verify-oracle")
+    assert code == 0 and json.loads(out)["rows"][0] == ["1", "3", "3", "1", "0", "0", "0"]
+    assert hamming_builds == [(3, 2)]
+
+
+def test_graph_free_fiber_over_one_edge_list_builds_it_once(capsys, tmp_path,
+                                                            edge_list_builds):
+    cycle = write(tmp_path, "c4.json", {"n_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3],
+                                                                    [3, 0]]})
+    code, out, _ = run(capsys, "distrib", "fiber", "--left", cycle, "--right", cycle,
+                       "--s", write(tmp_path, "s.json", [[4]]), "--f0", "[1]")
+    assert code == 0 and json.loads(out)["rows"] == [["1"], ["2"], ["1"]]
+    assert edge_list_builds == [4]
 
 
 @pytest.mark.parametrize("option", ["--coloring", "--structure"])

@@ -104,29 +104,29 @@ def test_distribution_rejects_mismatched_hosts():
 
 def test_reconstruct_single_vertex_of_k2():
     b = from_json([[0, 1], [1, 0]])
-    dist = reconstruct_from_first_row(b, from_json([[1]]), [1], 2)
+    dist = reconstruct_from_first_row(b, from_json([[1]]), [1])
     assert dist == from_json([[1], [1]])
 
 
 def test_reconstruct_vertex_coloring_matches_distribution():
-    dist = reconstruct_from_first_row(S3.transpose(), S3, [1, 0, 0], 3)
+    dist = reconstruct_from_first_row(S3.transpose(), S3, [1, 0, 0])
     assert dist == from_json([[1, 0, 0], [0, 4, 0], [0, 0, 4]])
 
 
 def test_reconstruct_code_eigenfunction():
     b = from_json([[0, 7], [1, 6]]).transpose()
-    dist = reconstruct_from_first_row(b, from_json([[-1]]), [112], 2)
+    dist = reconstruct_from_first_row(b, from_json([[-1]]), [112])
     assert dist == from_json([[112], [-112]])
 
 
 def test_reconstruct_pattern_errors():
     with pytest.raises(ReconstructionError):
-        reconstruct_from_first_row(from_json([[0, 0], [1, 0]]), from_json([[1]]), [1], 2)
+        reconstruct_from_first_row(from_json([[0, 0], [1, 0]]), from_json([[1]]), [1])
     bad = from_json([[0, 1, 5], [1, 0, 1], [0, 1, 0]])
     with pytest.raises(ReconstructionError):
-        reconstruct_from_first_row(bad, from_json([[1]]), [1], 3)
+        reconstruct_from_first_row(bad, from_json([[1]]), [1])
     with pytest.raises(ShapeError):
-        reconstruct_from_first_row(from_json([[0, 1], [1, 0]]), from_json([[1]]), [1], 5)
+        reconstruct_from_first_row(from_json([[0, 1]]), from_json([[1]]), [1])
 
 
 def test_reconstruction_polynomial_degrees():
@@ -154,7 +154,7 @@ def test_both_reconstruction_routes_agree_on_random_inputs():
             [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
         )
         h0 = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
-        kernel = reconstruct_from_first_row(b, s, h0, n)
+        kernel = reconstruct_from_first_row(b, s, h0)
         assert kernel == rows_by_matrix_polynomials(b, s, h0, n)
 
 
@@ -199,7 +199,7 @@ def test_vertex_distribution_consistent_with_reconstruction():
     j = f.colors[0]
     via_polys = vertex_distribution(g, s, j)
     e_j = [Fraction(1) if i == j else Fraction(0) for i in range(s.rows)]
-    via_rows = reconstruct_from_first_row(r.transpose(), s, e_j, r.rows)
+    via_rows = reconstruct_from_first_row(r.transpose(), s, e_j)
     assert via_polys == via_rows
     assert brute_distribution(g, [0], f) == via_polys
 

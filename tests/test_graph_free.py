@@ -79,7 +79,7 @@ def test_spec_array_falls_back_to_bfs_for_edges_and_products():
     cycle = {"n_vertices": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}
     assert spec_intersection_array(cycle) == intersection_array(load_graph(cycle))
     with pytest.raises(VertexBudgetError):
-        spec_intersection_array(product, budget=4)
+        spec_intersection_array(product, lambda spec: load_graph(spec, 4))
 
 
 def test_closed_form_arrays_reject_bad_parameters():

@@ -135,41 +135,41 @@ def test_kernel_equals_the_polynomial_route_on_hessenberg_matrices(case, values)
     h0, s = values
     s = RatMatrix(s)
     expect = rows_by_matrix_polynomials(b, s, h0, n_rows)
-    assert recurrence_rows(h0, b, s, n_rows) == expect
-    assert reconstruct_from_first_row(b, s, h0, n_rows) == expect
+    # the kernel gives B.rows rows: the leading n_rows x n_rows block gives these
+    lead = RatMatrix([b.row(i)[:n_rows] for i in range(n_rows)])
+    assert recurrence_rows(h0, lead, s) == expect
+    assert reconstruct_from_first_row(lead, s, h0) == expect
 
 
 def test_reconstruction_pattern_errors_name_the_entry():
     s = RatMatrix([[1]])
     with pytest.raises(ShapeError, match="must be square"):
-        reconstruct_from_first_row(RatMatrix([[0, 1]]), s, [1], 1)
+        reconstruct_from_first_row(RatMatrix([[0, 1]]), s, [1])
     with pytest.raises(ReconstructionError, match=r"superdiagonal entry \(0,1\) is zero"):
-        reconstruct_from_first_row(RatMatrix([[1, 0], [1, 0]]), s, [1], 2)
+        reconstruct_from_first_row(RatMatrix([[1, 0], [1, 0]]), s, [1])
     bad = RatMatrix([[0, 1, "5/2"], [1, 0, 1], [0, 1, 0]])
     with pytest.raises(ReconstructionError, match=r"entry \(0,2\) = 5/2 above"):
-        reconstruct_from_first_row(bad, s, [1], 2)
-    # the rows the recurrence does not read are not checked
-    assert reconstruct_from_first_row(bad, s, [1], 1) == RatMatrix([[1]])
+        reconstruct_from_first_row(bad, s, [1])
 
 
 def test_a_kernel_that_drops_a_term_fails_the_certificate(monkeypatch):
     # a vertex of H(3, 2) and its distance coloring: B = R^T, S = R
     b = tridiagonal((3, 2, 1), (0, 0, 0, 0), (1, 2, 3))
     s = b.transpose()
-    good = reconstruct_from_first_row(b, s, [1, 0, 0, 0], 4)
+    good = reconstruct_from_first_row(b, s, [1, 0, 0, 0])
     assert good == RatMatrix([[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
 
-    def dropped(row, b, t, n_rows=None):
+    def dropped(row, b, t):
         # the recurrence without the subdiagonal terms B[i,i-1] r_{i-1}
         rows = [list(RatMatrix.row_vector(row).row(0))]
-        for i in range(n_rows - 1):
+        for i in range(b.rows - 1):
             nxt = (RatMatrix([rows[i]]) @ t - RatMatrix([rows[i]]).scale(b[i, i])).row(0)
             rows.append([x / b[i, i + 1] for x in nxt])
         return RatMatrix(rows)
 
     monkeypatch.setattr(distributions, "recurrence_rows", dropped)
     with pytest.raises(StructureError, match="fails"):
-        reconstruct_from_first_row(b, s, [1, 0, 0, 0], 4)
+        reconstruct_from_first_row(b, s, [1, 0, 0, 0])
 
 
 # -- the indicator shortcut of verify_structure -----------------------------------

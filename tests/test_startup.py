@@ -71,6 +71,8 @@ def runs(tmp_path_factory):
                            "--s", str(s), "--f0", '[1, "1/2"]'),
         "vertex": loaded_by("distrib", "vertex", "--graph", str(johnson), "--s", str(s),
                             "--color", "0"),
+        "fiber": loaded_by("distrib", "fiber", "--left", str(johnson), "--right", str(h4),
+                           "--s", str(s), "--f0", "[1, 0]"),
         "vertex_oracle": loaded_by("distrib", "vertex", "--graph", str(h4), "--coloring",
                                    str(weights), "--color", "1", "--verify-oracle"),
         "quotient": loaded_by("quotient", "--graph", str(h4), "--coloring", str(weights)),
@@ -83,7 +85,7 @@ def runs(tmp_path_factory):
                                    "--right", str(h3_weights), "--coloring", str(h3h3_weights)),
     }
 
-GRAPH_FREE = ["lattice", "pcube", "vertex"]
+GRAPH_FREE = ["lattice", "pcube", "vertex", "fiber"]
 
 
 def eqpart_modules(loaded: set[str]) -> set[str]:
