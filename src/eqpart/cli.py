@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import DEFAULT_VERTEX_BUDGET, EqpartError
@@ -334,16 +335,15 @@ def _cmd_local_params(args, load) -> int:
 
 
 def _cmd_local_distrib(args, load) -> int:
-    """The product is the graph of the --coloring or --structure file,
-    compared row by row with the product of the factors' graphs; no product
-    is built from the factors."""
+    """The product is the graph of the --coloring or --structure file, which
+    ``tensor_distribution`` compares row by row with the product of the
+    factors' graphs; no product is built from the factors."""
     from .equitable import structure_from_coloring
-    from .graphs import is_direct_product
     from .localdist import tensor_distribution
 
     left, right = (_read_values(_load_json(path), load) for path in (args.left, args.right))
     g1, g2 = (structure_from_coloring(col.graph, col) for col in (left, right))
-    f = _load_f(args, load, lambda g: is_direct_product(g, g1.graph, g2.graph))
+    f = _load_f(args, load, None)
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
     _emit(tensor_distribution(g1, g2, f).to_json())
@@ -534,6 +534,12 @@ def main(argv=None) -> int:
         return args.func(args, _graph_table(args.vertex_budget))
     except EqpartError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     finally:
         set_limit(limit)

@@ -97,42 +97,25 @@ def all_one_coloring(g: Graph) -> Coloring:
     return Coloring(g, (0,) * g.n, 1)
 
 
-def _first_unequal(g: Graph, colors: Sequence[int], k: int) -> tuple[list, int | None]:
-    """(reps, bad): reps[i] is the first vertex of color i (None for an
-    empty class); bad is the first vertex, in vertex order, whose sorted
-    neighbor colors differ from those of the first vertex of its color, or
-    None when there is none, that is when the coloring is equitable."""
-    reps: list[int | None] = [None] * k
-    seen: list[tuple | None] = [None] * k
-    color_of = colors.__getitem__
+def _quotient_rows(g: Graph, colors: Sequence[int], k: int) -> list[tuple[int, ...] | None]:
+    """The rows of the quotient matrix of ``colors`` (colors 0..k-1) over
+    ``g``: each vertex's neighbors are counted per color once, and row i is
+    the count row of the first vertex of color i (None when no vertex has
+    color i).  Raises NotEquitableError at the first vertex, in vertex
+    order, whose count row differs from that of the first vertex of its
+    color, with the two count rows as the profiles."""
+    rows: list[list[int] | None] = [None] * k
+    reps = [0] * k
     for v, nbrs in enumerate(g.adj):
-        key = tuple(sorted(map(color_of, nbrs)))
+        counts = [0] * k
+        for u in nbrs:
+            counts[colors[u]] += 1
         i = colors[v]
-        if seen[i] is None:
-            seen[i], reps[i] = key, v
-        elif seen[i] != key:
-            return reps, v
-    return reps, None
-
-
-def _color_counts(g: Graph, colors: Sequence[int], v: int, k: int) -> tuple[int, ...]:
-    """How many neighbors of v have each color 0..k-1."""
-    counts = [0] * k
-    for u in g.adj[v]:
-        counts[colors[u]] += 1
-    return tuple(counts)
-
-
-def _quotient_rows(g: Graph, c: Coloring) -> list[tuple[int, ...]]:
-    if c.graph.n != g.n:
-        raise ShapeError("coloring belongs to a different graph")
-    k = c.n_colors
-    reps, bad = _first_unequal(g, c.colors, k)
-    if bad is not None:
-        rep = reps[c.colors[bad]]
-        counts = (_color_counts(g, c.colors, rep, k), _color_counts(g, c.colors, bad, k))
-        raise NotEquitableError((rep, bad), counts)
-    return [_color_counts(g, c.colors, rep, k) for rep in reps]
+        if rows[i] is None:
+            rows[i], reps[i] = counts, v
+        elif rows[i] != counts:
+            raise NotEquitableError((reps[i], v), (tuple(rows[i]), tuple(counts)))
+    return [None if row is None else tuple(row) for row in rows]
 
 
 def quotient_matrix(g: Graph, c: Coloring) -> RatMatrix:
@@ -140,19 +123,21 @@ def quotient_matrix(g: Graph, c: Coloring) -> RatMatrix:
     vertex}; raises NotEquitableError with the first witness pair scanned in
     vertex order if the counts are not uniform on some class.
     """
-    return RatMatrix(_quotient_rows(g, c))
+    if c.graph.n != g.n:
+        raise ShapeError("coloring belongs to a different graph")
+    return RatMatrix(_quotient_rows(g, c.colors, c.n_colors))
 
 
 def _counts_match(g: Graph, colors: list[int], s: RatMatrix) -> bool:
-    """Whether A f = f S for the indicator f of ``colors`` over ``g``: every
-    vertex has the same neighbor colors as the first vertex of its color,
-    and those first vertices' neighbor counts per color are S's rows."""
-    reps, bad = _first_unequal(g, colors, s.rows)
-    if bad is not None:
+    """Whether A f = f S for the indicator f of ``colors`` over ``g``: the
+    coloring is equitable and its quotient rows are S's rows (the rows of
+    colors that no vertex has are not compared)."""
+    try:
+        rows = _quotient_rows(g, colors, s.rows)
+    except NotEquitableError:
         return False
-    used = [v for v in reps if v is not None]
-    counts = RatMatrix([_color_counts(g, colors, v, s.rows) for v in used])
-    return counts == s.sum_rows([colors[v]] for v in used)
+    used = [i for i, row in enumerate(rows) if row is not None]
+    return RatMatrix([rows[i] for i in used]) == s.sum_rows([i] for i in used)
 
 
 def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
@@ -160,11 +145,13 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
 
     ``a`` is a Graph, whose A f sums the rows of f over each vertex's
     neighbours (``f.sum_rows(adj)``: O(edges) additions of integer
-    numerators), or a square RatMatrix.  When every row of f is a unit
-    vector (a coloring's indicator matrix), f S is S's rows picked by the
-    rows' colors, O(N k) instead of the O(N k**2) product; over a graph,
-    such an f is first checked by counting each vertex's neighbors per
-    color, and the residual is computed only when that check fails.
+    numerators), or a square RatMatrix, whose A f is the matrix product.
+    When every row of f is a unit vector (a coloring's indicator matrix),
+    f S is S's rows picked by the rows' colors, O(N k) instead of the
+    O(N k**2) product.  Over a graph, such an f is first checked by the
+    neighbor-count scan of :func:`quotient_matrix`: A f = f S exactly when
+    the coloring is equitable with S's rows as its quotient rows.  The
+    residual is computed only when that check fails.
     """
     if not s.is_square() or s.rows != f.cols:
         raise ShapeError(f"parameter matrix {s.shape()} does not fit values {f.shape()}")
@@ -218,9 +205,11 @@ class PerfectStructure(Record, compare=("host", "values", "params")):
 def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
     """Derive the quotient matrix and package the coloring as a structure.
 
-    The quotient matrix holds A ind = ind S by construction; PerfectStructure
-    still checks it, as one O(edges) integer pass over the graph, so that a
-    fault in quotient_matrix cannot pass unseen."""
+    The quotient matrix holds A ind = ind S by construction.  PerfectStructure
+    still checks it, but with the same neighbor-count scan that derived it,
+    so that check cannot catch a fault in quotient_matrix; the independent
+    checks are the counting oracle (``--verify-oracle``) and the tests,
+    which confirm quotient matrices through a square RatMatrix host."""
     s = quotient_matrix(g, c)
     return PerfectStructure(g, c.indicator(), s, coloring=c)
 
@@ -246,7 +235,7 @@ def check_completely_regular(g: Graph, code: Iterable[int]) -> CompletelyRegular
     """Build the distance coloring, derive its quotient matrix, and confirm
     the tridiagonal pattern."""
     col = distance_coloring(g, code)
-    rows = _quotient_rows(g, col)
+    rows = _quotient_rows(g, col.colors, col.n_colors)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if abs(i - j) > 1 and x != 0:

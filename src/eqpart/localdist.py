@@ -137,7 +137,7 @@ def tensor_distribution(
     identities asserted before returning.  f must be over the direct product
     of the factors' graphs, which is checked row by row, not built again."""
     if not isinstance(f.host, Graph) or not is_direct_product(f.host, g1.graph, g2.graph):
-        raise ShapeError("f is not a structure over the direct product of the factors")
+        raise ShapeError("f is over a different graph than the direct product of the factors")
     k1, k2, m = g1.values.cols, g2.values.cols, f.values.cols
     pairs = _pair_colors(g1, g2)
     if pairs is None:

@@ -119,6 +119,18 @@ def test_local_distrib_on_h5h5_builds_the_product_graph_once(capsys, tmp_path,
     assert product_builds == [1024]
 
 
+def test_local_distrib_regenerates_the_product_rows_once(capsys, tmp_path, monkeypatch):
+    # H(10,2) flattens exactly like H(5,2) x H(5,2), so no product is built;
+    # only tensor_distribution compares f's graph with the factors' product
+    calls = count_calls(monkeypatch, "_product_rows", lambda args, rows: args[0].n * args[1].n)
+    left = write(tmp_path, "left.json", vertex_coloring(h(5), 5))
+    f = write(tmp_path, "f.json", vertex_coloring(h(10), 10))
+    code, out, _ = run(capsys, "local", "distrib", "--left", left, "--right", left,
+                       "--coloring", f)
+    assert code == 0 and json.loads(out)["k"] == 11
+    assert calls == [1024]
+
+
 def test_local_distrib_over_another_1024_vertex_graph_raises(capsys, tmp_path):
     s = equitable.structure_from_coloring(graphs.hamming_graph(5, 2),
                                           equitable.distance_coloring(graphs.hamming_graph(5, 2),
@@ -325,6 +337,24 @@ def test_rows_past_the_int_digit_limit_print_and_read_back(capsys, tmp_path):
         assert json.loads(out) == {"rows": [[longest], [longest]]}
     # the interpreter's own limit is back after each run
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# -- a closed stdout ---------------------------------------------------------------
+
+
+def test_closed_stdout_exits_1_with_an_error(tmp_path):
+    # 1.4 MB of rows, far past what a pipe buffers
+    s = write(tmp_path, "s.json", [["10000000000"]])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eqpart.cli", "distrib", "lattice", "-m", "1", "-k", "600",
+         "-q", "2", "--s", s, "--f0", "[1]"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # -- one first-row check in every mode ----------------------------------------------
