@@ -7,8 +7,10 @@ argument errors.  --vertex-budget may stand after a command or its mode.
 
 A run builds each graph spec once.  Every graph it needs (a command's own,
 the graph of a coloring or structure file, a product's factors) comes from
-one table per run, keyed by :func:`eqpart.inputs.spec_key`; a file over
-another spec is built and compared with the command's graph by adjacency.
+one table per run, keyed by the spec as read; a file over another spec is
+built and compared with the command's graph by adjacency.  One reader gives
+the values f of --coloring or --structure (not both) and their parameters
+S; a coloring stays its colours.
 
 Every ``distrib`` mode runs one pipeline, so each option means the same in
 all of them: --s gives S and --f0 the first row f0 (``vertex`` takes no
@@ -41,18 +43,18 @@ def __getattr__(name: str):
 
 
 def _graph_table(budget: int):
-    """The graph loader of one run, a function from a graph spec to its
-    Graph: it builds each spec once, by :func:`eqpart.graphs.load_graph`
-    with a product's factors loaded through itself, and returns that Graph
-    for every later spec with the same key."""
+    """The graph loader of one run, from a graph spec (or what ``read_spec``
+    read from it) to its Graph: it builds each spec once, by
+    :func:`eqpart.graphs.load_graph` with a product's factors loaded through
+    itself, and returns that Graph for every spec that reads the same."""
     graphs = {}
 
     def load(spec) -> Graph:
-        from .graphs import load_graph, spec_key
+        from .graphs import load_graph, read_spec
 
-        key = spec_key(spec)
+        key = spec if isinstance(spec, tuple) else read_spec(spec)
         if key not in graphs:
-            graphs[key] = load_graph(spec, budget, load)
+            graphs[key] = load_graph(key, budget, load)
         return graphs[key]
 
     return load
@@ -74,20 +76,29 @@ def _load_json(path: str, text: str | None = None):
         raise EqpartError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _read_values(doc, load, structure: bool = False, over=None):
-    """The coloring file ``doc`` as a Coloring or, given ``structure``, the
-    structure file ``doc`` as a PerfectStructure, its graph built by
-    ``load``.  Given ``over``, a test of a Graph, the file's graph must pass
-    it."""
-    from .equitable import load_coloring, load_structure
+def _read_values(load, coloring=None, structure=None, over=None) -> tuple:
+    """(f, S): the values in the coloring or the structure file at the given
+    path (a coloring may also be its JSON document), over a graph built by
+    ``load`` that passes ``over`` where given, and their parameter matrix;
+    (None, None) without a file.  A coloring is a Coloring, and S its
+    quotient matrix, whose one scan also proves it equitable; a structure
+    is a PerfectStructure, verified on construction, and S its params."""
+    if coloring is not None and structure is not None:
+        raise EqpartError("give --coloring or --structure, not both")
+    if coloring is None and structure is None:
+        return None, None
+    from .equitable import load_coloring, load_structure, quotient_matrix
     from .graphs import Graph
 
-    values = load_structure(doc, load) if structure else load_coloring(doc, load)
-    graph = values.host if structure else values.graph
+    if structure is not None:
+        f = load_structure(_load_json(structure), load)
+        graph, what = f.host, "structure"
+    else:
+        f = load_coloring(_load_json(coloring) if isinstance(coloring, str) else coloring, load)
+        graph, what = f.graph, "coloring"
     if over is not None and not (isinstance(graph, Graph) and over(graph)):
-        what = "structure" if structure else "coloring"
         raise EqpartError(f"{what} file is over a different graph")
-    return values
+    return f, f.params if structure is not None else quotient_matrix(graph, f)
 
 
 def _load_matrix_file(path: str, load=None) -> RatMatrix:
@@ -100,10 +111,7 @@ def _load_matrix_file(path: str, load=None) -> RatMatrix:
     doc = _load_json(path)
     if isinstance(doc, dict):
         if load is not None and "colors" in doc:
-            from .equitable import quotient_matrix
-
-            col = _read_values(doc, load)
-            return quotient_matrix(col.graph, col)
+            return _read_values(load, doc)[1]
         key = next((key for key in ("s", "matrix", "params", "R") if key in doc), None)
         if key is None:
             raise EqpartError(f"{path} holds no matrix under a known key")
@@ -112,6 +120,7 @@ def _load_matrix_file(path: str, load=None) -> RatMatrix:
 
 
 def _load_code_file(path: str) -> list[int]:
+    """The vertex set in the code file at ``path``, in first-occurrence order."""
     from .inputs import read_ints
 
     doc = _load_json(path)
@@ -119,7 +128,7 @@ def _load_code_file(path: str) -> list[int]:
         doc = doc.get("vertices")
     if not isinstance(doc, list):
         raise EqpartError(f"{path} does not hold a vertex list")
-    return read_ints(doc, f"code file {path}")
+    return list(dict.fromkeys(read_ints(doc, f"code file {path}")))
 
 
 def _parse_row(text: str, option: str) -> RatMatrix:
@@ -135,19 +144,6 @@ def _parse_row(text: str, option: str) -> RatMatrix:
 
 def _emit(doc) -> None:
     print(json.dumps(doc))
-
-
-def _load_f(args, load, over) -> PerfectStructure | None:
-    """The structure being distributed, from --coloring or --structure,
-    over a graph that passes ``over`` (see :func:`_read_values`)."""
-    if args.coloring:
-        from .equitable import structure_from_coloring
-
-        col = _read_values(_load_json(args.coloring), load, over=over)
-        return structure_from_coloring(col.graph, col)
-    if args.structure:
-        return _read_values(_load_json(args.structure), load, structure=True, over=over)
-    return None
 
 
 def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
@@ -183,11 +179,9 @@ def _cmd_gen(args, load) -> int:
 
 
 def _cmd_quotient(args, load) -> int:
-    from .equitable import quotient_matrix
-
     g = load(_load_json(args.graph))
-    col = _read_values(_load_json(args.coloring), load, over=g.same_adjacency)
-    _emit({"k": col.n_colors, "s": quotient_matrix(g, col).to_strings()})
+    col, s = _read_values(load, args.coloring, over=g.same_adjacency)
+    _emit({"k": col.n_colors, "s": s.to_strings()})
     return 0
 
 
@@ -288,23 +282,23 @@ def _cmd_distrib(args, load) -> int:
     oracle; ``vertex`` reads its code from f) and its form, a function of S
     and f0.  Both build what they need through ``load`` when called."""
     spec, code_of, form = _DISTRIB_MODES[args.mode](args, load)
-    graph = code = f = None
+    graph = code = f = s = None
     if args.coloring or args.structure or args.verify_oracle:
+        from .graphs import class_sums, vertex_values
+
         code = code_of()
         graph = load(spec)
-        f = _load_f(args, load, graph.same_adjacency)
+        f, s = _read_values(load, args.coloring, args.structure, graph.same_adjacency)
     if args.s:
         s = _load_matrix_file(args.s)
-    elif f is not None:
-        s = f.params
-    else:
+    elif s is None:
         raise EqpartError("need --s or --coloring/--structure")
     f0 = None
     if args.mode != "vertex":
         if args.f0:
             f0 = _parse_row(args.f0, "--f0")
         elif f is not None:
-            f0 = f.values.sum_rows([code])
+            f0 = class_sums(vertex_values(graph, f), [code])
         else:
             raise EqpartError("need --f0 or --coloring/--structure")
     rows = form(s, f0)
@@ -312,7 +306,7 @@ def _cmd_distrib(args, load) -> int:
         if f is None:
             raise EqpartError("--verify-oracle needs --coloring or --structure")
         if args.mode == "vertex":  # the first vertex whose value is e_color
-            colors = f.values.unit_columns() or ()
+            colors = vertex_values(graph, f)[0] or ()
             if args.color not in colors:
                 raise EqpartError(f"--verify-oracle for a vertex needs 0/1 values with a "
                                   f"vertex of color {args.color}")
@@ -338,14 +332,16 @@ def _cmd_local_distrib(args, load) -> int:
     """The product is the graph of the --coloring or --structure file, which
     ``tensor_distribution`` compares row by row with the product of the
     factors' graphs; no product is built from the factors."""
-    from .equitable import structure_from_coloring
+    from .equitable import PerfectStructure, load_coloring, structure_from_coloring
     from .localdist import tensor_distribution
 
-    left, right = (_read_values(_load_json(path), load) for path in (args.left, args.right))
+    left, right = (load_coloring(_load_json(path), load) for path in (args.left, args.right))
     g1, g2 = (structure_from_coloring(col.graph, col) for col in (left, right))
-    f = _load_f(args, load, None)
+    f, s = _read_values(load, args.coloring, args.structure)
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
+    if not isinstance(f, PerfectStructure):
+        f = PerfectStructure(f.graph, f.indicator(), s)
     _emit(tensor_distribution(g1, g2, f).to_json())
     return 0
 
@@ -368,11 +364,11 @@ def _cmd_oracle(args, load) -> int:
 
     g = load(_load_json(args.graph))
     code = _load_code_file(args.code)
-    f = _load_f(args, load, g.same_adjacency)
+    # S goes unused, but deriving it proves a coloring equitable
+    f = _read_values(load, args.coloring, args.structure, g.same_adjacency)[0]
     if f is None:
         raise EqpartError("need --coloring or --structure for the summed values")
-    rows = brute_distribution(g, code, f)
-    _emit({"rows": rows.to_strings()})
+    _emit({"rows": brute_distribution(g, code, f).to_strings()})
     return 0
 
 

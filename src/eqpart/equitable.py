@@ -48,17 +48,16 @@ class Coloring(Record):
 
     def __post_init__(self):
         if len(self.colors) != self.graph.n:
-            raise ShapeError(
-                f"{len(self.colors)} colors for {self.graph.n} vertices"
-            )
-        seen = [False] * self.n_colors
+            raise ShapeError(f"{len(self.colors)} colors for {self.graph.n} vertices")
+        # with more colors than vertices, some class in 0..N is empty
+        seen = [False] * min(self.n_colors, len(self.colors) + 1)
         for v, c in enumerate(self.colors):
             if not 0 <= c < self.n_colors:
                 raise EqpartError(f"vertex {v} has color {c} out of range")
-            seen[c] = True
-        if not all(seen):
-            missing = seen.index(False)
-            raise EqpartError(f"color class {missing} is empty")
+            if c < len(seen):
+                seen[c] = True
+        if False in seen:
+            raise EqpartError(f"color class {seen.index(False)} is empty")
 
     def indicator(self) -> RatMatrix:
         """N x k matrix whose row v is the unit tuple of the vertex's color."""
@@ -175,7 +174,7 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
 
 class PerfectStructure(Record, compare=("host", "values", "params")):
     """Value matrix f with parameters S over a host A, A f = f S verified on
-    construction."""
+    construction, as is a ``coloring``'s agreement with host and values."""
 
     host: object  # Graph or square RatMatrix
     values: RatMatrix
@@ -183,6 +182,12 @@ class PerfectStructure(Record, compare=("host", "values", "params")):
     coloring: Coloring | None = None
 
     def __post_init__(self):
+        c = self.coloring
+        if c is not None:
+            if not (isinstance(self.host, Graph) and self.host.same_adjacency(c.graph)):
+                raise StructureError("coloring is over a different graph than the host")
+            if self.values.unit_columns() != list(c.colors):
+                raise StructureError("coloring's colors are not the unit columns of the values")
         ok, residual = verify_structure(self.host, self.values, self.params)
         if not ok:
             bad = next(i for i in range(residual.rows) if any(x != 0 for x in residual.row(i)))
@@ -203,13 +208,11 @@ class PerfectStructure(Record, compare=("host", "values", "params")):
 
 
 def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
-    """Derive the quotient matrix and package the coloring as a structure.
-
-    The quotient matrix holds A ind = ind S by construction.  PerfectStructure
-    still checks it, but with the same neighbor-count scan that derived it,
-    so that check cannot catch a fault in quotient_matrix; the independent
-    checks are the counting oracle (``--verify-oracle``) and the tests,
-    which confirm quotient matrices through a square RatMatrix host."""
+    """The coloring as a structure over products (:mod:`eqpart.localdist`):
+    its N x k indicator matrix, with its quotient matrix as S.  The re-check
+    in PerfectStructure runs the scan that derived S, so it cannot catch a
+    fault in quotient_matrix; the counting oracle and the tests, which
+    confirm S through a square RatMatrix host, are the independent checks."""
     s = quotient_matrix(g, c)
     return PerfectStructure(g, c.indicator(), s, coloring=c)
 

@@ -25,7 +25,7 @@ from .errors import (
     UnreachableVertexError,
     VertexBudgetError,
 )
-from .inputs import read_ints, read_key, read_spec, spec_key  # noqa: F401 - re-exported
+from .inputs import read_ints, read_key, read_spec  # noqa: F401 - re-exported
 from .ratmat import RatMatrix
 
 
@@ -270,23 +270,30 @@ def vertex_values(g: Graph, f) -> tuple:
     return colors, values, k
 
 
-def class_sums(per_vertex: tuple, classes: Sequence[int], n_classes: int) -> RatMatrix:
-    """The n_classes-row matrix whose row i sums the values of the vertices v
-    with ``classes[v] == i``; ``per_vertex`` is what :func:`vertex_values`
-    read.
-
-    Unit-vector values are counted per (class, colour) pair in plain ints;
-    other values are summed with ``RatMatrix.sum_rows`` over each class."""
-    colors, values, k = per_vertex
-    if colors is not None:
-        rows = [[0] * k for _ in range(n_classes)]
-        for (i, c), count in Counter(zip(classes, colors)).items():
-            rows[i][c] = count
-        return RatMatrix(rows)
+def groups_of(classes: Sequence[int], n_classes: int) -> list[list[int]]:
+    """Entry i lists the vertices v with ``classes[v] == i``, in order."""
     groups = [[] for _ in range(n_classes)]
     for v, i in enumerate(classes):
         groups[i].append(v)
-    return values.sum_rows(groups)
+    return groups
+
+
+def class_sums(per_vertex: tuple, groups: Iterable[Sequence[int]]) -> RatMatrix:
+    """The matrix whose row i sums the values, as :func:`vertex_values` read
+    them, of the vertices in ``groups[i]``: unit vectors are counted per
+    colour in plain ints, other rows summed by ``RatMatrix.sum_rows``."""
+    colors, values, k = per_vertex
+    if colors is None:
+        return values.sum_rows(groups)
+    rows = []
+    for group in groups:
+        if group and not 0 <= min(group) <= max(group) < len(colors):
+            raise ShapeError(f"row index out of range 0..{len(colors) - 1} in {tuple(group)}")
+        row = [0] * k
+        for c, count in Counter(map(colors.__getitem__, group)).items():
+            row[c] = count
+        rows.append(row)
+    return RatMatrix(rows)
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -296,12 +303,12 @@ def graph_to_json(g: Graph) -> dict:
     return doc
 
 
-def load_graph(spec: dict, budget: int = DEFAULT_VERTEX_BUDGET, load=None) -> Graph:
-    """Build a graph from its JSON description (see :func:`read_spec`).
-
-    ``load``, a function from a spec to its Graph, gives a product's
-    factors; by default they are built by this function, with ``budget``."""
-    kind, a, b = read_spec(spec)
+def load_graph(spec, budget: int = DEFAULT_VERTEX_BUDGET, load=None) -> Graph:
+    """Build a graph from its JSON description or from what :func:`read_spec`
+    read from it.  ``load``, a function from either to a Graph, gives a
+    product's factors; by default they are built by this function, with
+    ``budget``."""
+    kind, a, b = spec if isinstance(spec, tuple) else read_spec(spec)
     if kind == "edges":
         _check_budget(a, budget)
         return graph_from_edges(a, b)

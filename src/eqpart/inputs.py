@@ -49,9 +49,11 @@ def _is_int_pair(e) -> bool:
 
 
 def read_spec(spec) -> tuple:
-    """Check the keys and types of a JSON graph spec and return it as a tuple:
-    ("hamming", n, q), ("johnson", n, k), ("halved", n, sign), ("product",
-    left, right) with the factor specs not yet read, or ("edges", n, edges).
+    """Check the keys and types of a JSON graph spec and return it as a
+    hashable tuple: ("hamming", n, q), ("johnson", n, k), ("halved", n,
+    sign), ("product", left, right) with the factors read too, or ("edges",
+    n, edges) with the edges as a tuple of pairs.  Two specs that read the
+    same describe the same graph, vertex order included.
 
     Accepted forms: {"gen":"hamming","n":..,"q":..}, {"gen":"johnson","n":..,
     "k":..}, {"gen":"halved","n":..,"sign":"even"|"odd"}, {"gen":"product",
@@ -67,7 +69,7 @@ def read_spec(spec) -> tuple:
             raise EqpartError(f"edge-list graph needs n_vertices >= 1, got {n}")
         if not isinstance(edges, list) or not all(_is_int_pair(e) for e in edges):
             raise EqpartError("graph spec edges must be a list of [u, v] integer pairs")
-        return ("edges", n, edges)
+        return ("edges", n, tuple(map(tuple, edges)))
     gen = spec.get("gen")
     if gen == "hamming":
         return (gen, _int_key(spec, "n"), _int_key(spec, "q"))
@@ -79,18 +81,7 @@ def read_spec(spec) -> tuple:
             raise EqpartError(f"halved cube sign must be 'even' or 'odd', got {sign!r}")
         return (gen, _int_key(spec, "n"), sign)
     if gen == "product":
-        what = "product graph spec"
-        return (gen, read_key(spec, "left", what), read_key(spec, "right", what))
+        left, right = (read_key(spec, side, "product graph spec") for side in ("left", "right"))
+        return (gen, read_spec(left), read_spec(right))
     raise EqpartError(f"unknown graph spec: {spec!r}")
 
-
-def spec_key(spec) -> tuple:
-    """:func:`read_spec` with the factors of a product read as well and an
-    edge list as a tuple of pairs, so that the key is hashable: two specs
-    with equal keys describe the same graph, vertex order included."""
-    kind, a, b = read_spec(spec)
-    if kind == "product":
-        return (kind, spec_key(a), spec_key(b))
-    if kind == "edges":
-        return (kind, a, tuple(map(tuple, b)))
-    return (kind, a, b)

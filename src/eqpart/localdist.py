@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     class_sums,
     direct_product,
+    groups_of,
     is_direct_product,
     vertex_values,
 )
@@ -144,7 +145,7 @@ def tensor_distribution(
         h = tensor(g1.values, g2.values).transpose() @ f.values
     else:
         # the contingency sums of f over the pair colors
-        h = class_sums(vertex_values(f.host, f.values), pairs, k1 * k2)
+        h = class_sums(vertex_values(f.host, f.values), groups_of(pairs, k1 * k2))
     lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h
     if lhs != h @ f.params:
         raise StructureError("product distribution identity failed")

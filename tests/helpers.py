@@ -270,7 +270,7 @@ def distance_w_sum(g: Graph, v: int, w: int, f) -> tuple:
     dist = bfs_distances(g, [v])
     if w < 0 or w > max(dist):
         raise EqpartError(f"distance {w} out of range (eccentricity {max(dist)})")
-    return class_sums(values, [int(d == w) for d in dist], 2).row(1)
+    return class_sums(values, [[v for v, d in enumerate(dist) if d == w]]).row(0)
 
 
 # -- Fraction-level matrix polynomials, solves and the polynomial route ------------

@@ -1,0 +1,296 @@
+"""The CLI's one reader of values files (--coloring, --structure).
+
+A coloring file stays its colours from the file to the oracle: S comes from
+one neighbour-count scan, f0 and the oracle count colours, and no N x k
+indicator matrix is built except by ``local distrib``, whose product formula
+takes structures.  Also here: code files are vertex sets, --coloring and
+--structure exclude each other, colour indices are bounded before anything
+is allocated, a structure's coloring must agree with it, and a graph spec
+is read once per build.
+"""
+import json
+import os
+import tempfile
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqpart import drg, equitable, graphs, inputs
+from eqpart.cli import main
+from eqpart.equitable import (
+    Coloring,
+    PerfectStructure,
+    coloring_from_list,
+    distance_coloring,
+    structure_from_coloring,
+)
+from eqpart.errors import EqpartError, StructureError
+from eqpart.graphs import hamming_graph, load_graph, read_spec
+from eqpart.ratmat import RatMatrix
+
+
+def write(directory, name, doc):
+    path = os.path.join(str(directory), name)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def ham(n):
+    return {"gen": "hamming", "n": n, "q": 2}
+
+
+def weights(n):
+    return [bin(v).count("1") for v in range(2**n)]
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Graph, weight-coloring, code and structure files over small cubes."""
+    product = {"gen": "product", "left": ham(2), "right": ham(2)}
+    return {
+        "h3": write(tmp_path, "h3.json", ham(3)),
+        "h4": write(tmp_path, "h4.json", ham(4)),
+        "w2": write(tmp_path, "w2.json", {"graph": ham(2), "colors": weights(2)}),
+        "w3": write(tmp_path, "w3.json", {"graph": ham(3), "colors": weights(3)}),
+        "w4": write(tmp_path, "w4.json", {"graph": ham(4), "colors": weights(4)}),
+        "w2w2": write(tmp_path, "w2w2.json", {"graph": product, "colors": weights(4)}),
+        "ones3": write(tmp_path, "ones3.json", {"graph": ham(3), "f": [[1]] * 8, "s": [[3]]}),
+        "ones2w2": write(tmp_path, "ones2w2.json", {"graph": product, "f": [[1]] * 16, "s": [[4]]}),
+        "code0": write(tmp_path, "code0.json", [0]),
+        "code07": write(tmp_path, "code07.json", [0, 7]),
+        "code070": write(tmp_path, "code070.json", [0, 7, 0]),
+        "code_h4": write(tmp_path, "code_h4.json", [0, 15]),
+    }
+
+
+# -- one scan, no indicator, no unit_columns --------------------------------
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of neighbour-count scans, indicator builds and unit_columns
+    decodes, over every call that reaches them."""
+    counts = {"scans": 0, "indicators": 0, "unit_columns": 0}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(equitable, "_quotient_rows",
+                        counting("scans", equitable._quotient_rows))
+    monkeypatch.setattr(equitable, "indicator", counting("indicators", equitable.indicator))
+    monkeypatch.setattr(RatMatrix, "unit_columns",
+                        counting("unit_columns", RatMatrix.unit_columns))
+    return counts
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["distrib", "vertex", "--graph", "h4", "--coloring", "w4", "--color", "0",
+      "--verify-oracle"], (1, 0, 0)),
+    (["distrib", "code", "--graph", "h4", "--code", "code_h4", "--coloring", "w4",
+      "--verify-oracle"], (2, 0, 0)),
+    (["oracle", "--graph", "h4", "--code", "code_h4", "--coloring", "w4"], (1, 0, 0)),
+    (["quotient", "--graph", "h4", "--coloring", "w4"], (1, 0, 0)),
+])
+def test_a_coloring_file_is_scanned_once_and_never_turned_into_a_matrix(
+        capsys, files, kernel_calls, argv, expect):
+    code, out, err = run(capsys, *(files.get(token, token) for token in argv))
+    assert (code, err) == (0, "")
+    assert (kernel_calls["scans"], kernel_calls["indicators"],
+            kernel_calls["unit_columns"]) == expect
+
+
+def test_local_distrib_builds_structures_from_three_colorings_at_most_once_each(
+        capsys, files, kernel_calls):
+    code, _, err = run(capsys, "local", "distrib", "--left", files["w2"], "--right", files["w2"],
+                       "--coloring", files["w2w2"])
+    assert (code, err) == (0, "")
+    assert kernel_calls["scans"] <= 6
+    assert kernel_calls["indicators"] <= 3
+
+
+def test_the_coloring_route_prints_what_the_indicator_structure_prints(capsys, files, tmp_path):
+    s = [[0, 4, 0, 0, 0], [1, 0, 3, 0, 0], [0, 2, 0, 2, 0], [0, 0, 3, 0, 1], [0, 0, 0, 4, 0]]
+    unit = write(tmp_path, "unit.json", {
+        "graph": ham(4), "f": [[int(c == j) for j in range(5)] for c in weights(4)], "s": s})
+    for argv in (["distrib", "vertex", "--graph", files["h4"], "--color", "2", "--verify-oracle"],
+                 ["distrib", "code", "--graph", files["h4"], "--code", files["code_h4"],
+                  "--verify-oracle"],
+                 ["oracle", "--graph", files["h4"], "--code", files["code_h4"]]):
+        by_coloring = run(capsys, *argv, "--coloring", files["w4"])
+        by_structure = run(capsys, *argv, "--structure", unit)
+        assert by_coloring == by_structure
+        assert by_coloring[0] == 0
+
+
+# -- code files are vertex sets ---------------------------------------------
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify-oracle"]])
+def test_a_vertex_listed_twice_in_a_code_file_counts_once(capsys, files, extra):
+    argv = ["distrib", "code", "--graph", files["h3"], "--coloring", files["w3"], *extra]
+    twice = run(capsys, *argv, "--code", files["code070"])
+    once = run(capsys, *argv, "--code", files["code07"])
+    assert twice == once
+    assert json.loads(twice[1])["rows"][0] == ["1", "0", "0", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["crc-check", "--graph", "h3"],
+    ["oracle", "--graph", "h3", "--coloring", "w3"],
+])
+def test_crc_check_and_oracle_read_a_code_as_a_set_as_before(capsys, files, argv):
+    argv = [files.get(token, token) for token in argv]
+    assert (run(capsys, *argv, "--code", files["code070"])
+            == run(capsys, *argv, "--code", files["code07"]))
+
+
+# -- --coloring excludes --structure ----------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["distrib", "vertex", "--graph", "h3", "--color", "0", "--coloring", "w3",
+     "--structure", "ones3"],
+    ["oracle", "--graph", "h3", "--code", "code0", "--coloring", "w3", "--structure", "ones3"],
+    ["local", "distrib", "--left", "w2", "--right", "w2", "--coloring", "w2w2",
+     "--structure", "ones2w2"],
+])
+def test_coloring_and_structure_together_end_in_an_error(capsys, files, argv):
+    code, out, err = run(capsys, *(files.get(token, token) for token in argv))
+    assert (code, out) == (1, "")
+    assert err == "error: give --coloring or --structure, not both\n"
+
+
+# -- colour indices are bounded before any allocation -----------------------
+
+
+@pytest.mark.parametrize("big", [10**6, 99_999_999_999, 10**100])
+def test_a_huge_colour_reports_an_empty_class_without_allocating_for_it(big):
+    g = hamming_graph(3, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EqpartError, match=r"^color class 2 is empty$"):
+            coloring_from_list(g, [0, 1, 1, 1, 1, 1, 1, big])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_the_bound_keeps_the_smallest_empty_class_and_the_range_check():
+    g = hamming_graph(2, 2)
+    with pytest.raises(EqpartError, match=r"^color class 0 is empty$"):
+        Coloring(g, (1, 2, 3, 4), 10)
+    with pytest.raises(EqpartError, match=r"^color class 4 is empty$"):
+        Coloring(g, (0, 1, 2, 3), 10**9)
+    with pytest.raises(EqpartError, match=r"^vertex 1 has color -1 out of range$"):
+        Coloring(g, (0, -1, 10**9, 3), 10**9 + 1)
+    assert Coloring(g, (3, 2, 1, 0), 4).class_sizes() == [1, 1, 1, 1]
+
+
+COLOR = st.one_of(
+    st.integers(-3, 10),
+    st.integers(-10**30, 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(colors=st.one_of(
+           st.lists(st.integers(-3, 10) | st.integers(-10**30, 10**30), min_size=8, max_size=8),
+           st.lists(COLOR, max_size=10),
+           COLOR),
+       command=st.sampled_from(["quotient", "distrib", "oracle"]))
+def test_any_colors_array_ends_in_a_result_or_an_error(colors, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = write(tmp, "h3.json", ham(3))
+        coloring = write(tmp, "c.json", {"graph": ham(3), "colors": colors})
+        argv = {
+            "quotient": ["quotient", "--graph", graph, "--coloring", coloring],
+            "distrib": ["distrib", "vertex", "--graph", graph, "--color", "0",
+                        "--coloring", coloring, "--verify-oracle"],
+            "oracle": ["oracle", "--graph", graph, "--code", write(tmp, "code.json", [0]),
+                       "--coloring", coloring],
+        }[command]
+        assert main(argv) in (0, 1)  # an exception escaping main fails the test
+
+
+# -- a structure's coloring agrees with the structure -----------------------
+
+
+def test_a_structure_rejects_a_coloring_that_is_not_its_values():
+    g = hamming_graph(3, 2)
+    ones = structure_from_coloring(g, equitable.all_one_coloring(g))
+    with pytest.raises(StructureError, match="colors are not the unit columns"):
+        PerfectStructure(g, ones.values, ones.params, coloring=distance_coloring(g, [0]))
+    other = hamming_graph(2, 2)
+    with pytest.raises(StructureError, match="different graph than the host"):
+        PerfectStructure(g, ones.values, ones.params,
+                         coloring=equitable.all_one_coloring(other))
+    host = g.adjacency_matrix()
+    with pytest.raises(StructureError, match="different graph than the host"):
+        PerfectStructure(host, ones.values, ones.params, coloring=ones.coloring)
+
+
+def test_the_internal_constructions_pass_the_coloring_check():
+    g = hamming_graph(3, 2)
+    col = distance_coloring(g, [0])
+    assert structure_from_coloring(g, col).coloring is col
+    from eqpart.localdist import tensor_structure
+
+    pair = tensor_structure(structure_from_coloring(g, col), structure_from_coloring(g, col))
+    assert pair.product.coloring is not None
+
+
+# -- a graph spec is read once per build ------------------------------------
+
+
+def test_read_spec_returns_a_hashable_form_with_the_factors_read():
+    cycle = {"n_vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
+    product = {"gen": "product", "left": ham(2), "right": cycle}
+    key = read_spec(product)
+    assert key == ("product", ("hamming", 2, 2), ("edges", 3, ((0, 1), (1, 2), (2, 0))))
+    assert hash(key) == hash(read_spec(json.loads(json.dumps(product))))
+    assert load_graph(key) == load_graph(product)
+
+
+def test_a_malformed_factor_is_reported_before_the_budget_of_the_other():
+    spec = {"gen": "product", "left": ham(30), "right": {"gen": "mystery"}}
+    with pytest.raises(EqpartError, match="unknown graph spec"):
+        load_graph(spec)
+
+
+def test_an_edge_list_is_validated_at_most_four_times_per_run(capsys, tmp_path, monkeypatch):
+    g = hamming_graph(5, 2)
+    spec = {"n_vertices": g.n, "edges": [list(e) for e in g.edges()]}
+    graph = write(tmp_path, "g.json", spec)
+    coloring = write(tmp_path, "c.json", {"graph": spec, "colors": weights(5)})
+    reads = []
+    original = inputs.read_spec
+
+    def counting(doc):
+        if isinstance(doc, dict) and "edges" in doc:
+            reads.append(1)
+        return original(doc)
+
+    for module in (inputs, graphs, drg):
+        monkeypatch.setattr(module, "read_spec", counting)
+    code, _, err = run(capsys, "distrib", "vertex", "--graph", graph, "--coloring", coloring,
+                       "--color", "0")
+    assert (code, err) == (0, "")
+    assert 1 <= len(reads) <= 4
