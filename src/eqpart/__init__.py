@@ -73,7 +73,6 @@ _EXPORTS = {
     ),
     "localdist": (
         "RearrangedDistribution",
-        "TensorStructure",
         "extract_local",
         "rearrange",
         "reconstruct_local",

@@ -341,7 +341,7 @@ def _cmd_local_distrib(args, load) -> int:
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
     if not isinstance(f, PerfectStructure):
-        f = PerfectStructure(f.graph, f.indicator(), s)
+        f = PerfectStructure(f.graph, f.indicator(), s, coloring=f)
     _emit(tensor_distribution(g1, g2, f).to_json())
     return 0
 

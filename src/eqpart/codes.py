@@ -5,7 +5,7 @@ Codewords are returned as vertex indices under the standard encoding of
 """
 from __future__ import annotations
 
-from .errors import DEFAULT_VERTEX_BUDGET, VertexBudgetError
+from .errors import DEFAULT_VERTEX_BUDGET, check_budget
 
 
 def hamming_code_vertices(r: int = 3) -> list[int]:
@@ -20,9 +20,8 @@ def hamming_code_vertices(r: int = 3) -> list[int]:
     VertexBudgetError before any is built.
     """
     n = 2**r - 1
-    size = 2 ** (n - r)
-    if size > DEFAULT_VERTEX_BUDGET:
-        raise VertexBudgetError(f"{size} codewords exceeds the budget of {DEFAULT_VERTEX_BUDGET}")
+    counts = (2**i for i in range(n - r + 1))
+    check_budget(counts, DEFAULT_VERTEX_BUDGET, f"codewords of the Hamming code with r={r}")
     # (vertex, syndrome) of every assignment of the information bits
     words = [(0, 0)]
     for i in range(n):

@@ -185,17 +185,19 @@ def halved_cube_intersection_array(n: int) -> IntersectionArray:
 
 
 def spec_intersection_array(
-    spec, load: Callable[[dict], Graph] | None = None
+    spec, load: Callable[[tuple], Graph] | None = None
 ) -> IntersectionArray:
-    """Intersection array of the graph a JSON spec describes.
+    """Intersection array of the graph a JSON spec (or what :func:`read_spec`
+    read from it) describes.
 
     Hamming, Johnson and halved-cube specs take their closed forms and build
-    nothing.  Edge lists and products have no closed form: ``load``, a
-    function from a spec to its Graph (:func:`eqpart.graphs.load_graph` by
-    default), builds their graph, and :func:`intersection_array` checks
-    distance-regularity pair by pair.
+    nothing.  Edge lists and products have no closed form: ``load`` builds
+    their graph from what ``read_spec`` read, which
+    :func:`eqpart.graphs.load_graph` (the default) and the CLI's graph table
+    accept, and :func:`intersection_array` checks distance-regularity.
     """
-    kind, x, y = read_spec(spec)
+    key = spec if isinstance(spec, tuple) else read_spec(spec)
+    kind, x, y = key
     if kind == "hamming":
         return hamming_intersection_array(x, y)
     if kind == "johnson":
@@ -204,21 +206,22 @@ def spec_intersection_array(
         return halved_cube_intersection_array(x)
     if load is None:
         from .graphs import load_graph as load
-    return intersection_array(load(spec))
+    return intersection_array(load(key))
 
 
-def regular_degree(spec, load: Callable[[dict], Graph] | None = None) -> int:
+def regular_degree(spec, load: Callable[[tuple], Graph] | None = None) -> int:
     """Degree of the regular graph a JSON spec describes.
 
     Generators read it from their closed-form arrays; edge lists and
     products are built by ``load``, as for :func:`spec_intersection_array`,
     and checked.  Raises EqpartError when the graph is not regular.
     """
-    if read_spec(spec)[0] in ("hamming", "johnson", "halved"):
-        return spec_intersection_array(spec).degree
+    key = read_spec(spec)
+    if key[0] in ("hamming", "johnson", "halved"):
+        return spec_intersection_array(key).degree
     if load is None:
         from .graphs import load_graph as load
-    graph = load(spec)
+    graph = load(key)
     if not graph.is_regular():
         raise EqpartError(f"{graph.n}-vertex graph is not regular")
     return graph.degree(0)

@@ -127,7 +127,7 @@ def quotient_matrix(g: Graph, c: Coloring) -> RatMatrix:
     return RatMatrix(_quotient_rows(g, c.colors, c.n_colors))
 
 
-def _counts_match(g: Graph, colors: list[int], s: RatMatrix) -> bool:
+def _counts_match(g: Graph, colors: Sequence[int], s: RatMatrix) -> bool:
     """Whether A f = f S for the indicator f of ``colors`` over ``g``: the
     coloring is equitable and its quotient rows are S's rows (the rows of
     colors that no vertex has are not compared)."""
@@ -174,7 +174,9 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
 
 class PerfectStructure(Record, compare=("host", "values", "params")):
     """Value matrix f with parameters S over a host A, A f = f S verified on
-    construction, as is a ``coloring``'s agreement with host and values."""
+    construction.  A ``coloring``, checked to be over the host with the
+    values' unit columns as its colours, is where the colours are read from:
+    by the verifying scan of :func:`quotient_matrix` and by ``vertex_values``."""
 
     host: object  # Graph or square RatMatrix
     values: RatMatrix
@@ -182,13 +184,15 @@ class PerfectStructure(Record, compare=("host", "values", "params")):
     coloring: Coloring | None = None
 
     def __post_init__(self):
-        c = self.coloring
+        c, s = self.coloring, self.params
         if c is not None:
             if not (isinstance(self.host, Graph) and self.host.same_adjacency(c.graph)):
                 raise StructureError("coloring is over a different graph than the host")
-            if self.values.unit_columns() != list(c.colors):
+            if self.values.cols != c.n_colors or self.values.unit_columns() != list(c.colors):
                 raise StructureError("coloring's colors are not the unit columns of the values")
-        ok, residual = verify_structure(self.host, self.values, self.params)
+            if s.shape() == (c.n_colors,) * 2 and _counts_match(self.host, c.colors, s):
+                return
+        ok, residual = verify_structure(self.host, self.values, s)
         if not ok:
             bad = next(i for i in range(residual.rows) if any(x != 0 for x in residual.row(i)))
             raise StructureError(
@@ -209,10 +213,11 @@ class PerfectStructure(Record, compare=("host", "values", "params")):
 
 def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
     """The coloring as a structure over products (:mod:`eqpart.localdist`):
-    its N x k indicator matrix, with its quotient matrix as S.  The re-check
-    in PerfectStructure runs the scan that derived S, so it cannot catch a
-    fault in quotient_matrix; the counting oracle and the tests, which
-    confirm S through a square RatMatrix host, are the independent checks."""
+    its N x k indicator matrix, its quotient matrix as S, and itself as the
+    colours.  The re-check in PerfectStructure runs the scan that derived S,
+    so it cannot catch a fault in quotient_matrix; the counting oracle and
+    the tests, which confirm S through a square RatMatrix host, are the
+    independent checks."""
     s = quotient_matrix(g, c)
     return PerfectStructure(g, c.indicator(), s, coloring=c)
 

@@ -24,6 +24,21 @@ class VertexBudgetError(EqpartError, ValueError):
 DEFAULT_VERTEX_BUDGET = 2**20
 
 
+def check_budget(counts, budget: int, what: str) -> int:
+    """The last of ``counts``, nondecreasing partial counts of ``what`` (say
+    "vertices of H(3,2)"), if at most ``budget``; else VertexBudgetError.
+    ``counts`` is read only until one passes the budget and 10**18, so a
+    huge count is neither computed nor printed."""
+    limit = max(budget, 10**18)
+    for count in counts:
+        if count > limit:
+            break
+    if count > budget:
+        shown = count if count <= limit else f"over {limit}"
+        raise VertexBudgetError(f"{shown} {what} exceeds the budget of {budget}")
+    return count
+
+
 class UnreachableVertexError(EqpartError, ValueError):
     """BFS from the given sources does not reach every vertex."""
 

@@ -23,7 +23,7 @@ from .errors import (
     EqpartError,
     ShapeError,
     UnreachableVertexError,
-    VertexBudgetError,
+    check_budget,
 )
 from .inputs import read_ints, read_key, read_spec  # noqa: F401 - re-exported
 from .ratmat import RatMatrix
@@ -66,11 +66,6 @@ class Graph(Record):
         return self.n == other.n and self.adj == other.adj
 
 
-def _check_budget(n: int, budget: int):
-    if n > budget:
-        raise VertexBudgetError(f"{n} vertices exceeds the budget of {budget}")
-
-
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]], name: str = "") -> Graph:
     """Build a graph from an explicit edge list, validating simplicity."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -97,8 +92,7 @@ def hamming_graph(n: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
         raise EqpartError(f"hamming graph needs n >= 1, got {n}")
     if q < 2:
         raise EqpartError(f"hamming graph needs q >= 2, got {q}")
-    size = q**n
-    _check_budget(size, budget)
+    size = check_budget((q**i for i in range(n + 1)), budget, f"vertices of H({n},{q})")
     powers = [q ** (n - 1 - i) for i in range(n)]
     # the offsets u - v from v to its neighbours u that change coordinate i
     # from x, below v and above it.  A change in coordinate i moves v by at
@@ -141,7 +135,8 @@ def johnson_graph(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     """
     if not 0 <= k <= n:
         raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={k}, n={n}")
-    _check_budget(math.comb(n, k), budget)
+    counts = (math.comb(n, i) for i in range(min(k, n - k) + 1))
+    check_budget(counts, budget, f"vertices of J({n},{k})")
     subsets = list(itertools.combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     adj = []
@@ -165,7 +160,7 @@ def halved_cube(n: int, parity: str = "even", budget: int = DEFAULT_VERTEX_BUDGE
         raise EqpartError(f"halved cube needs n >= 2, got {n}")
     if parity not in ("even", "odd"):
         raise EqpartError(f"parity must be 'even' or 'odd', got {parity!r}")
-    _check_budget(2 ** (n - 1), budget)
+    check_budget((2**i for i in range(n)), budget, f"vertices of halved({n},{parity})")
     want = 0 if parity == "even" else 1
     words = [w for w in range(2**n) if bin(w).count("1") % 2 == want]
     index = {w: i for i, w in enumerate(words)}
@@ -186,8 +181,7 @@ def direct_product(g1: Graph, g2: Graph, budget: int = DEFAULT_VERTEX_BUDGET) ->
     Vertex (i', i'') flattens to i' * g2.n + i'', so the adjacency matrix is
     tensor(A', I) + tensor(I, A'').
     """
-    size = g1.n * g2.n
-    _check_budget(size, budget)
+    size = check_budget((g1.n * g2.n,), budget, "vertices")
     name = f"{g1.name or 'G1'} x {g2.name or 'G2'}"
     return Graph(size, tuple(_product_rows(g1, g2)), name=name)
 
@@ -255,8 +249,10 @@ def vertex_values(g: Graph, f) -> tuple:
     ``f`` is a coloring, a perfect structure or a RatMatrix with one row per
     vertex.  k is the length of a row and values the RatMatrix of rows (None
     for a coloring).  colors lists each vertex's c when every row is a unit
-    vector e_c (a coloring, or rows that ``unit_columns`` reads as unit
-    vectors), and is None otherwise."""
+    vector e_c, and is None otherwise: a coloring, or a structure that has
+    one, gives its colours as they are, and other values are decoded by
+    ``unit_columns``."""
+    f = getattr(f, "coloring", None) or f
     colors = getattr(f, "colors", None)
     if colors is not None:
         values, n, k = None, len(colors), f.n_colors
@@ -310,7 +306,7 @@ def load_graph(spec, budget: int = DEFAULT_VERTEX_BUDGET, load=None) -> Graph:
     ``budget``."""
     kind, a, b = spec if isinstance(spec, tuple) else read_spec(spec)
     if kind == "edges":
-        _check_budget(a, budget)
+        check_budget((a,), budget, "vertices")
         return graph_from_edges(a, b)
     if kind == "hamming":
         return hamming_graph(a, b, budget)

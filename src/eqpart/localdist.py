@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .distributions import reconstruct_local, star_params  # noqa: F401 - re-exported
-from .equitable import Coloring, PerfectStructure, indicator, tensor_params
+from .equitable import Coloring, PerfectStructure, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
@@ -36,52 +36,33 @@ from .graphs import (
 from .ratmat import RatMatrix, tensor
 
 
-class TensorStructure(Record):
-    """Product of two perfect structures, verified over the product graph."""
-
-    left: PerfectStructure
-    right: PerfectStructure
-    product: PerfectStructure
-
-    @property
-    def params(self) -> RatMatrix:
-        return self.product.params
-
-
 def _pair_colors(g1: PerfectStructure, g2: PerfectStructure) -> list[int] | None:
     """The pair coloring (i1, i2) -> i1 * k2 + i2 of the direct product, in
-    its vertex order, when the values of both factors are unit vectors, read
-    from the values themselves; None otherwise."""
-    c1, c2 = g1.values.unit_columns(), g2.values.unit_columns()
+    its vertex order, when both factors have colours as
+    :func:`~eqpart.graphs.vertex_values` reads them (a factor's coloring, or
+    values whose rows are all unit vectors); None otherwise."""
+    (c1, _, _), (c2, _, k2) = (vertex_values(g.graph, g) for g in (g1, g2))
     if c1 is None or c2 is None:
         return None
-    k2 = g2.values.cols
     return [i1 * k2 + i2 for i1 in c1 for i2 in c2]
 
 
 def tensor_structure(
     g1: PerfectStructure, g2: PerfectStructure, budget: int = DEFAULT_VERTEX_BUDGET
-) -> TensorStructure:
-    """Combine two verified structures into one over the direct product.
-
-    Construction re-verifies the defining equation on the product graph, so
-    a successful return is itself the structural proof.  If both inputs are
-    colorings the product values are the indicator rows of the pair
-    coloring, which are the Kronecker product of theirs.
+) -> PerfectStructure:
+    """The product of two verified structures over the direct product of
+    their graphs: the Kronecker product of their values, with parameters
+    :func:`tensor_params`.  Construction re-verifies the defining equation
+    on the product graph, so a successful return is itself the structural
+    proof.  When both factors are colorings, the product's coloring is the
+    pair coloring, whose indicator rows are those values.
     """
     prod_graph = direct_product(g1.graph, g2.graph, budget)
-    params = tensor_params(g1.params, g2.params)
-    pairs = _pair_colors(g1, g2)
+    values = tensor(g1.values, g2.values)
     coloring = None
-    if pairs is None:
-        values = tensor(g1.values, g2.values)
-    else:
-        k = g1.values.cols * g2.values.cols
-        values = indicator(pairs, k)
-        if g1.coloring is not None and g2.coloring is not None:
-            coloring = Coloring(prod_graph, tuple(pairs), k)
-    product = PerfectStructure(prod_graph, values, params, coloring=coloring)
-    return TensorStructure(g1, g2, product)
+    if g1.coloring is not None and g2.coloring is not None:
+        coloring = Coloring(prod_graph, tuple(_pair_colors(g1, g2)), values.cols)
+    return PerfectStructure(prod_graph, values, tensor_params(g1.params, g2.params), coloring)
 
 
 def rearrange(h: RatMatrix, n_left: int, n_right: int) -> RatMatrix:
@@ -145,7 +126,7 @@ def tensor_distribution(
         h = tensor(g1.values, g2.values).transpose() @ f.values
     else:
         # the contingency sums of f over the pair colors
-        h = class_sums(vertex_values(f.host, f.values), groups_of(pairs, k1 * k2))
+        h = class_sums(vertex_values(f.host, f), groups_of(pairs, k1 * k2))
     lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h
     if lhs != h @ f.params:
         raise StructureError("product distribution identity failed")

@@ -316,7 +316,7 @@ def test_criterion_5_oracle_sweep():
             tensor_structure(
                 structure_from_coloring(left, vertex_coloring(left)),
                 structure_from_coloring(right, vertex_coloring(right)),
-            ).product,
+            ),
         ]
         for f in f_pool:
             if isinstance(f, PerfectStructure):
@@ -436,7 +436,7 @@ def test_criterion_8_rearrangement_identities():
             f_pool.append(
                 structure_from_coloring(prod, Coloring(prod, fib.colors, fib.n_colors))
             )
-            f_pool.append(tensor_structure(g1, g2).product)
+            f_pool.append(tensor_structure(g1, g2))
         if left.name.startswith("H(") and right.name.startswith("H(") and prod.n <= 128:
             f_pool.append(structure_from_coloring(prod, distance_coloring(prod, [0])))
         for f in f_pool:

@@ -13,6 +13,7 @@ from math import comb
 import pytest
 
 from eqpart.cli import main
+from eqpart.codes import hamming_code_vertices
 from eqpart.distributions import lattice_distribution, vertex_distribution
 from eqpart.drg import (
     halved_cube_intersection_array,
@@ -111,6 +112,23 @@ def test_generators_refuse_before_enumerating():
         halved_cube(40, budget=10)
     with pytest.raises(VertexBudgetError):
         johnson_graph(60, 30, budget=10)
+
+
+OVER = "over 1000000000000000000"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: halved_cube(10**8), f"{OVER} vertices of halved(100000000,even) exceeds"),
+    (lambda: johnson_graph(10**8, 5 * 10**7), f"{OVER} vertices of J(100000000,50000000)"),
+    (lambda: hamming_graph(10**8, 2), f"{OVER} vertices of H(100000000,2) exceeds"),
+    (lambda: hamming_graph(21, 2), "2097152 vertices of H(21,2) exceeds the budget of 1048576"),
+    (lambda: johnson_graph(10**8, 1), "100000000 vertices of J(100000000,1) exceeds"),
+    (lambda: hamming_code_vertices(40), f"{OVER} codewords of the Hamming code with r=40"),
+], ids=["halved", "johnson", "hamming", "hamming-exact", "johnson-exact", "code"])
+def test_a_count_past_the_budget_is_not_computed_in_full(build, message):
+    with pytest.raises(VertexBudgetError) as info:
+        build()
+    assert message in str(info.value) and len(str(info.value)) < 100
 
 
 def test_edge_list_is_guarded_by_the_budget():

@@ -174,7 +174,7 @@ def factors(draw):
 @given(st.data())
 def test_pair_colour_product_distribution_equals_the_kronecker_route(data):
     g1, g2 = data.draw(factors()), data.draw(factors())
-    prod = tensor_structure(g1, g2).product
+    prod = tensor_structure(g1, g2)
     f = data.draw(structures(prod.graph, mixed=data.draw(st.booleans())))
     rd = tensor_distribution(g1, g2, f)
     h = tensor(g1.values, g2.values).transpose() @ f.values
@@ -186,7 +186,7 @@ def test_pair_colour_product_distribution_equals_the_kronecker_route(data):
 @given(st.data())
 def test_product_of_two_colorings_is_the_pair_coloring(data):
     g1, g2 = data.draw(factors()), data.draw(factors())
-    prod = tensor_structure(g1, g2).product
+    prod = tensor_structure(g1, g2)
     assert prod.values == tensor(g1.values, g2.values)
     assert prod.params == tensor_params(g1.params, g2.params)
     k2 = g2.coloring.n_colors
@@ -199,7 +199,7 @@ def test_product_of_a_coloring_and_a_structure_stays_kronecker():
     col = structure_from_coloring(g, distance_coloring(g, [0]))
     t = col.params + RatMatrix.identity(3).scale(Fraction(1, 2))
     mixed = PerfectStructure(g, col.values @ t, col.params)
-    prod = tensor_structure(col, mixed).product
+    prod = tensor_structure(col, mixed)
     assert prod.values == tensor(col.values, mixed.values)
     assert prod.coloring is None
 

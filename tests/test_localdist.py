@@ -58,8 +58,8 @@ def test_tensor_structure_9x9_params():
     ts = tensor_structure(s1, s1)
     assert ts.params == PRODUCT_PARAMS_9X9
     # the product of two colorings is again a coloring with indicator rows
-    assert ts.product.coloring is not None
-    assert all(sum(row) == 1 for row in ts.product.values)
+    assert ts.coloring is not None
+    assert all(sum(row) == 1 for row in ts.values)
 
 
 def test_tensor_structure_one_color_factor():
@@ -78,7 +78,7 @@ def test_tensor_structure_4cycle_coloring():
     expect = from_json([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
     assert ts.params == expect
     c4 = direct_product(k2, k2)
-    assert quotient_matrix(c4, ts.product.coloring) == expect
+    assert quotient_matrix(c4, ts.coloring) == expect
 
 
 def test_rearrange_roundtrip():
@@ -123,7 +123,7 @@ def test_tensor_distribution_lattice_values_match_pair_oracle():
     lat = lattice_coloring(2, 2, 3)
     f = structure_from_coloring(prod, Coloring(prod, lat.colors, lat.n_colors))
     rd = tensor_distribution(s1, s1, f)
-    pair_coloring = tensor_structure(s1, s1).product.coloring
+    pair_coloring = tensor_structure(s1, s1).coloring
     assert rd.h == brute_pair_distribution(prod, pair_coloring, f)
     # rearranged matrix satisfies its governing equation
     ok, _ = verify_structure(
@@ -168,7 +168,7 @@ def test_reconstruct_local_hamming_code_over_split_cube():
     f = structure_from_coloring(prod, distance_coloring(prod, hamming_code_vertices(3)))
     rd = tensor_distribution(s1, s2, f)
     # oracle: count color pairs directly
-    pair_coloring = tensor_structure(s1, s2).product.coloring
+    pair_coloring = tensor_structure(s1, s2).coloring
     assert rd.h == brute_pair_distribution(prod, pair_coloring, f)
     full = reconstruct_local(left, s2.params, f.params, RatMatrix([rd.h_star.row(0)]))
     assert full == rd.h_star
@@ -180,7 +180,7 @@ def test_extract_local_blocks():
     s1, s2 = vertex_structure(g1), vertex_structure(g2)
     prod = direct_product(g1, g2)
     ts = tensor_structure(s1, s2)
-    f = ts.product
+    f = ts
     rd = tensor_distribution(s1, s2, f)
     first, second = extract_local(rd)
     assert first.shape() == (rd.n_right, rd.n_values)
@@ -232,7 +232,7 @@ def test_trivial_left_coloring_params_are_adjacency():
     s2 = vertex_structure(g2)
     # the tensor coloring is perfect over the product even though the
     # product is irregular
-    f = tensor_structure(s1, s2).product
+    f = tensor_structure(s1, s2)
     rd = tensor_distribution(s1, s2, f)
     ok, _ = verify_structure(
         s1.params.transpose(), rd.h_star, star_params(s2.params, f.params)

@@ -31,7 +31,6 @@ from eqpart.errors import EqpartError, ShapeError, StructureError
 from eqpart.graphs import Graph, hamming_graph
 from eqpart.localdist import (
     RearrangedDistribution,
-    TensorStructure,
     tensor_distribution,
     tensor_structure,
 )
@@ -66,7 +65,7 @@ EXPORTS = {
         "graph_from_edges", "halved_cube", "hamming_graph", "johnson_graph", "load_graph",
     ],
     "localdist": [
-        "RearrangedDistribution", "TensorStructure", "extract_local", "rearrange",
+        "RearrangedDistribution", "extract_local", "rearrange",
         "reconstruct_local", "tensor_distribution", "tensor_structure", "unrearrange",
     ],
     "oracle": ["brute_distribution", "brute_pair_distribution"],
@@ -120,7 +119,7 @@ def _vertex_structure(g):
 
 def _rearranged():
     s = _vertex_structure(H22)
-    return tensor_distribution(s, s, tensor_structure(s, s).product)
+    return tensor_distribution(s, s, tensor_structure(s, s))
 
 
 # class -> (a factory called twice for two equal, separately built records;
@@ -147,12 +146,6 @@ RECORDS = {
         lambda: p_polynomials(hamming_intersection_array(2, 2)),
         p_polynomials(hamming_intersection_array(3, 2)),
         "polys",
-    ),
-    TensorStructure: (
-        lambda: tensor_structure(_vertex_structure(H22), _vertex_structure(H22)),
-        tensor_structure(_vertex_structure(H22),
-                         structure_from_coloring(H22, all_one_coloring(H22))),
-        "product",
     ),
     RearrangedDistribution: (_rearranged, RearrangedDistribution(
         from_json([[1]]), from_json([[1]]), 1, 1, 1), "h"),

@@ -120,6 +120,44 @@ def test_local_distrib_builds_structures_from_three_colorings_at_most_once_each(
     assert kernel_calls["indicators"] <= 3
 
 
+def weight_structure(n):
+    """The weight coloring of H(n,2) as a structure file: unit rows and the
+    tridiagonal quotient matrix."""
+    s = [[w if j == w - 1 else n - w if j == w + 1 else 0 for j in range(n + 1)]
+         for w in range(n + 1)]
+    return {"f": [[int(c == j) for j in range(n + 1)] for c in weights(n)], "s": s}
+
+
+def test_local_distrib_reads_each_colorings_colours_from_the_coloring(
+        capsys, tmp_path, kernel_calls, monkeypatch):
+    kernel_calls["product_rows"] = 0
+    original = graphs._product_rows
+
+    def counting(*args):
+        kernel_calls["product_rows"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(graphs, "_product_rows", counting)
+    product = {"gen": "product", "left": ham(5), "right": ham(5)}
+    w5 = write(tmp_path, "w5.json", {"graph": ham(5), "colors": weights(5)})
+    w5w5 = write(tmp_path, "w5w5.json", {"graph": product, "colors": weights(10)})
+    code, by_coloring, err = run(capsys, "local", "distrib", "--left", w5, "--right", w5,
+                                 "--coloring", w5w5)
+    assert (code, err) == (0, "")
+    # one decode per structure, for its agreement check; two scans per
+    # coloring (S, then the structure's check); the product rows are read
+    # to build the product graph and to compare it with the factors'
+    assert kernel_calls == {"scans": 6, "indicators": 3, "unit_columns": 3, "product_rows": 2}
+    # a structure file has no coloring: its colours are decoded from its
+    # unit rows, once to verify it and once for the pair counts
+    unit = write(tmp_path, "unit.json", {"graph": product, **weight_structure(10)})
+    kernel_calls.update(scans=0, indicators=0, unit_columns=0, product_rows=0)
+    code, by_structure, err = run(capsys, "local", "distrib", "--left", w5, "--right", w5,
+                                  "--structure", unit)
+    assert (code, err, by_structure) == (0, "", by_coloring)
+    assert kernel_calls["unit_columns"] == 4
+
+
 def test_the_coloring_route_prints_what_the_indicator_structure_prints(capsys, files, tmp_path):
     s = [[0, 4, 0, 0, 0], [1, 0, 3, 0, 0], [0, 2, 0, 2, 0], [0, 0, 3, 0, 1], [0, 0, 0, 4, 0]]
     unit = write(tmp_path, "unit.json", {
@@ -254,7 +292,7 @@ def test_the_internal_constructions_pass_the_coloring_check():
     from eqpart.localdist import tensor_structure
 
     pair = tensor_structure(structure_from_coloring(g, col), structure_from_coloring(g, col))
-    assert pair.product.coloring is not None
+    assert pair.coloring is not None
 
 
 # -- a graph spec is read once per build ------------------------------------
@@ -294,3 +332,31 @@ def test_an_edge_list_is_validated_at_most_four_times_per_run(capsys, tmp_path, 
                        "--color", "0")
     assert (code, err) == (0, "")
     assert 1 <= len(reads) <= 4
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["distrib", "vertex", "--graph", "E", "--coloring", "C", "--color", "0"], 3),
+    (["distrib", "vertex", "--graph", "E", "--s", "S", "--color", "0"], 1),
+    (["distrib", "fiber", "--left", "E", "--right", "E", "--s", "S", "--f0", "[1, 0, 0]"], 2),
+], ids=["vertex --coloring", "vertex --s", "fiber"])
+def test_the_intersection_array_and_the_degree_read_their_spec_once(
+        capsys, tmp_path, monkeypatch, argv, reads):
+    c4 = {"n_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    files = {"E": write(tmp_path, "c4.json", c4),
+             "C": write(tmp_path, "c.json", {"graph": c4, "colors": [0, 1, 2, 1]}),
+             "S": write(tmp_path, "s.json", [[0, 2, 0], [1, 0, 1], [0, 2, 0]])}
+    argv = [files.get(token, token) for token in argv]
+    expect = run(capsys, *argv)
+    counted = []
+    original = inputs.read_spec
+
+    def counting(doc):
+        if isinstance(doc, dict) and "edges" in doc:
+            counted.append(1)
+        return original(doc)
+
+    for module in (inputs, graphs, drg):
+        monkeypatch.setattr(module, "read_spec", counting)
+    assert run(capsys, *argv) == expect
+    assert expect[0] == 0
+    assert len(counted) == reads
