@@ -1,9 +1,11 @@
 """Graph construction and distance machinery.
 
 Graphs are simple, undirected, and stored as sorted adjacency lists; vertex
-indices run 0..n-1.  The structured generators carry a label for each vertex
-(the word or subset it encodes) so tests can cross-check graph distance
-against word distance.
+indices run 0..n-1, and every built graph holds one int object per vertex,
+which all its adjacency rows reference.  The structured generators carry a
+label for each vertex (the word or subset it encodes) so tests can
+cross-check graph distance against word distance; Hamming and halved-cube
+words are decoded on demand, not stored.
 
 Index conventions are load-bearing: Hamming words are encoded base-q with
 coordinate 0 most significant, and product vertices flatten as
@@ -27,14 +29,21 @@ from .errors import (
 )
 from .inputs import read_ints, read_key, read_spec  # noqa: F401 - re-exported
 from .ratmat import RatMatrix
+from .words import Words, decode_word, encode_word, halved_word  # noqa: F401 - re-exported
 
 
 class Graph(Record):
-    """Simple undirected graph; immutable after construction."""
+    """Simple undirected graph; immutable after construction.
+
+    ``labels``, where the generator gives them, is the word or subset each
+    vertex encodes, in vertex order: a tuple of the k-subsets of a Johnson
+    graph, or a :class:`Words` sequence of the words of a Hamming graph or
+    halved cube, which equals the tuple of those words.  It is None
+    otherwise."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    labels: tuple | None = None
+    labels: Sequence | None = None
     name: str = ""
 
     def degree(self, v: int) -> int:
@@ -66,8 +75,40 @@ class Graph(Record):
         return self.n == other.n and self.adj == other.adj
 
 
+def _vertex_count(key: tuple, budget: int) -> int:
+    """The number of vertices of the graph that ``key``, a spec as
+    :func:`read_spec` reads it, describes, after the checks of parameters and
+    budget that building it makes, in the same order; nothing is built.  A
+    count is computed only until it passes the budget, and a product's
+    factors are checked before the product."""
+    kind, a, b = key
+    if kind == "hamming":
+        if a < 1:
+            raise EqpartError(f"hamming graph needs n >= 1, got {a}")
+        if b < 2:
+            raise EqpartError(f"hamming graph needs q >= 2, got {b}")
+        counts, what = (b**i for i in range(a + 1)), f"vertices of H({a},{b})"
+    elif kind == "johnson":
+        if not 0 <= b <= a:
+            raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={b}, n={a}")
+        counts = (math.comb(a, i) for i in range(min(b, a - b) + 1))
+        what = f"vertices of J({a},{b})"
+    elif kind == "halved":
+        if a < 2:
+            raise EqpartError(f"halved cube needs n >= 2, got {a}")
+        if b not in ("even", "odd"):
+            raise EqpartError(f"parity must be 'even' or 'odd', got {b!r}")
+        counts, what = (2**i for i in range(a)), f"vertices of halved({a},{b})"
+    elif kind == "product":
+        counts, what = (_vertex_count(a, budget) * _vertex_count(b, budget),), "vertices"
+    else:
+        counts, what = (a,), "vertices"
+    return check_budget(counts, budget, what)
+
+
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]], name: str = "") -> Graph:
     """Build a graph from an explicit edge list, validating simplicity."""
+    ids = list(range(n))
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
         u, v = int(e[0]), int(e[1])
@@ -77,8 +118,8 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]], name: str = "") -> 
             raise EqpartError(f"self-loop at vertex {u}")
         if v in nbrs[u]:
             raise EqpartError(f"duplicate edge ({u},{v})")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+        nbrs[u].add(ids[v])
+        nbrs[v].add(ids[u])
     return Graph(n, tuple(tuple(sorted(s)) for s in nbrs), name=name)
 
 
@@ -86,13 +127,12 @@ def hamming_graph(n: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     """Words of length n over {0..q-1}; adjacent iff they differ in exactly
     one coordinate.  Degree (q-1)*n everywhere.
 
-    Vertex index of (x_0,...,x_{n-1}) is sum(x_i * q**(n-1-i)).
+    Vertex index of (x_0,...,x_{n-1}) is sum(x_i * q**(n-1-i)).  The rows
+    share one int per vertex, and ``labels`` is a :class:`Words` sequence
+    that decodes a word when it is read, so the graph stores no word.
     """
-    if n < 1:
-        raise EqpartError(f"hamming graph needs n >= 1, got {n}")
-    if q < 2:
-        raise EqpartError(f"hamming graph needs q >= 2, got {q}")
-    size = check_budget((q**i for i in range(n + 1)), budget, f"vertices of H({n},{q})")
+    size = _vertex_count(("hamming", n, q), budget)
+    ids = list(range(size))
     powers = [q ** (n - 1 - i) for i in range(n)]
     # the offsets u - v from v to its neighbours u that change coordinate i
     # from x, below v and above it.  A change in coordinate i moves v by at
@@ -101,7 +141,7 @@ def hamming_graph(n: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     lower = [[[(a - x) * p for a in range(x)] for x in range(q)] for p in powers]
     upper = [[[(a - x) * p for a in range(x + 1, q)] for x in range(q)] for p in powers]
     upper.reverse()
-    labels = tuple(itertools.product(range(q), repeat=n))  # in index order
+    labels = Words(n, q)
     adj = []
     for v, word in enumerate(labels):
         offsets = []
@@ -109,23 +149,8 @@ def hamming_graph(n: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
             offsets += choices[x]
         for choices, x in zip(upper, reversed(word)):
             offsets += choices[x]
-        adj.append(tuple([v + d for d in offsets]))
+        adj.append(tuple([ids[v + d] for d in offsets]))
     return Graph(size, tuple(adj), labels=labels, name=f"H({n},{q})")
-
-
-def decode_word(index: int, n: int, q: int) -> tuple[int, ...]:
-    """Inverse of the Hamming vertex indexing (coordinate 0 most significant)."""
-    word = []
-    for i in range(n):
-        word.append(index // q ** (n - 1 - i) % q)
-    return tuple(word)
-
-
-def encode_word(word: Sequence[int], q: int) -> int:
-    index = 0
-    for x in word:
-        index = index * q + x
-    return index
 
 
 def johnson_graph(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
@@ -133,10 +158,7 @@ def johnson_graph(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
 
     Vertices are ordered lexicographically by support tuple; degree k*(n-k).
     """
-    if not 0 <= k <= n:
-        raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={k}, n={n}")
-    counts = (math.comb(n, i) for i in range(min(k, n - k) + 1))
-    check_budget(counts, budget, f"vertices of J({n},{k})")
+    _vertex_count(("johnson", n, k), budget)
     subsets = list(itertools.combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     adj = []
@@ -155,23 +177,21 @@ def johnson_graph(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
 def halved_cube(n: int, parity: str = "even", budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
     """Binary words of length n with the chosen weight parity; adjacent iff
     their Hamming distance is exactly 2.  Degree C(n,2).
+
+    Vertices are the words in increasing order, so word w (coordinate 0 most
+    significant) has index w >> 1.  The rows share one int per vertex, and
+    ``labels`` is a :class:`Words` sequence that decodes a word when it is
+    read.
     """
-    if n < 2:
-        raise EqpartError(f"halved cube needs n >= 2, got {n}")
-    if parity not in ("even", "odd"):
-        raise EqpartError(f"parity must be 'even' or 'odd', got {parity!r}")
-    check_budget((2**i for i in range(n)), budget, f"vertices of halved({n},{parity})")
+    size = _vertex_count(("halved", n, parity), budget)
     want = 0 if parity == "even" else 1
-    words = [w for w in range(2**n) if bin(w).count("1") % 2 == want]
-    index = {w: i for i, w in enumerate(words)}
+    ids = list(range(size))
     masks = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
     adj = []
-    labels = []
-    for w in words:
-        adj.append(tuple(sorted(index[w ^ m] for m in masks)))
-        # bit n-1-i of w is coordinate i (most significant first)
-        labels.append(tuple((w >> (n - 1 - i)) & 1 for i in range(n)))
-    return Graph(len(words), tuple(adj), labels=tuple(labels), name=f"halved({n},{parity})")
+    for v in range(size):
+        w = halved_word(v, want)
+        adj.append(tuple(sorted([ids[(w ^ m) >> 1] for m in masks])))
+    return Graph(size, tuple(adj), labels=Words(n, 2, want), name=f"halved({n},{parity})")
 
 
 def direct_product(g1: Graph, g2: Graph, budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
@@ -179,7 +199,8 @@ def direct_product(g1: Graph, g2: Graph, budget: int = DEFAULT_VERTEX_BUDGET) ->
     or u'~v' and u''=v''.
 
     Vertex (i', i'') flattens to i' * g2.n + i'', so the adjacency matrix is
-    tensor(A', I) + tensor(I, A'').
+    tensor(A', I) + tensor(I, A'').  The product has no labels, and its rows
+    share one int per vertex.
     """
     size = check_budget((g1.n * g2.n,), budget, "vertices")
     name = f"{g1.name or 'G1'} x {g2.name or 'G2'}"
@@ -191,15 +212,18 @@ def _product_rows(g1: Graph, g2: Graph):
 
     The neighbours (v1, u2) of (u1, u2) with v1 < u1 lie below the block of
     u1, those with v1 > u1 above it, and (u1, v2) inside it, so sorted
-    factor rows give sorted product rows without a sort."""
+    factor rows give sorted product rows without a sort.  The rows share
+    one int per product vertex."""
     n2 = g2.n
+    ids = list(range(g1.n * n2))
     for u1, nbrs1 in enumerate(g1.adj):
-        base = u1 * n2
+        block = ids[u1 * n2:(u1 + 1) * n2]
         lower = [v1 * n2 for v1 in nbrs1 if v1 < u1]
         upper = [v1 * n2 for v1 in nbrs1 if v1 > u1]
         for u2, nbrs2 in enumerate(g2.adj):
             yield tuple(
-                [x + u2 for x in lower] + [base + v2 for v2 in nbrs2] + [x + u2 for x in upper]
+                [ids[x + u2] for x in lower] + [block[v2] for v2 in nbrs2]
+                + [ids[x + u2] for x in upper]
             )
 
 
@@ -293,7 +317,8 @@ def class_sums(per_vertex: tuple, groups: Iterable[Sequence[int]]) -> RatMatrix:
 
 
 def graph_to_json(g: Graph) -> dict:
-    doc: dict = {"n_vertices": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    edges = [[u, v] for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
+    doc: dict = {"n_vertices": g.n, "edges": edges}
     if g.labels is not None:
         doc["labels"] = [list(lbl) for lbl in g.labels]
     return doc
@@ -303,16 +328,18 @@ def load_graph(spec, budget: int = DEFAULT_VERTEX_BUDGET, load=None) -> Graph:
     """Build a graph from its JSON description or from what :func:`read_spec`
     read from it.  ``load``, a function from either to a Graph, gives a
     product's factors; by default they are built by this function, with
-    ``budget``."""
-    kind, a, b = spec if isinstance(spec, tuple) else read_spec(spec)
-    if kind == "edges":
-        check_budget((a,), budget, "vertices")
-        return graph_from_edges(a, b)
+    ``budget``.  A product's budget is checked from the vertex counts its
+    spec gives, before either factor is built."""
+    key = spec if isinstance(spec, tuple) else read_spec(spec)
+    kind, a, b = key
     if kind == "hamming":
         return hamming_graph(a, b, budget)
     if kind == "johnson":
         return johnson_graph(a, b, budget)
     if kind == "halved":
         return halved_cube(a, b, budget)
+    _vertex_count(key, budget)
+    if kind == "edges":
+        return graph_from_edges(a, b)
     load = load or (lambda factor: load_graph(factor, budget))
     return direct_product(load(a), load(b), budget)

@@ -1,7 +1,17 @@
+import hashlib
+import itertools
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from eqpart import graphs
+from eqpart.cli import main
 from eqpart.equitable import distance_coloring
 from eqpart.errors import (
     EqpartError,
@@ -255,3 +265,136 @@ def test_graph_json_roundtrip():
 def test_load_graph_budget():
     with pytest.raises(VertexBudgetError):
         load_graph({"gen": "hamming", "n": 8, "q": 2}, budget=100)
+
+
+# -- one int per vertex, words decoded on demand ------------------------------
+
+
+def many_vertex_edge_list():
+    """A 600-cycle with chords, read from JSON as the CLI reads it, so that
+    every vertex id above 256 arrives as a fresh int in each edge."""
+    edges = [[v, (v + 1) % 600] for v in range(600)] + [[v, v + 300] for v in range(0, 300, 7)]
+    return load_graph(json.loads(json.dumps({"n_vertices": 600, "edges": edges})))
+
+
+SHARED_ID_GRAPHS = {
+    "H(10,2)": lambda: hamming_graph(10, 2),
+    "H(3,3)": lambda: hamming_graph(3, 3),
+    "halved(9,even)": lambda: halved_cube(9, "even"),
+    "halved(9,odd)": lambda: halved_cube(9, "odd"),
+    "J(8,4)": lambda: johnson_graph(8, 4),
+    "H(3,2)xH(5,2)": lambda: direct_product(hamming_graph(3, 2), hamming_graph(5, 2)),
+    "H(3,2)xH(6,2)": lambda: direct_product(hamming_graph(3, 2), hamming_graph(6, 2)),
+    "edges(600)": many_vertex_edge_list,
+}
+
+
+@pytest.mark.parametrize("make", list(SHARED_ID_GRAPHS.values()), ids=list(SHARED_ID_GRAPHS))
+def test_adjacency_rows_share_one_int_per_vertex(make):
+    g = make()
+    assert len({id(u) for row in g.adj for u in row}) == g.n
+
+
+def old_hamming_words(n, q):
+    return tuple(itertools.product(range(q), repeat=n))
+
+
+def old_halved_words(n, parity):
+    want = 0 if parity == "even" else 1
+    words = [w for w in range(2**n) if bin(w).count("1") % 2 == want]
+    return tuple(tuple((w >> (n - 1 - i)) & 1 for i in range(n)) for w in words)
+
+
+# (generator, its arguments, the labels it gave as a tuple)
+LABELLED = [(hamming_graph, (n, q), old_hamming_words)
+            for n, q in [(1, 2), (3, 2), (7, 2), (2, 3), (4, 3), (3, 4)]]
+LABELLED += [(halved_cube, (n, parity), old_halved_words)
+             for n in range(2, 11) for parity in ("even", "odd")]
+
+
+@pytest.mark.parametrize("make, args, old", LABELLED,
+                         ids=[f"{make.__name__}{args}" for make, args, _ in LABELLED])
+def test_word_labels_read_as_the_tuple_of_words(make, args, old):
+    g, words = make(*args), old(*args)
+    labels = g.labels
+    assert len(labels) == len(words) == g.n
+    assert [labels[v] for v in range(g.n)] == list(words)
+    assert [labels[v] for v in range(-g.n, 0)] == list(words)
+    assert list(labels) == list(words) and tuple(labels) == words
+    assert labels[1:-1:3] == words[1:-1:3]
+    assert labels == words and words == labels and not labels != words
+    assert labels != words[:-1] and words[:-1] != labels
+    assert hash(labels) == hash(words)
+    again = make(*args)
+    assert again == g and hash(again) == hash(g)
+    assert pickle.loads(pickle.dumps(labels)) == labels
+    assert pickle.loads(pickle.dumps(g)) == g
+    for i in (g.n, -g.n - 1):
+        with pytest.raises(IndexError):
+            labels[i]
+
+
+def test_word_labels_of_different_graphs_differ():
+    assert hamming_graph(3, 2).labels != halved_cube(4).labels
+    assert halved_cube(6, "even").labels != halved_cube(6, "odd").labels
+    assert hamming_graph(2, 3).labels != hamming_graph(3, 2).labels
+    assert hamming_graph(2, 2).labels != list(old_hamming_words(2, 2))
+
+
+# sha256 of the stdout of ``eqpart gen``, recorded while labels were tuples
+GEN_GOLDEN = {
+    ("hamming", "-n", "4", "-q", "3"):
+        (4336, "a6557561d65e96b8fe5da8fc57e1873500ba6af122f35b618cd3d5ef192039cb"),
+    ("halved", "-n", "6", "--sign", "odd"):
+        (2932, "e2b53279a3cdde05a0314952175821622181aab38fdc34a7a9e32615652412d6"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GEN_GOLDEN), ids=" ".join)
+def test_gen_output_is_unchanged(capsys, argv):
+    assert main(["gen", *argv]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == GEN_GOLDEN[argv]
+
+
+def test_product_budget_is_checked_before_its_factors_are_built(monkeypatch):
+    built = []
+
+    def counting_hamming_graph(*args):
+        built.append(args)
+        return hamming_graph(*args)
+
+    monkeypatch.setattr(graphs, "hamming_graph", counting_hamming_graph)
+    h18, h3 = {"gen": "hamming", "n": 18, "q": 2}, {"gen": "hamming", "n": 3, "q": 2}
+    product = {"gen": "product", "left": h18, "right": h3}
+    with pytest.raises(VertexBudgetError, match="^2097152 vertices exceeds the budget of 1048576$"):
+        load_graph(product)
+    nested = {"gen": "product", "left": h3, "right": {"gen": "product", "left": h18, "right": h3}}
+    with pytest.raises(VertexBudgetError, match="^2097152 vertices exceeds the budget of 1048576$"):
+        load_graph(nested)
+    # a factor past the budget is reported as building it would report it
+    far = {"gen": "product", "left": h3, "right": {"gen": "hamming", "n": 10**8, "q": 2}}
+    with pytest.raises(VertexBudgetError, match="vertices of H\\(100000000,2\\) exceeds"):
+        load_graph(far)
+    with pytest.raises(EqpartError, match="hamming graph needs n >= 1"):
+        load_graph({"gen": "product", "left": {"gen": "hamming", "n": 0, "q": 2}, "right": h18})
+    assert built == []
+    assert load_graph({"gen": "product", "left": h3, "right": h3}).n == 64
+    assert len(built) == 2
+
+
+GROWTH_PROBE = """
+import resource
+from eqpart.graphs import hamming_graph
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+g = hamming_graph(16, 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_building_h16_adds_under_30_mb():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", GROWTH_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert int(proc.stdout) < 30 * 1024
