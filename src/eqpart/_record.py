@@ -13,8 +13,7 @@ fields as annotations, in order, with defaults as class-level values:
 The fields become ``__slots__``.  Instances take the fields positionally or
 by keyword, run ``__post_init__`` (a check that raises) once they are set,
 refuse assignment with ``AttributeError``, and compare, hash and print as
-the tuple of their fields.  A class keyword ``compare=(...)`` limits
-equality and hashing to the named fields.
+the tuple of their fields.
 """
 from __future__ import annotations
 
@@ -22,14 +21,13 @@ _MISSING = object()
 
 
 class _RecordType(type):
-    def __new__(mcs, name, bases, namespace, compare=None):
+    def __new__(mcs, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
         defaults = {f: namespace.pop(f) for f in fields if f in namespace}
         namespace["__slots__"] = fields
         cls = super().__new__(mcs, name, bases, namespace)
         cls._fields = fields
         cls._defaults = defaults
-        cls._compare = fields if compare is None else tuple(compare)
         return cls
 
 
@@ -62,7 +60,7 @@ class Record(metaclass=_RecordType):
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._compare)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

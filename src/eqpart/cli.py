@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .errors import DEFAULT_VERTEX_BUDGET, EqpartError
+from .errors import DEFAULT_VERTEX_BUDGET, EqpartError, ShapeError
 
 # Each command imports the library functions it calls, so that a run loads
 # only the modules its command needs (``--help`` none of them).
@@ -298,7 +298,12 @@ def _cmd_distrib(args, load) -> int:
         if args.f0:
             f0 = _parse_row(args.f0, "--f0")
         elif f is not None:
-            f0 = class_sums(vertex_values(graph, f), [code])
+            if code and not 0 <= min(code) <= max(code) < graph.n:
+                raise ShapeError(f"row index out of range 0..{graph.n - 1} in {tuple(code)}")
+            labels = [None] * graph.n  # 0 on the code: class_sums' row 0 is f summed over it
+            for v in code:
+                labels[v] = 0
+            f0 = class_sums(vertex_values(graph, f), labels, 1)
         else:
             raise EqpartError("need --f0 or --coloring/--structure")
     rows = form(s, f0)
@@ -341,7 +346,7 @@ def _cmd_local_distrib(args, load) -> int:
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
     if not isinstance(f, PerfectStructure):
-        f = PerfectStructure(f.graph, f.indicator(), s, coloring=f)
+        f = PerfectStructure(f.graph, f, s)
     _emit(tensor_distribution(g1, g2, f).to_json())
     return 0
 

@@ -40,13 +40,12 @@ def _same_host(g: PerfectStructure, f: PerfectStructure) -> bool:
 
 def distribution(g: PerfectStructure, f: PerfectStructure) -> RatMatrix:
     """g^T f, with the governing identity R^T (g^T f) = (g^T f) S asserted."""
-    if g.values.rows != f.values.rows:
-        raise ShapeError(
-            f"structures live on {g.values.rows} and {f.values.rows} vertices"
-        )
+    gv, fv = g.value_matrix(), f.value_matrix()
+    if gv.rows != fv.rows:
+        raise ShapeError(f"structures live on {gv.rows} and {fv.rows} vertices")
     if not _same_host(g, f):
         raise ShapeError("structures are not over compatible hosts")
-    h = g.values.transpose() @ f.values
+    h = gv.transpose() @ fv
     if g.params.transpose() @ h != h @ f.params:
         raise StructureError("distribution identity failed; inputs are inconsistent")
     return h

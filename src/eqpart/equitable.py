@@ -3,7 +3,8 @@
 A coloring of a graph is perfect (the partition is equitable) when every
 vertex of color i has the same number S_ij of neighbors of color j; S is the
 quotient matrix.  More generally, any N x k matrix f with A f = f S is a
-perfect structure over the square matrix A; colorings are the 0/1-row case.
+perfect structure over the square matrix A; colorings are the 0/1-row case,
+and a structure holds one as its values without an indicator matrix.
 
 A vertex set is a completely regular code exactly when its distance coloring
 is perfect, in which case the quotient matrix is tridiagonal and the number
@@ -60,8 +61,11 @@ class Coloring(Record):
             raise EqpartError(f"color class {seen.index(False)} is empty")
 
     def indicator(self) -> RatMatrix:
-        """N x k matrix whose row v is the unit tuple of the vertex's color."""
-        return indicator(self.colors, self.n_colors)
+        """N x k matrix whose row v is the unit vector e_c of the vertex's
+        color c; vertices of one color share one row tuple."""
+        k = self.n_colors
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        return RatMatrix([units[c] for c in self.colors])
 
     def class_sizes(self) -> list[int]:
         sizes = [0] * self.n_colors
@@ -71,13 +75,6 @@ class Coloring(Record):
 
     def class_vertices(self, c: int) -> list[int]:
         return [v for v, col in enumerate(self.colors) if col == c]
-
-
-def indicator(colors: Sequence[int], k: int) -> RatMatrix:
-    """The matrix with k columns whose row v is the unit vector e_c for
-    c = ``colors[v]``; vertices of one color share one row tuple."""
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    return RatMatrix([units[c] for c in colors])
 
 
 def coloring_from_list(g: Graph, colors: Sequence[int]) -> Coloring:
@@ -172,27 +169,25 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
     return residual.is_zero(), residual
 
 
-class PerfectStructure(Record, compare=("host", "values", "params")):
-    """Value matrix f with parameters S over a host A, A f = f S verified on
-    construction.  A ``coloring``, checked to be over the host with the
-    values' unit columns as its colours, is where the colours are read from:
-    by the verifying scan of :func:`quotient_matrix` and by ``vertex_values``."""
+class PerfectStructure(Record):
+    """Values f with parameters S over a host A, A f = f S verified on
+    construction.  f is an N x k RatMatrix or, over a graph, a Coloring,
+    verified by the neighbour-count scan of :func:`quotient_matrix`; its
+    indicator is built only when that scan fails, for the residual."""
 
     host: object  # Graph or square RatMatrix
-    values: RatMatrix
+    values: object  # RatMatrix, or Coloring over a Graph host
     params: RatMatrix
-    coloring: Coloring | None = None
 
     def __post_init__(self):
-        c, s = self.coloring, self.params
-        if c is not None:
-            if not (isinstance(self.host, Graph) and self.host.same_adjacency(c.graph)):
+        f, s = self.values, self.params
+        if isinstance(f, Coloring):
+            if not (isinstance(self.host, Graph) and self.host.same_adjacency(f.graph)):
                 raise StructureError("coloring is over a different graph than the host")
-            if self.values.cols != c.n_colors or self.values.unit_columns() != list(c.colors):
-                raise StructureError("coloring's colors are not the unit columns of the values")
-            if s.shape() == (c.n_colors,) * 2 and _counts_match(self.host, c.colors, s):
+            if s.shape() == (f.n_colors,) * 2 and _counts_match(self.host, f.colors, s):
                 return
-        ok, residual = verify_structure(self.host, self.values, s)
+            f = f.indicator()
+        ok, residual = verify_structure(self.host, f, s)
         if not ok:
             bad = next(i for i in range(residual.rows) if any(x != 0 for x in residual.row(i)))
             raise StructureError(
@@ -208,18 +203,23 @@ class PerfectStructure(Record, compare=("host", "values", "params")):
 
     @property
     def n_colors(self) -> int:
-        return self.values.cols
+        f = self.values
+        return f.n_colors if isinstance(f, Coloring) else f.cols
+
+    def value_matrix(self) -> RatMatrix:
+        """The values as an N x k matrix (a coloring's indicator, built anew)."""
+        f = self.values
+        return f.indicator() if isinstance(f, Coloring) else f
 
 
 def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
     """The coloring as a structure over products (:mod:`eqpart.localdist`):
-    its N x k indicator matrix, its quotient matrix as S, and itself as the
-    colours.  The re-check in PerfectStructure runs the scan that derived S,
-    so it cannot catch a fault in quotient_matrix; the counting oracle and
-    the tests, which confirm S through a square RatMatrix host, are the
-    independent checks."""
-    s = quotient_matrix(g, c)
-    return PerfectStructure(g, c.indicator(), s, coloring=c)
+    the coloring itself as the values and its quotient matrix as S; no
+    indicator matrix is built.  The re-check in PerfectStructure runs the
+    scan that derived S, so it cannot catch a fault in quotient_matrix; the
+    counting oracle and the tests, which confirm S through a square
+    RatMatrix host, are the independent checks."""
+    return PerfectStructure(g, c, quotient_matrix(g, c))
 
 
 def distance_coloring(g: Graph, code: Iterable[int]) -> Coloring:

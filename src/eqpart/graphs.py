@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Sequence
 
 from ._record import Record
@@ -273,47 +273,46 @@ def vertex_values(g: Graph, f) -> tuple:
     ``f`` is a coloring, a perfect structure or a RatMatrix with one row per
     vertex.  k is the length of a row and values the RatMatrix of rows (None
     for a coloring).  colors lists each vertex's c when every row is a unit
-    vector e_c, and is None otherwise: a coloring, or a structure that has
-    one, gives its colours as they are, and other values are decoded by
-    ``unit_columns``."""
-    f = getattr(f, "coloring", None) or f
+    vector e_c, and is None otherwise: a coloring, or a structure whose
+    values are one, gives its colours as they are, and a matrix is decoded
+    by ``unit_columns``."""
+    f = getattr(f, "values", f)
     colors = getattr(f, "colors", None)
     if colors is not None:
         values, n, k = None, len(colors), f.n_colors
     else:
-        values = f if isinstance(f, RatMatrix) else getattr(f, "values", None)
-        if not isinstance(values, RatMatrix):
+        if not isinstance(f, RatMatrix):
             raise ShapeError(f"cannot read per-vertex values from {type(f).__name__}")
-        n, k, colors = values.rows, values.cols, values.unit_columns()
+        values, n, k, colors = f, f.rows, f.cols, f.unit_columns()
     if n != g.n:
         raise ShapeError(f"value matrix has {n} rows for {g.n} vertices")
     return colors, values, k
 
 
-def groups_of(classes: Sequence[int], n_classes: int) -> list[list[int]]:
-    """Entry i lists the vertices v with ``classes[v] == i``, in order."""
+def groups_of(labels: Sequence, n_classes: int) -> list[list[int]]:
+    """Entry i lists the vertices v with ``labels[v] == i``, in order; a
+    vertex labelled None is in no entry."""
     groups = [[] for _ in range(n_classes)]
-    for v, i in enumerate(classes):
-        groups[i].append(v)
+    for v, i in enumerate(labels):
+        if i is not None:
+            groups[i].append(v)
     return groups
 
 
-def class_sums(per_vertex: tuple, groups: Iterable[Sequence[int]]) -> RatMatrix:
+def class_sums(per_vertex: tuple, labels: Sequence, n_classes: int) -> RatMatrix:
     """The matrix whose row i sums the values, as :func:`vertex_values` read
-    them, of the vertices in ``groups[i]``: unit vectors are counted per
-    colour in plain ints, other rows summed by ``RatMatrix.sum_rows``."""
+    them, of the vertices v with ``labels[v] == i`` (None for no row), for
+    i = 0 .. n_classes-1.  Unit vectors e_c are counted as (label, c) pairs
+    in one pass, in plain ints; other rows are summed by
+    ``RatMatrix.sum_rows`` over :func:`groups_of`."""
     colors, values, k = per_vertex
     if colors is None:
-        return values.sum_rows(groups)
-    rows = []
-    for group in groups:
-        if group and not 0 <= min(group) <= max(group) < len(colors):
-            raise ShapeError(f"row index out of range 0..{len(colors) - 1} in {tuple(group)}")
-        row = [0] * k
-        for c, count in Counter(map(colors.__getitem__, group)).items():
-            row[c] = count
-        rows.append(row)
-    return RatMatrix(rows)
+        return values.sum_rows(groups_of(labels, n_classes))
+    counts = [0] * (n_classes * k)
+    for i, c in zip(labels, colors):
+        if i is not None:
+            counts[i * k + c] += 1
+    return RatMatrix([counts[i:i + k] for i in range(0, n_classes * k, k)])
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -29,7 +29,6 @@ from .graphs import (
     Graph,
     class_sums,
     direct_product,
-    groups_of,
     is_direct_product,
     vertex_values,
 )
@@ -39,8 +38,8 @@ from .ratmat import RatMatrix, tensor
 def _pair_colors(g1: PerfectStructure, g2: PerfectStructure) -> list[int] | None:
     """The pair coloring (i1, i2) -> i1 * k2 + i2 of the direct product, in
     its vertex order, when both factors have colours as
-    :func:`~eqpart.graphs.vertex_values` reads them (a factor's coloring, or
-    values whose rows are all unit vectors); None otherwise."""
+    :func:`~eqpart.graphs.vertex_values` reads them (values that are a
+    coloring, or whose rows are all unit vectors); None otherwise."""
     (c1, _, _), (c2, _, k2) = (vertex_values(g.graph, g) for g in (g1, g2))
     if c1 is None or c2 is None:
         return None
@@ -51,18 +50,18 @@ def tensor_structure(
     g1: PerfectStructure, g2: PerfectStructure, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> PerfectStructure:
     """The product of two verified structures over the direct product of
-    their graphs: the Kronecker product of their values, with parameters
-    :func:`tensor_params`.  Construction re-verifies the defining equation
-    on the product graph, so a successful return is itself the structural
-    proof.  When both factors are colorings, the product's coloring is the
-    pair coloring, whose indicator rows are those values.
+    their graphs, with parameters :func:`tensor_params`: the pair coloring
+    of two colorings (whose indicator is the Kronecker product of theirs),
+    else the Kronecker product of the value matrices.  Construction
+    re-verifies the defining equation on the product graph, so a successful
+    return is itself the structural proof.
     """
     prod_graph = direct_product(g1.graph, g2.graph, budget)
-    values = tensor(g1.values, g2.values)
-    coloring = None
-    if g1.coloring is not None and g2.coloring is not None:
-        coloring = Coloring(prod_graph, tuple(_pair_colors(g1, g2)), values.cols)
-    return PerfectStructure(prod_graph, values, tensor_params(g1.params, g2.params), coloring)
+    if isinstance(g1.values, Coloring) and isinstance(g2.values, Coloring):
+        values = Coloring(prod_graph, tuple(_pair_colors(g1, g2)), g1.n_colors * g2.n_colors)
+    else:
+        values = tensor(g1.value_matrix(), g2.value_matrix())
+    return PerfectStructure(prod_graph, values, tensor_params(g1.params, g2.params))
 
 
 def rearrange(h: RatMatrix, n_left: int, n_right: int) -> RatMatrix:
@@ -107,7 +106,7 @@ class RearrangedDistribution(Record):
 
 
 def _is_distance(g: PerfectStructure) -> bool:
-    return g.coloring is not None and g.coloring.distance_code is not None
+    return getattr(g.values, "distance_code", None) is not None
 
 
 def tensor_distribution(
@@ -120,13 +119,13 @@ def tensor_distribution(
     of the factors' graphs, which is checked row by row, not built again."""
     if not isinstance(f.host, Graph) or not is_direct_product(f.host, g1.graph, g2.graph):
         raise ShapeError("f is over a different graph than the direct product of the factors")
-    k1, k2, m = g1.values.cols, g2.values.cols, f.values.cols
+    k1, k2, m = g1.n_colors, g2.n_colors, f.n_colors
     pairs = _pair_colors(g1, g2)
     if pairs is None:
-        h = tensor(g1.values, g2.values).transpose() @ f.values
+        h = tensor(g1.value_matrix(), g2.value_matrix()).transpose() @ f.value_matrix()
     else:
         # the contingency sums of f over the pair colors
-        h = class_sums(vertex_values(f.host, f), groups_of(pairs, k1 * k2))
+        h = class_sums(vertex_values(f.host, f), pairs, k1 * k2)
     lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h
     if lhs != h @ f.params:
         raise StructureError("product distribution identity failed")

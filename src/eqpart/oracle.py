@@ -2,15 +2,15 @@
 
 Ground truth for everything else in the package: only breadth-first search
 and addition, no quotient matrices and no polynomials.  Deliberately naive;
-may be quadratic.  A coloring's values are counted per class and colour in
-plain ints; other values are summed as integer numerator rows.
+may be quadratic.  A coloring's values are counted per (class, colour) pair
+in plain ints; other values are summed as integer numerator rows.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 
 from .errors import ShapeError
-from .graphs import Graph, class_sums, distances_from_set, groups_of, vertex_values
+from .graphs import Graph, class_sums, distances_from_set, vertex_values
 from .ratmat import RatMatrix
 
 
@@ -19,7 +19,7 @@ def brute_distribution(g: Graph, code: Iterable[int], f) -> RatMatrix:
     for w = 0 .. covering radius."""
     values = vertex_values(g, f)
     dist, rho = distances_from_set(g, code)
-    return class_sums(values, groups_of(dist, rho + 1))
+    return class_sums(values, dist, rho + 1)
 
 
 # the name the benchmark tracer wraps
@@ -32,4 +32,4 @@ def brute_pair_distribution(g: Graph, gcol, f) -> RatMatrix:
     gcolors = getattr(gcol, "colors", None)
     if gcolors is None or len(gcolors) != g.n:
         raise ShapeError("first argument must be a coloring of the same graph")
-    return class_sums(vertex_values(g, f), groups_of(gcolors, gcol.n_colors))
+    return class_sums(vertex_values(g, f), gcolors, gcol.n_colors)

@@ -231,12 +231,14 @@ def ref_hamming_graph(n: int, q: int) -> tuple[tuple, tuple]:
 
 
 def ref_value_rows(f) -> list[list[Fraction]]:
-    """Per-vertex value rows as Fractions: unit rows for a coloring, the
-    rows of a RatMatrix or of a structure's values otherwise."""
+    """Per-vertex value rows as Fractions: unit rows for a coloring or a
+    structure whose values are one, the rows of a RatMatrix or of a
+    structure's value matrix otherwise."""
+    f = getattr(f, "values", f)
     colors = getattr(f, "colors", None)
     if colors is not None:
         return [[Fraction(int(c == j)) for j in range(f.n_colors)] for c in colors]
-    return fractions_of(f if isinstance(f, RatMatrix) else f.values)
+    return fractions_of(f)
 
 
 def ref_class_sums(classes, n_classes: int, rows) -> list[list[Fraction]]:
@@ -270,7 +272,7 @@ def distance_w_sum(g: Graph, v: int, w: int, f) -> tuple:
     dist = bfs_distances(g, [v])
     if w < 0 or w > max(dist):
         raise EqpartError(f"distance {w} out of range (eccentricity {max(dist)})")
-    return class_sums(values, [[v for v, d in enumerate(dist) if d == w]]).row(0)
+    return class_sums(values, dist, max(dist) + 1).row(w)
 
 
 # -- Fraction-level matrix polynomials, solves and the polynomial route ------------

@@ -110,7 +110,7 @@ def sum_over(code, coloring_or_struct):
         for v in code:
             f0[colors[v]] += 1
         return f0
-    values = coloring_or_struct.values
+    values = coloring_or_struct.value_matrix()
     f0 = [Fraction(0)] * values.cols
     for v in code:
         for j, x in enumerate(values.row(v)):

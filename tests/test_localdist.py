@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -58,8 +62,8 @@ def test_tensor_structure_9x9_params():
     ts = tensor_structure(s1, s1)
     assert ts.params == PRODUCT_PARAMS_9X9
     # the product of two colorings is again a coloring with indicator rows
-    assert ts.coloring is not None
-    assert all(sum(row) == 1 for row in ts.values)
+    assert isinstance(ts.values, Coloring)
+    assert all(sum(row) == 1 for row in ts.value_matrix())
 
 
 def test_tensor_structure_one_color_factor():
@@ -78,7 +82,7 @@ def test_tensor_structure_4cycle_coloring():
     expect = from_json([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
     assert ts.params == expect
     c4 = direct_product(k2, k2)
-    assert quotient_matrix(c4, ts.coloring) == expect
+    assert quotient_matrix(c4, ts.values) == expect
 
 
 def test_rearrange_roundtrip():
@@ -109,8 +113,8 @@ def test_tensor_distribution_counts_for_all_one_values():
     prod = direct_product(g1, g2)
     f = structure_from_coloring(prod, all_one_coloring(prod))
     rd = tensor_distribution(s1, s2, f)
-    sizes1 = s1.coloring.class_sizes()
-    sizes2 = s2.coloring.class_sizes()
+    sizes1 = s1.values.class_sizes()
+    sizes2 = s2.values.class_sizes()
     for i1 in range(rd.n_left):
         for i2 in range(rd.n_right):
             assert rd.h[i1 * rd.n_right + i2, 0] == sizes1[i1] * sizes2[i2]
@@ -123,7 +127,7 @@ def test_tensor_distribution_lattice_values_match_pair_oracle():
     lat = lattice_coloring(2, 2, 3)
     f = structure_from_coloring(prod, Coloring(prod, lat.colors, lat.n_colors))
     rd = tensor_distribution(s1, s1, f)
-    pair_coloring = tensor_structure(s1, s1).coloring
+    pair_coloring = tensor_structure(s1, s1).values
     assert rd.h == brute_pair_distribution(prod, pair_coloring, f)
     # rearranged matrix satisfies its governing equation
     ok, _ = verify_structure(
@@ -168,7 +172,7 @@ def test_reconstruct_local_hamming_code_over_split_cube():
     f = structure_from_coloring(prod, distance_coloring(prod, hamming_code_vertices(3)))
     rd = tensor_distribution(s1, s2, f)
     # oracle: count color pairs directly
-    pair_coloring = tensor_structure(s1, s2).coloring
+    pair_coloring = tensor_structure(s1, s2).values
     assert rd.h == brute_pair_distribution(prod, pair_coloring, f)
     full = reconstruct_local(left, s2.params, f.params, RatMatrix([rd.h_star.row(0)]))
     assert full == rd.h_star
@@ -187,7 +191,7 @@ def test_extract_local_blocks():
     assert second.shape() == (rd.n_left, rd.n_values)
     # f is the product coloring itself, so the blocks count fiber vertices of
     # each pair color
-    sizes2 = s2.coloring.class_sizes()
+    sizes2 = s2.values.class_sizes()
     for i2 in range(rd.n_right):
         for j in range(rd.n_values):
             j1, j2 = divmod(j, rd.n_right)
@@ -238,3 +242,27 @@ def test_trivial_left_coloring_params_are_adjacency():
         s1.params.transpose(), rd.h_star, star_params(s2.params, f.params)
     )
     assert ok
+
+
+PRODUCT_GROWTH_PROBE = """
+import resource
+from eqpart.equitable import distance_coloring, structure_from_coloring
+from eqpart.graphs import hamming_graph
+from eqpart.localdist import tensor_structure
+g = hamming_graph(8, 2)
+weights = structure_from_coloring(g, distance_coloring(g, [0]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+tensor_structure(weights, weights)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_the_product_of_two_weight_colorings_of_h8_adds_under_30_mb():
+    """The pair coloring of H(8,2) x H(8,2) holds 65,536 colours where the
+    Kronecker product of the indicators held 65,536 rows of 81 entries
+    (66 MB of growth)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", PRODUCT_GROWTH_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert int(proc.stdout) < 30 * 1024

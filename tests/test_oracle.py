@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from eqpart.codes import hamming_code_vertices
 from eqpart.equitable import (
+    Coloring,
     PerfectStructure,
     all_one_coloring,
     distance_coloring,
@@ -81,3 +83,20 @@ def test_oracle_shape_errors():
         brute_distribution(g, [0], distance_coloring(other, [0]).indicator())
     with pytest.raises(ShapeError):
         brute_pair_distribution(g, distance_coloring(other, [0]), all_one_coloring(g))
+
+
+def test_the_oracle_counts_colours_without_a_list_per_class():
+    """Colours are counted as (distance, colour) pairs; what the call holds
+    is the distance list and the BFS queue (2.9 MB when the classes were
+    listed as vertex lists)."""
+    g = hamming_graph(16, 2)
+    weights = Coloring(g, tuple(bin(v).count("1") for v in range(g.n)), 17)
+    tracemalloc.start()
+    try:
+        rows = brute_distribution(g, [0], weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [[int(x) for x in rows.row(w)] for w in (0, 16)] == [
+        [1] + [0] * 16, [0] * 16 + [1]]
+    assert peak < 1_500_000

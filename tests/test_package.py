@@ -167,11 +167,12 @@ def test_records_are_frozen_values(cls):
     assert repr(a).startswith(f"{cls.__name__}(")
 
 
-def test_structure_equality_ignores_the_coloring():
-    with_coloring = _vertex_structure(H22)
-    bare = PerfectStructure(H22, with_coloring.values, with_coloring.params)
-    assert with_coloring.coloring is not None and bare.coloring is None
-    assert bare == with_coloring and hash(bare) == hash(with_coloring)
+def test_a_coloured_structure_is_not_the_structure_of_its_indicator():
+    coloured = _vertex_structure(H22)
+    dense = PerfectStructure(H22, coloured.value_matrix(), coloured.params)
+    assert coloured.values == distance_coloring(H22, [0])
+    assert dense.values == coloured.values.indicator() and dense != coloured
+    assert (dense.n_colors, dense.value_matrix()) == (coloured.n_colors, dense.values)
 
 
 def test_records_take_fields_by_position_or_keyword_with_defaults():

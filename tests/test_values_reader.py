@@ -2,11 +2,11 @@
 
 A coloring file stays its colours from the file to the oracle: S comes from
 one neighbour-count scan, f0 and the oracle count colours, and no N x k
-indicator matrix is built except by ``local distrib``, whose product formula
-takes structures.  Also here: code files are vertex sets, --coloring and
---structure exclude each other, colour indices are bounded before anything
-is allocated, a structure's coloring must agree with it, and a graph spec
-is read once per build.
+indicator matrix is built, ``local distrib`` included, whose structures
+hold colorings as their values.  Also here: code files are vertex sets,
+--coloring and --structure exclude each other, colour indices are bounded
+before anything is allocated, a structure's coloring must be over its host,
+and a graph spec is read once per build.
 """
 import json
 import os
@@ -26,7 +26,7 @@ from eqpart.equitable import (
     distance_coloring,
     structure_from_coloring,
 )
-from eqpart.errors import EqpartError, StructureError
+from eqpart.errors import EqpartError, ShapeError, StructureError
 from eqpart.graphs import hamming_graph, load_graph, read_spec
 from eqpart.ratmat import RatMatrix
 
@@ -89,7 +89,7 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(equitable, "_quotient_rows",
                         counting("scans", equitable._quotient_rows))
-    monkeypatch.setattr(equitable, "indicator", counting("indicators", equitable.indicator))
+    monkeypatch.setattr(Coloring, "indicator", counting("indicators", Coloring.indicator))
     monkeypatch.setattr(RatMatrix, "unit_columns",
                         counting("unit_columns", RatMatrix.unit_columns))
     return counts
@@ -144,18 +144,18 @@ def test_local_distrib_reads_each_colorings_colours_from_the_coloring(
     code, by_coloring, err = run(capsys, "local", "distrib", "--left", w5, "--right", w5,
                                  "--coloring", w5w5)
     assert (code, err) == (0, "")
-    # one decode per structure, for its agreement check; two scans per
-    # coloring (S, then the structure's check); the product rows are read
-    # to build the product graph and to compare it with the factors'
-    assert kernel_calls == {"scans": 6, "indicators": 3, "unit_columns": 3, "product_rows": 2}
-    # a structure file has no coloring: its colours are decoded from its
-    # unit rows, once to verify it and once for the pair counts
+    # two scans per coloring (S, then the structure's check), and no
+    # indicator or decode; the product rows are read to build the product
+    # graph and to compare it with the factors'
+    assert kernel_calls == {"scans": 6, "indicators": 0, "unit_columns": 0, "product_rows": 2}
+    # a structure file's values are a matrix: its colours are decoded from
+    # its unit rows, once to verify it and once for the pair counts
     unit = write(tmp_path, "unit.json", {"graph": product, **weight_structure(10)})
     kernel_calls.update(scans=0, indicators=0, unit_columns=0, product_rows=0)
     code, by_structure, err = run(capsys, "local", "distrib", "--left", w5, "--right", w5,
                                   "--structure", unit)
     assert (code, err, by_structure) == (0, "", by_coloring)
-    assert kernel_calls["unit_columns"] == 4
+    assert kernel_calls["unit_columns"] == 2
 
 
 def test_the_coloring_route_prints_what_the_indicator_structure_prints(capsys, files, tmp_path):
@@ -192,6 +192,19 @@ def test_crc_check_and_oracle_read_a_code_as_a_set_as_before(capsys, files, argv
     argv = [files.get(token, token) for token in argv]
     assert (run(capsys, *argv, "--code", files["code070"])
             == run(capsys, *argv, "--code", files["code07"]))
+
+
+@pytest.mark.parametrize("values", ["--coloring", "--structure"])
+@pytest.mark.parametrize("vertices", [[0, 99], [-1, 0], [8]])
+def test_a_code_vertex_out_of_range_ends_in_an_error_before_f0_is_summed(
+        capsys, files, tmp_path, values, vertices):
+    code_file = write(tmp_path, "code_out.json", vertices)
+    values_file = files["w3"] if values == "--coloring" else write(
+        tmp_path, "unit3.json", {"graph": ham(3), **weight_structure(3)})
+    code, out, err = run(capsys, "distrib", "code", "--graph", files["h3"], "--code", code_file,
+                         values, values_file)
+    assert (code, out) == (1, "")
+    assert err == f"error: row index out of range 0..7 in {tuple(vertices)}\n"
 
 
 # -- --coloring excludes --structure ----------------------------------------
@@ -268,31 +281,58 @@ def test_any_colors_array_ends_in_a_result_or_an_error(colors, command):
         assert main(argv) in (0, 1)  # an exception escaping main fails the test
 
 
-# -- a structure's coloring agrees with the structure -----------------------
+# -- a structure's coloring is its values -----------------------------------
 
 
 def test_a_structure_rejects_a_coloring_that_is_not_its_values():
     g = hamming_graph(3, 2)
     ones = structure_from_coloring(g, equitable.all_one_coloring(g))
-    with pytest.raises(StructureError, match="colors are not the unit columns"):
-        PerfectStructure(g, ones.values, ones.params, coloring=distance_coloring(g, [0]))
     other = hamming_graph(2, 2)
-    with pytest.raises(StructureError, match="different graph than the host"):
-        PerfectStructure(g, ones.values, ones.params,
-                         coloring=equitable.all_one_coloring(other))
+    with pytest.raises(StructureError, match="^coloring is over a different graph than the host$"):
+        PerfectStructure(g, equitable.all_one_coloring(other), ones.params)
     host = g.adjacency_matrix()
-    with pytest.raises(StructureError, match="different graph than the host"):
-        PerfectStructure(host, ones.values, ones.params, coloring=ones.coloring)
+    with pytest.raises(StructureError, match="^coloring is over a different graph than the host$"):
+        PerfectStructure(host, ones.values, ones.params)
 
 
 def test_the_internal_constructions_pass_the_coloring_check():
     g = hamming_graph(3, 2)
     col = distance_coloring(g, [0])
-    assert structure_from_coloring(g, col).coloring is col
+    assert structure_from_coloring(g, col).values is col
     from eqpart.localdist import tensor_structure
 
     pair = tensor_structure(structure_from_coloring(g, col), structure_from_coloring(g, col))
-    assert pair.coloring is not None
+    assert isinstance(pair.values, Coloring)
+
+
+def test_the_product_of_two_colorings_is_a_coloring_built_without_an_indicator(kernel_calls):
+    from eqpart.localdist import tensor_structure
+
+    g = hamming_graph(3, 2)
+    s1 = structure_from_coloring(g, distance_coloring(g, [0]))
+    s2 = structure_from_coloring(g, equitable.all_one_coloring(g))
+    pair = tensor_structure(s1, s2)
+    assert isinstance(pair.values, Coloring) and pair.n_colors == 4
+    assert pair.values.colors == tuple(c for c in s1.values.colors for _ in range(8))
+    assert (kernel_calls["indicators"], kernel_calls["unit_columns"]) == (0, 0)
+
+
+# the messages of the parent release, where the structure held the indicator
+WRONG_S = [[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 2, 1]]
+WRONG_S_MESSAGE = ("values do not satisfy the defining equation; first nonzero residual "
+                   "row 7: ['0', '0', '1', '-1']")
+
+
+def test_a_coloured_structure_with_a_wrong_s_reports_the_residual_of_its_indicator():
+    g = hamming_graph(3, 2)
+    col = distance_coloring(g, [0])
+    for values in (col, col.indicator()):
+        with pytest.raises(StructureError) as err:
+            PerfectStructure(g, values, RatMatrix(WRONG_S))
+        assert str(err.value) == WRONG_S_MESSAGE
+        with pytest.raises(ShapeError, match=r"^parameter matrix \(2, 2\) does not fit values "
+                                             r"\(8, 4\)$"):
+            PerfectStructure(g, values, RatMatrix([[0, 3], [1, 2]]))
 
 
 # -- a graph spec is read once per build ------------------------------------
