@@ -9,8 +9,8 @@ A run builds each graph spec once.  Every graph it needs (a command's own,
 the graph of a coloring or structure file, a product's factors) comes from
 one table per run, keyed by the spec as read; a file over another spec is
 built and compared with the command's graph by adjacency.  One reader gives
-the values f of --coloring or --structure (not both) and their parameters
-S; a coloring stays its colours.
+the values of --coloring or --structure (not both) as one PerfectStructure
+with S as its params; a coloring stays its colours, with S from its scan.
 
 Every ``distrib`` mode runs one pipeline, so each option means the same in
 all of them: --s gives S and --f0 the first row f0 (``vertex`` takes no
@@ -76,18 +76,18 @@ def _load_json(path: str, text: str | None = None):
         raise EqpartError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _read_values(load, coloring=None, structure=None, over=None) -> tuple:
-    """(f, S): the values in the coloring or the structure file at the given
-    path (a coloring may also be its JSON document), over a graph built by
-    ``load`` that passes ``over`` where given, and their parameter matrix;
-    (None, None) without a file.  A coloring is a Coloring, and S its
+def _read_values(load, coloring=None, structure=None, over=None) -> PerfectStructure | None:
+    """The PerfectStructure in the coloring or the structure file at the
+    given path (a coloring may also be its JSON document), over a graph
+    built by ``load`` that passes ``over`` where given; None without a
+    file.  Its params are S: a coloring's values are the Coloring, and S its
     quotient matrix, whose one scan also proves it equitable; a structure
-    is a PerfectStructure, verified on construction, and S its params."""
+    file is verified on construction against its own S."""
     if coloring is not None and structure is not None:
         raise EqpartError("give --coloring or --structure, not both")
     if coloring is None and structure is None:
-        return None, None
-    from .equitable import load_coloring, load_structure, quotient_matrix
+        return None
+    from .equitable import PerfectStructure, load_coloring, load_structure
     from .graphs import Graph
 
     if structure is not None:
@@ -98,7 +98,7 @@ def _read_values(load, coloring=None, structure=None, over=None) -> tuple:
         graph, what = f.graph, "coloring"
     if over is not None and not (isinstance(graph, Graph) and over(graph)):
         raise EqpartError(f"{what} file is over a different graph")
-    return f, f.params if structure is not None else quotient_matrix(graph, f)
+    return f if structure is not None else PerfectStructure(graph, f)
 
 
 def _load_matrix_file(path: str, load=None) -> RatMatrix:
@@ -111,7 +111,7 @@ def _load_matrix_file(path: str, load=None) -> RatMatrix:
     doc = _load_json(path)
     if isinstance(doc, dict):
         if load is not None and "colors" in doc:
-            return _read_values(load, doc)[1]
+            return _read_values(load, doc).params
         key = next((key for key in ("s", "matrix", "params", "R") if key in doc), None)
         if key is None:
             raise EqpartError(f"{path} holds no matrix under a known key")
@@ -180,8 +180,8 @@ def _cmd_gen(args, load) -> int:
 
 def _cmd_quotient(args, load) -> int:
     g = load(_load_json(args.graph))
-    col, s = _read_values(load, args.coloring, over=g.same_adjacency)
-    _emit({"k": col.n_colors, "s": s.to_strings()})
+    f = _read_values(load, args.coloring, over=g.same_adjacency)
+    _emit({"k": f.n_colors, "s": f.params.to_strings()})
     return 0
 
 
@@ -282,17 +282,16 @@ def _cmd_distrib(args, load) -> int:
     oracle; ``vertex`` reads its code from f) and its form, a function of S
     and f0.  Both build what they need through ``load`` when called."""
     spec, code_of, form = _DISTRIB_MODES[args.mode](args, load)
-    graph = code = f = s = None
+    graph = code = f = None
     if args.coloring or args.structure or args.verify_oracle:
         from .graphs import class_sums, vertex_values
 
         code = code_of()
         graph = load(spec)
-        f, s = _read_values(load, args.coloring, args.structure, graph.same_adjacency)
-    if args.s:
-        s = _load_matrix_file(args.s)
-    elif s is None:
+        f = _read_values(load, args.coloring, args.structure, graph.same_adjacency)
+    if not args.s and f is None:
         raise EqpartError("need --s or --coloring/--structure")
+    s = _load_matrix_file(args.s) if args.s else f.params
     f0 = None
     if args.mode != "vertex":
         if args.f0:
@@ -334,19 +333,16 @@ def _cmd_local_params(args, load) -> int:
 
 
 def _cmd_local_distrib(args, load) -> int:
-    """The product is the graph of the --coloring or --structure file, which
-    ``tensor_distribution`` compares row by row with the product of the
-    factors' graphs; no product is built from the factors."""
-    from .equitable import PerfectStructure, load_coloring, structure_from_coloring
+    """The factors are the --left and --right colorings and f the --coloring
+    or --structure file, all three read by ``_read_values``.  The product is
+    f's graph, which ``tensor_distribution`` compares row by row with the
+    product of the factors' graphs; no product is built from the factors."""
     from .localdist import tensor_distribution
 
-    left, right = (load_coloring(_load_json(path), load) for path in (args.left, args.right))
-    g1, g2 = (structure_from_coloring(col.graph, col) for col in (left, right))
-    f, s = _read_values(load, args.coloring, args.structure)
+    g1, g2 = (_read_values(load, path) for path in (args.left, args.right))
+    f = _read_values(load, args.coloring, args.structure)
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
-    if not isinstance(f, PerfectStructure):
-        f = PerfectStructure(f.graph, f, s)
     _emit(tensor_distribution(g1, g2, f).to_json())
     return 0
 
@@ -370,7 +366,7 @@ def _cmd_oracle(args, load) -> int:
     g = load(_load_json(args.graph))
     code = _load_code_file(args.code)
     # S goes unused, but deriving it proves a coloring equitable
-    f = _read_values(load, args.coloring, args.structure, g.same_adjacency)[0]
+    f = _read_values(load, args.coloring, args.structure, g.same_adjacency)
     if f is None:
         raise EqpartError("need --coloring or --structure for the summed values")
     _emit({"rows": brute_distribution(g, code, f).to_strings()})

@@ -172,21 +172,27 @@ def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
 class PerfectStructure(Record):
     """Values f with parameters S over a host A, A f = f S verified on
     construction.  f is an N x k RatMatrix or, over a graph, a Coloring,
-    verified by the neighbour-count scan of :func:`quotient_matrix`; its
-    indicator is built only when that scan fails, for the residual."""
+    verified by the neighbour-count scan of :func:`quotient_matrix`, which
+    gives S where it is omitted; its indicator is built only when that scan
+    fails, for the residual."""
 
     host: object  # Graph or square RatMatrix
     values: object  # RatMatrix, or Coloring over a Graph host
-    params: RatMatrix
+    params: RatMatrix | None = None  # None: the quotient matrix of a Coloring
 
     def __post_init__(self):
         f, s = self.values, self.params
         if isinstance(f, Coloring):
             if not (isinstance(self.host, Graph) and self.host.same_adjacency(f.graph)):
                 raise StructureError("coloring is over a different graph than the host")
+            if s is None:
+                object.__setattr__(self, "params", quotient_matrix(self.host, f))
+                return
             if s.shape() == (f.n_colors,) * 2 and _counts_match(self.host, f.colors, s):
                 return
             f = f.indicator()
+        elif s is None:
+            raise ShapeError("matrix values need a parameter matrix")
         ok, residual = verify_structure(self.host, f, s)
         if not ok:
             bad = next(i for i in range(residual.rows) if any(x != 0 for x in residual.row(i)))
@@ -214,12 +220,9 @@ class PerfectStructure(Record):
 
 def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
     """The coloring as a structure over products (:mod:`eqpart.localdist`):
-    the coloring itself as the values and its quotient matrix as S; no
-    indicator matrix is built.  The re-check in PerfectStructure runs the
-    scan that derived S, so it cannot catch a fault in quotient_matrix; the
-    counting oracle and the tests, which confirm S through a square
-    RatMatrix host, are the independent checks."""
-    return PerfectStructure(g, c, quotient_matrix(g, c))
+    the coloring itself as the values and its quotient matrix, from one
+    neighbour-count scan, as S; no indicator matrix is built."""
+    return PerfectStructure(g, c)
 
 
 def distance_coloring(g: Graph, code: Iterable[int]) -> Coloring:

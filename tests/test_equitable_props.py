@@ -7,14 +7,18 @@ dense route ``verify_structure(A, indicator, S)`` over the adjacency matrix,
 which does not run the scan, confirms A f = f S; or ``NotEquitableError``
 names the first vertex, in vertex order, whose neighbour counts per colour
 differ from those of the first vertex of its colour, with the counts this
-test computes itself.
+test computes itself.  A structure of the coloring given no S,
+``PerfectStructure(g, coloring)``, takes the same S (which the dense route
+confirms as its parameters) or raises the same witness.
 """
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqpart.equitable import (
+    PerfectStructure,
     coloring_from_list,
     distance_coloring,
     quotient_matrix,
@@ -63,9 +67,13 @@ def test_quotient_or_first_witness_after_one_recolouring(case):
         bad = next(v for v in range(g.n) if counts[v] != counts[first[colors[v]]])
         assert exc.witness == (first[colors[bad]], bad)
         assert exc.profiles == (counts[first[colors[bad]]], counts[bad])
+        with pytest.raises(NotEquitableError) as derived:
+            PerfectStructure(g, col)
+        assert (derived.value.witness, derived.value.profiles) == (exc.witness, exc.profiles)
     else:
         assert all(counts[v] == counts[first[colors[v]]] for v in range(g.n))
         ok, residual = verify_structure(g.adjacency_matrix(), col.indicator(), s)
         assert ok and residual.is_zero()
         assert fractions_of(s) == [[Fraction(x) for x in counts[first[i]]] for i in range(k)]
         assert verify_structure(g, col.indicator(), s)[0]
+        assert PerfectStructure(g, col).params == s

@@ -76,6 +76,10 @@ def runs(tmp_path_factory):
         "vertex_oracle": loaded_by("distrib", "vertex", "--graph", str(h4), "--coloring",
                                    str(weights), "--color", "1", "--verify-oracle"),
         "quotient": loaded_by("quotient", "--graph", str(h4), "--coloring", str(weights)),
+        "oracle": loaded_by("oracle", "--graph", str(h4), "--code", str(code),
+                            "--coloring", str(weights)),
+        "local_params": loaded_by("local", "params", "--left", str(h3_weights),
+                                  "--right", str(weights)),
         "crc-check": loaded_by("crc-check", "--graph", str(h4), "--code", str(code)),
         "code_oracle": loaded_by("distrib", "code", "--graph", str(h4), "--code", str(code),
                                  "--coloring", str(weights), "--verify-oracle"),
@@ -117,7 +121,8 @@ def test_graph_free_closed_form_loads_no_graph_polynomial_or_fraction_code(runs,
     assert not eqpart_modules(loaded) & STRUCTURE_MODULES
 
 
-@pytest.mark.parametrize("run", ["vertex_oracle", "quotient", "crc-check"])
+@pytest.mark.parametrize("run", ["vertex_oracle", "quotient", "crc-check", "oracle",
+                                 "local_params"])
 def test_graph_route_on_a_coloring_loads_no_fraction_code(runs, run):
     assert "eqpart.graphs" in runs[run]
     assert not runs[run] & {"fractions", "decimal", "numbers"}

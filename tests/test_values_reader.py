@@ -3,10 +3,10 @@
 A coloring file stays its colours from the file to the oracle: S comes from
 one neighbour-count scan, f0 and the oracle count colours, and no N x k
 indicator matrix is built, ``local distrib`` included, whose structures
-hold colorings as their values.  Also here: code files are vertex sets,
---coloring and --structure exclude each other, colour indices are bounded
-before anything is allocated, a structure's coloring must be over its host,
-and a graph spec is read once per build.
+hold colorings as their values and take S from that one scan.  Also here:
+code files are vertex sets, --coloring and --structure exclude each other,
+colour indices are bounded before anything is allocated, a structure's
+coloring must be over its host, and a graph spec is read once per build.
 """
 import json
 import os
@@ -116,8 +116,7 @@ def test_local_distrib_builds_structures_from_three_colorings_at_most_once_each(
     code, _, err = run(capsys, "local", "distrib", "--left", files["w2"], "--right", files["w2"],
                        "--coloring", files["w2w2"])
     assert (code, err) == (0, "")
-    assert kernel_calls["scans"] <= 6
-    assert kernel_calls["indicators"] <= 3
+    assert (kernel_calls["scans"], kernel_calls["indicators"]) == (3, 0)
 
 
 def weight_structure(n):
@@ -144,10 +143,10 @@ def test_local_distrib_reads_each_colorings_colours_from_the_coloring(
     code, by_coloring, err = run(capsys, "local", "distrib", "--left", w5, "--right", w5,
                                  "--coloring", w5w5)
     assert (code, err) == (0, "")
-    # two scans per coloring (S, then the structure's check), and no
-    # indicator or decode; the product rows are read to build the product
+    # one scan per coloring, which gives its S and proves it equitable, and
+    # no indicator or decode; the product rows are read to build the product
     # graph and to compare it with the factors'
-    assert kernel_calls == {"scans": 6, "indicators": 0, "unit_columns": 0, "product_rows": 2}
+    assert kernel_calls == {"scans": 3, "indicators": 0, "unit_columns": 0, "product_rows": 2}
     # a structure file's values are a matrix: its colours are decoded from
     # its unit rows, once to verify it and once for the pair counts
     unit = write(tmp_path, "unit.json", {"graph": product, **weight_structure(10)})
@@ -293,6 +292,9 @@ def test_a_structure_rejects_a_coloring_that_is_not_its_values():
     host = g.adjacency_matrix()
     with pytest.raises(StructureError, match="^coloring is over a different graph than the host$"):
         PerfectStructure(host, ones.values, ones.params)
+    for wrong_host in (other, host):  # checked before S is derived
+        with pytest.raises(StructureError, match="^coloring is over a different graph"):
+            PerfectStructure(wrong_host, ones.values)
 
 
 def test_the_internal_constructions_pass_the_coloring_check():
@@ -323,9 +325,15 @@ WRONG_S_MESSAGE = ("values do not satisfy the defining equation; first nonzero r
                    "row 7: ['0', '0', '1', '-1']")
 
 
-def test_a_coloured_structure_with_a_wrong_s_reports_the_residual_of_its_indicator():
+def test_a_coloured_structure_with_a_wrong_s_reports_the_residual_of_its_indicator(monkeypatch):
     g = hamming_graph(3, 2)
     col = distance_coloring(g, [0])
+
+    def derived(*args):
+        raise AssertionError("a given S is derived again")
+
+    # a given S is checked, never replaced by the quotient matrix
+    monkeypatch.setattr(equitable, "quotient_matrix", derived)
     for values in (col, col.indicator()):
         with pytest.raises(StructureError) as err:
             PerfectStructure(g, values, RatMatrix(WRONG_S))
@@ -333,6 +341,23 @@ def test_a_coloured_structure_with_a_wrong_s_reports_the_residual_of_its_indicat
         with pytest.raises(ShapeError, match=r"^parameter matrix \(2, 2\) does not fit values "
                                              r"\(8, 4\)$"):
             PerfectStructure(g, values, RatMatrix([[0, 3], [1, 2]]))
+
+
+def test_a_coloured_structure_given_no_s_takes_the_quotient_matrix_of_one_scan(kernel_calls):
+    g = hamming_graph(3, 2)
+    col = distance_coloring(g, [0])
+    derived = PerfectStructure(g, col)
+    assert (kernel_calls["scans"], kernel_calls["indicators"]) == (1, 0)
+    assert derived.params == equitable.quotient_matrix(g, col)
+    assert derived == PerfectStructure(g, col, derived.params)
+    assert structure_from_coloring(g, col) == derived
+
+
+def test_matrix_values_given_no_s_raise_a_shape_error():
+    g = hamming_graph(3, 2)
+    for host in (g, g.adjacency_matrix()):
+        with pytest.raises(ShapeError, match="^matrix values need a parameter matrix$"):
+            PerfectStructure(host, RatMatrix([[1]] * 8))
 
 
 # -- a graph spec is read once per build ------------------------------------
