@@ -10,7 +10,8 @@ the graph of a coloring or structure file, a product's factors) comes from
 one table per run, keyed by the spec as read; a file over another spec is
 built and compared with the command's graph by adjacency.  One reader gives
 the values of --coloring or --structure (not both) as one PerfectStructure
-with S as its params; a coloring stays its colours, with S from its scan.
+with S as its params; a coloring stays its colours, with S from its scan,
+and so does a structure file whose rows are a coloring's unit rows.
 
 Every ``distrib`` mode runs one pipeline, so each option means the same in
 all of them: --s gives S and --f0 the first row f0 (``vertex`` takes no
@@ -161,6 +162,22 @@ def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
     )
 
 
+def _vertex_of_color(values, color: int) -> int:
+    """The first vertex whose value, in a Coloring or a matrix, is e_color."""
+    from .ratmat import RatMatrix
+
+    v = None
+    if 0 <= color < values.cols and isinstance(values, RatMatrix):
+        unit = RatMatrix.row_vector(int(j == color) for j in range(values.cols))
+        v = next((v for v in range(values.rows) if values.sum_rows([[v]]) == unit), None)
+    elif 0 <= color < values.cols:
+        v = values.colors.index(color)  # no class of a coloring is empty
+    if v is None:
+        raise EqpartError(f"--verify-oracle for a vertex needs 0/1 values with a "
+                          f"vertex of color {color}")
+    return v
+
+
 # -- commands ---------------------------------------------------------------
 #
 # Each handler takes the parsed arguments and the run's graph loader.
@@ -284,7 +301,7 @@ def _cmd_distrib(args, load) -> int:
     spec, code_of, form = _DISTRIB_MODES[args.mode](args, load)
     graph = code = f = None
     if args.coloring or args.structure or args.verify_oracle:
-        from .graphs import class_sums, vertex_values
+        from .graphs import class_sums
 
         code = code_of()
         graph = load(spec)
@@ -302,19 +319,15 @@ def _cmd_distrib(args, load) -> int:
             labels = [None] * graph.n  # 0 on the code: class_sums' row 0 is f summed over it
             for v in code:
                 labels[v] = 0
-            f0 = class_sums(vertex_values(graph, f), labels, 1)
+            f0 = class_sums(f.values, labels, 1)
         else:
             raise EqpartError("need --f0 or --coloring/--structure")
     rows = form(s, f0)
     if args.verify_oracle:
         if f is None:
             raise EqpartError("--verify-oracle needs --coloring or --structure")
-        if args.mode == "vertex":  # the first vertex whose value is e_color
-            colors = vertex_values(graph, f)[0] or ()
-            if args.color not in colors:
-                raise EqpartError(f"--verify-oracle for a vertex needs 0/1 values with a "
-                                  f"vertex of color {args.color}")
-            code = [colors.index(args.color)]
+        if args.mode == "vertex":
+            code = [_vertex_of_color(f.values, args.color)]
         from .oracle import brute_distribution
 
         brute = brute_distribution(graph, code, f)

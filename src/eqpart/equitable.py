@@ -4,7 +4,8 @@ A coloring of a graph is perfect (the partition is equitable) when every
 vertex of color i has the same number S_ij of neighbors of color j; S is the
 quotient matrix.  More generally, any N x k matrix f with A f = f S is a
 perfect structure over the square matrix A; colorings are the 0/1-row case,
-and a structure holds one as its values without an indicator matrix.
+and a Coloring is such a value matrix, with its indicator's shape but no
+indicator built: :func:`verify_structure` checks either kind of values.
 
 A vertex set is a completely regular code exactly when its distance coloring
 is perfect, in which case the quotient matrix is tridiagonal and the number
@@ -59,6 +60,14 @@ class Coloring(Record):
                 seen[c] = True
         if False in seen:
             raise EqpartError(f"color class {seen.index(False)} is empty")
+
+    @property
+    def rows(self) -> int:  # rows and cols: the shape of the indicator
+        return len(self.colors)
+
+    @property
+    def cols(self) -> int:
+        return self.n_colors
 
     def indicator(self) -> RatMatrix:
         """N x k matrix whose row v is the unit vector e_c of the vertex's
@@ -124,57 +133,47 @@ def quotient_matrix(g: Graph, c: Coloring) -> RatMatrix:
     return RatMatrix(_quotient_rows(g, c.colors, c.n_colors))
 
 
-def _counts_match(g: Graph, colors: Sequence[int], s: RatMatrix) -> bool:
-    """Whether A f = f S for the indicator f of ``colors`` over ``g``: the
-    coloring is equitable and its quotient rows are S's rows (the rows of
-    colors that no vertex has are not compared)."""
-    try:
-        rows = _quotient_rows(g, colors, s.rows)
-    except NotEquitableError:
-        return False
-    used = [i for i, row in enumerate(rows) if row is not None]
-    return RatMatrix([rows[i] for i in used]) == s.sum_rows([i] for i in used)
-
-
-def verify_structure(a, f: RatMatrix, s: RatMatrix) -> tuple[bool, RatMatrix]:
+def verify_structure(a, f, s: RatMatrix) -> tuple[bool, RatMatrix]:
     """Check A f = f S exactly; returns (ok, residual) with residual = Af - fS.
 
-    ``a`` is a Graph, whose A f sums the rows of f over each vertex's
-    neighbours (``f.sum_rows(adj)``: O(edges) additions of integer
-    numerators), or a square RatMatrix, whose A f is the matrix product.
-    When every row of f is a unit vector (a coloring's indicator matrix),
-    f S is S's rows picked by the rows' colors, O(N k) instead of the
-    O(N k**2) product.  Over a graph, such an f is first checked by the
-    neighbor-count scan of :func:`quotient_matrix`: A f = f S exactly when
-    the coloring is equitable with S's rows as its quotient rows.  The
-    residual is computed only when that check fails.
+    ``a`` is a Graph, whose A f is ``f.sum_rows(adj)`` (O(edges) additions
+    of integer numerators), or a square RatMatrix, whose A f is the matrix
+    product.  ``f`` is an N x k RatMatrix or a Coloring, the 0/1 matrix of
+    its unit rows.  Over a graph, a Coloring is checked by the neighbor-count
+    scan of :func:`quotient_matrix`: A f = f S exactly when the coloring is
+    equitable with S's rows as its quotient rows.  Its residual is computed
+    only when that scan fails, with f S as S's rows picked by the colors.
     """
     if not s.is_square() or s.rows != f.cols:
-        raise ShapeError(f"parameter matrix {s.shape()} does not fit values {f.shape()}")
-    cols = f.unit_columns()
+        raise ShapeError(f"parameter matrix {s.shape()} does not fit values {(f.rows, f.cols)}")
     if isinstance(a, Graph):
         if a.n != f.rows:
             raise ShapeError(f"value matrix has {f.rows} rows for {a.n} vertices")
-        if cols is not None and _counts_match(a, cols, s):
-            return True, RatMatrix.zeros(f.rows, f.cols)
-        af = f.sum_rows(a.adj)
+        if isinstance(f, Coloring):
+            try:
+                if RatMatrix(_quotient_rows(a, f.colors, f.cols)) == s:
+                    return True, RatMatrix.zeros(f.rows, f.cols)
+            except NotEquitableError:
+                pass  # the residual names the first row that fails
     elif isinstance(a, RatMatrix):
         if not a.is_square() or a.rows != f.rows:
-            raise ShapeError(f"host matrix {a.shape()} does not fit values {f.shape()}")
-        af = a @ f
+            raise ShapeError(f"host matrix {a.shape()} does not fit values {(f.rows, f.cols)}")
     else:
         raise ShapeError(f"host must be a Graph or RatMatrix, not {type(a).__name__}")
-    fs = f @ s if cols is None else s.sum_rows([j] for j in cols)
-    residual = af - fs
+    if isinstance(f, Coloring):
+        fs = s.sum_rows([c] for c in f.colors)
+        f = f.indicator()
+    else:
+        fs = f @ s
+    residual = (f.sum_rows(a.adj) if isinstance(a, Graph) else a @ f) - fs
     return residual.is_zero(), residual
 
 
 class PerfectStructure(Record):
     """Values f with parameters S over a host A, A f = f S verified on
-    construction.  f is an N x k RatMatrix or, over a graph, a Coloring,
-    verified by the neighbour-count scan of :func:`quotient_matrix`, which
-    gives S where it is omitted; its indicator is built only when that scan
-    fails, for the residual."""
+    construction by :func:`verify_structure`.  f is an N x k RatMatrix or,
+    over a graph, a Coloring; a Coloring may omit S, which is then its
+    quotient matrix, from the one scan that also proves it equitable."""
 
     host: object  # Graph or square RatMatrix
     values: object  # RatMatrix, or Coloring over a Graph host
@@ -188,9 +187,6 @@ class PerfectStructure(Record):
             if s is None:
                 object.__setattr__(self, "params", quotient_matrix(self.host, f))
                 return
-            if s.shape() == (f.n_colors,) * 2 and _counts_match(self.host, f.colors, s):
-                return
-            f = f.indicator()
         elif s is None:
             raise ShapeError("matrix values need a parameter matrix")
         ok, residual = verify_structure(self.host, f, s)
@@ -209,8 +205,7 @@ class PerfectStructure(Record):
 
     @property
     def n_colors(self) -> int:
-        f = self.values
-        return f.n_colors if isinstance(f, Coloring) else f.cols
+        return self.values.cols
 
     def value_matrix(self) -> RatMatrix:
         """The values as an N x k matrix (a coloring's indicator, built anew)."""
@@ -319,7 +314,9 @@ def read_structure(spec: dict, load: Callable[[dict], Graph] = load_graph) -> tu
     """Read the host, f and s of {"graph"|"matrix": ..., "f": [[...]],
     "s": [[...]]} with "p/q" entries, without checking A f = f S.
 
-    ``load`` builds a "graph" host, as for :func:`load_coloring`."""
+    Over a graph, unit rows that use every column are read as that Coloring
+    (with a column unused they stay a matrix: no class of a Coloring is
+    empty).  ``load`` builds a "graph" host, as for :func:`load_coloring`."""
     from .ratmat import from_json
 
     if isinstance(spec, dict) and "graph" in spec:
@@ -329,7 +326,12 @@ def read_structure(spec: dict, load: Callable[[dict], Graph] = load_graph) -> tu
     else:
         raise EqpartError('structure file needs a "graph" or "matrix" key')
     f = from_json(read_key(spec, "f", "structure file"))
-    return host, f, from_json(read_key(spec, "s", "structure file"))
+    s = from_json(read_key(spec, "s", "structure file"))
+    if isinstance(host, Graph) and f.rows == host.n:
+        colors = f.unit_columns()
+        if colors is not None and len(set(colors)) == f.cols:
+            f = Coloring(host, tuple(colors), f.cols)
+    return host, f, s
 
 
 def load_structure(spec: dict, load: Callable[[dict], Graph] = load_graph) -> PerfectStructure:

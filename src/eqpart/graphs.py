@@ -267,28 +267,6 @@ def distances_from_set(g: Graph, code: Iterable[int]) -> tuple[list[int], int]:
     return dist, max(dist)
 
 
-def vertex_values(g: Graph, f) -> tuple:
-    """The per-vertex values of ``f`` over ``g``, as (colors, values, k).
-
-    ``f`` is a coloring, a perfect structure or a RatMatrix with one row per
-    vertex.  k is the length of a row and values the RatMatrix of rows (None
-    for a coloring).  colors lists each vertex's c when every row is a unit
-    vector e_c, and is None otherwise: a coloring, or a structure whose
-    values are one, gives its colours as they are, and a matrix is decoded
-    by ``unit_columns``."""
-    f = getattr(f, "values", f)
-    colors = getattr(f, "colors", None)
-    if colors is not None:
-        values, n, k = None, len(colors), f.n_colors
-    else:
-        if not isinstance(f, RatMatrix):
-            raise ShapeError(f"cannot read per-vertex values from {type(f).__name__}")
-        values, n, k, colors = f, f.rows, f.cols, f.unit_columns()
-    if n != g.n:
-        raise ShapeError(f"value matrix has {n} rows for {g.n} vertices")
-    return colors, values, k
-
-
 def groups_of(labels: Sequence, n_classes: int) -> list[list[int]]:
     """Entry i lists the vertices v with ``labels[v] == i``, in order; a
     vertex labelled None is in no entry."""
@@ -299,15 +277,24 @@ def groups_of(labels: Sequence, n_classes: int) -> list[list[int]]:
     return groups
 
 
-def class_sums(per_vertex: tuple, labels: Sequence, n_classes: int) -> RatMatrix:
-    """The matrix whose row i sums the values, as :func:`vertex_values` read
-    them, of the vertices v with ``labels[v] == i`` (None for no row), for
-    i = 0 .. n_classes-1.  Unit vectors e_c are counted as (label, c) pairs
-    in one pass, in plain ints; other rows are summed by
-    ``RatMatrix.sum_rows`` over :func:`groups_of`."""
-    colors, values, k = per_vertex
+def class_sums(f, labels: Sequence, n_classes: int) -> RatMatrix:
+    """The matrix whose row i sums the values of f over the vertices v with
+    ``labels[v] == i`` (None for no row), for i = 0 .. n_classes-1.
+
+    ``f`` is a Coloring, whose value at a vertex is the unit vector e_c of
+    its color c, or a RatMatrix with one row per vertex, or a structure
+    holding either as its values.  Colors are counted as (label, c) pairs in
+    one pass, in plain ints; matrix rows are summed by ``RatMatrix.sum_rows``
+    over :func:`groups_of`."""
+    f = getattr(f, "values", f)
+    colors = getattr(f, "colors", None)
+    if colors is None and not isinstance(f, RatMatrix):
+        raise ShapeError(f"cannot read per-vertex values from {type(f).__name__}")
+    if f.rows != len(labels):
+        raise ShapeError(f"value matrix has {f.rows} rows for {len(labels)} vertices")
     if colors is None:
-        return values.sum_rows(groups_of(labels, n_classes))
+        return f.sum_rows(groups_of(labels, n_classes))
+    k = f.cols
     counts = [0] * (n_classes * k)
     for i, c in zip(labels, colors):
         if i is not None:

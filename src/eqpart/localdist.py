@@ -24,26 +24,19 @@ from ._record import Record
 from .distributions import reconstruct_local, star_params  # noqa: F401 - re-exported
 from .equitable import Coloring, PerfectStructure, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
-from .graphs import (
-    DEFAULT_VERTEX_BUDGET,
-    Graph,
-    class_sums,
-    direct_product,
-    is_direct_product,
-    vertex_values,
-)
+from .graphs import DEFAULT_VERTEX_BUDGET, Graph, class_sums, direct_product, is_direct_product
 from .ratmat import RatMatrix, tensor
 
 
 def _pair_colors(g1: PerfectStructure, g2: PerfectStructure) -> list[int] | None:
     """The pair coloring (i1, i2) -> i1 * k2 + i2 of the direct product, in
-    its vertex order, when both factors have colours as
-    :func:`~eqpart.graphs.vertex_values` reads them (values that are a
-    coloring, or whose rows are all unit vectors); None otherwise."""
-    (c1, _, _), (c2, _, k2) = (vertex_values(g.graph, g) for g in (g1, g2))
-    if c1 is None or c2 is None:
+    its vertex order, when the values of both factors are colorings; None
+    otherwise."""
+    c1, c2 = g1.values, g2.values
+    if not (isinstance(c1, Coloring) and isinstance(c2, Coloring)):
         return None
-    return [i1 * k2 + i2 for i1 in c1 for i2 in c2]
+    k2 = c2.n_colors
+    return [i1 * k2 + i2 for i1 in c1.colors for i2 in c2.colors]
 
 
 def tensor_structure(
@@ -57,8 +50,9 @@ def tensor_structure(
     return is itself the structural proof.
     """
     prod_graph = direct_product(g1.graph, g2.graph, budget)
-    if isinstance(g1.values, Coloring) and isinstance(g2.values, Coloring):
-        values = Coloring(prod_graph, tuple(_pair_colors(g1, g2)), g1.n_colors * g2.n_colors)
+    pairs = _pair_colors(g1, g2)
+    if pairs is not None:
+        values = Coloring(prod_graph, tuple(pairs), g1.n_colors * g2.n_colors)
     else:
         values = tensor(g1.value_matrix(), g2.value_matrix())
     return PerfectStructure(prod_graph, values, tensor_params(g1.params, g2.params))
@@ -125,7 +119,7 @@ def tensor_distribution(
         h = tensor(g1.value_matrix(), g2.value_matrix()).transpose() @ f.value_matrix()
     else:
         # the contingency sums of f over the pair colors
-        h = class_sums(vertex_values(f.host, f), pairs, k1 * k2)
+        h = class_sums(f.values, pairs, k1 * k2)
     lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h
     if lhs != h @ f.params:
         raise StructureError("product distribution identity failed")

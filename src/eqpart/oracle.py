@@ -10,16 +10,15 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import ShapeError
-from .graphs import Graph, class_sums, distances_from_set, vertex_values
+from .graphs import Graph, class_sums, distances_from_set
 from .ratmat import RatMatrix
 
 
 def brute_distribution(g: Graph, code: Iterable[int], f) -> RatMatrix:
     """Row w = sum of f over the vertices at distance w from the set,
     for w = 0 .. covering radius."""
-    values = vertex_values(g, f)
     dist, rho = distances_from_set(g, code)
-    return class_sums(values, dist, rho + 1)
+    return class_sums(f, dist, rho + 1)
 
 
 # the name the benchmark tracer wraps
@@ -32,4 +31,4 @@ def brute_pair_distribution(g: Graph, gcol, f) -> RatMatrix:
     gcolors = getattr(gcol, "colors", None)
     if gcolors is None or len(gcolors) != g.n:
         raise ShapeError("first argument must be a coloring of the same graph")
-    return class_sums(vertex_values(g, f), gcolors, gcol.n_colors)
+    return class_sums(f, gcolors, gcol.n_colors)

@@ -251,9 +251,8 @@ class RatMatrix:
 
     def unit_columns(self) -> list[int] | None:
         """For each row that is a unit vector e_j, its j; None when some row
-        is not one.  A 0/1 indicator matrix f has them all, and then f @ S
-        is S's rows picked by the list, in O(rows * cols) instead of
-        O(rows * cols**2)."""
+        is not one.  A 0/1 indicator matrix has them all: its colors, as a
+        structure file's values are read as a coloring."""
         if self._den != 1:
             return None
         zeros = self.cols - 1

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from eqpart.errors import EqpartError, ShapeError
-from eqpart.graphs import Graph, bfs_distances, class_sums, vertex_values
+from eqpart.graphs import Graph, bfs_distances, class_sums
 from eqpart.polys import poly_add, poly_mul_x, poly_scale
 from eqpart.ratmat import RatMatrix, parse_rational, row_poly_eval
 
@@ -268,11 +268,10 @@ def distance_w_sum(g: Graph, v: int, w: int, f) -> tuple:
     ``f`` may be a RatMatrix of per-vertex rows, a perfect structure, or a
     coloring.
     """
-    values = vertex_values(g, f)
     dist = bfs_distances(g, [v])
     if w < 0 or w > max(dist):
         raise EqpartError(f"distance {w} out of range (eccentricity {max(dist)})")
-    return class_sums(values, dist, max(dist) + 1).row(w)
+    return class_sums(f, dist, max(dist) + 1).row(w)
 
 
 # -- Fraction-level matrix polynomials, solves and the polynomial route ------------

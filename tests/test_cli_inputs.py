@@ -4,11 +4,15 @@ colour values, and rationals written only as integers or "p/q".
 Every malformed value ends in ``error: ...`` and exit code 1, never in a
 traceback (an exception escaping ``main`` fails these tests).
 """
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqpart import equitable, graphs, localdist
 from eqpart.cli import main
@@ -378,3 +382,107 @@ def test_wrong_width_row_has_one_message_in_every_mode(capsys, tmp_path, mode):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: row of shape (1, 1) does not fit (2, 2)\n"
+
+
+# -- fuzzed JSON in every file option ------------------------------------------------
+
+# "@name" is a valid file of FUZZ_FILES; one of them is replaced by fuzzed JSON
+FUZZ_COMMANDS = [
+    ["gen", "product", "--left", "@G", "--right", "@G1"],
+    ["quotient", "--graph", "@G", "--coloring", "@C"],
+    ["verify", "--structure", "@T"],
+    ["crc-check", "--graph", "@G", "--code", "@K"],
+    ["distrib", "vertex", "--graph", "@G", "--color", "0", "--coloring", "@C", "--verify-oracle"],
+    ["distrib", "vertex", "--graph", "@G", "--color", "0", "--structure", "@T", "--verify-oracle"],
+    ["distrib", "vertex", "--graph", "@G", "--color", "0", "--s", "@S"],
+    ["distrib", "code", "--graph", "@G", "--code", "@K", "--coloring", "@C", "--verify-oracle"],
+    ["distrib", "code", "--graph", "@G", "--code", "@K", "--structure", "@T"],
+    ["distrib", "code", "--graph", "@G", "--code", "@K", "--s", "@S", "--f0", "[1, 0, 0, 0]"],
+    ["distrib", "lattice", "-m", "3", "-k", "1", "-q", "2", "--coloring", "@C", "--verify-oracle"],
+    ["distrib", "lattice", "-m", "3", "-k", "1", "-q", "2", "--s", "@S", "--f0", "[1, 0, 0, 0]"],
+    ["distrib", "fiber", "--left", "@G1", "--right", "@G", "--s", "@S", "--f0", "[1, 0, 0, 0]"],
+    ["distrib", "pcube", "-n", "3", "-p", "1", "-q", "2", "--structure", "@T", "--verify-oracle"],
+    ["local", "params", "--left", "@C2", "--right", "@S"],
+    ["local", "distrib", "--left", "@C2", "--right", "@C2", "--coloring", "@CC"],
+    ["local", "distrib", "--left", "@C2", "--right", "@C2", "--structure", "@TT"],
+    ["local", "reconstruct", "--graph", "@G", "--right-s", "@S1", "--s", "@S1", "--h0", "[1]"],
+    ["oracle", "--graph", "@G", "--code", "@K", "--coloring", "@C"],
+    ["oracle", "--graph", "@G", "--code", "@K", "--structure", "@T"],
+]
+H2H2 = {"gen": "product", "left": h(2), "right": h(2)}
+FUZZ_FILES = {
+    "G": h(3), "G1": h(1), "K": [0], "S1": [[1]],
+    "S": [[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]],
+    "C": vertex_coloring(h(3), 3), "C2": vertex_coloring(h(2), 2),
+    "CC": vertex_coloring(H2H2, 4),
+    "T": {"graph": h(3), "f": [[1]] * 8, "s": [[3]]},
+    # the constant and the weight function of the 4-cube: A f = f S
+    "TT": {"graph": H2H2, "f": [[1, bin(v).count("1")] for v in range(16)],
+           "s": [[4, 4], [0, 2]]},
+}
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 9) | st.integers(-10**30, 10**30)
+          | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3)
+          | st.sampled_from(["1/2", "-3", "1/0", "hamming", "johnson", "halved", "product",
+                             "even"]))
+KEYS = st.sampled_from(["gen", "n", "q", "k", "sign", "left", "right", "graph", "matrix",
+                        "colors", "f", "s", "params", "R", "vertices", "n_vertices", "edges",
+                        "labels"]) | st.text(max_size=2)
+FUZZ_JSON = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=5) | st.dictionaries(KEYS, inner, max_size=5),
+    max_leaves=20)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one subtree, or the whole of it, replaced by fuzzed JSON."""
+    if isinstance(doc, (list, dict)) and doc and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+        copy = dict(doc) if isinstance(doc, dict) else list(doc)
+        copy[key] = draw(mutated(doc[key]))
+        return copy
+    return draw(FUZZ_JSON)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_FILES.items():
+        write(directory, f"{name}.json", doc)
+    return directory
+
+
+def test_every_fuzz_command_succeeds_on_its_valid_files(fuzz_dir):
+    for argv in FUZZ_COMMANDS:
+        argv = [str(fuzz_dir / f"{t[1:]}.json") if t.startswith("@") else t for t in argv]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_json_in_any_file_option_ends_in_one_error_line(fuzz_dir, data):
+    """Each run ends in exit 1 with one ``error:`` line or exit 2 with a
+    usage message, unless it prints a result: where the fuzzed file happens
+    to be valid (exit 0), or a structure that ``verify`` finds failing (exit
+    1).  An exception escaping ``main`` fails the test."""
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS), label="argv")
+    at = data.draw(st.sampled_from([i for i, t in enumerate(argv) if t.startswith("@")]),
+                   label="option")
+    fuzz = fuzz_dir / "fuzz.json"
+    fuzz.write_text(json.dumps(data.draw(mutated(FUZZ_FILES[argv[at][1:]]), label="doc")))
+    argv = [str(fuzz) if i == at else str(fuzz_dir / f"{t[1:]}.json") if t.startswith("@")
+            else t for i, t in enumerate(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*argv, "--vertex-budget", "64"])
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if not err:
+        result = json.loads(out.getvalue())
+        assert code == 0 or (argv[0], code, result["ok"]) == ("verify", 1, False)
+    else:
+        assert code in (1, 2) and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("error: " if code == 1 else "usage: ")

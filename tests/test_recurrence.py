@@ -18,7 +18,12 @@ from eqpart.cli import main
 from eqpart import distributions
 from eqpart.distributions import pcube_distribution, reconstruct_from_first_row
 from eqpart.drg import IntersectionArray, krawtchouk_p_polynomials, p_polynomials
-from eqpart.equitable import distance_coloring, structure_from_coloring, verify_structure
+from eqpart.equitable import (
+    Coloring,
+    distance_coloring,
+    structure_from_coloring,
+    verify_structure,
+)
 from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import graph_from_edges, hamming_graph
 from eqpart.ratmat import RatMatrix, recurrence_rows, tridiagonal
@@ -172,7 +177,7 @@ def test_a_kernel_that_drops_a_term_fails_the_certificate(monkeypatch):
         reconstruct_from_first_row(b, s, [1, 0, 0, 0])
 
 
-# -- the indicator shortcut of verify_structure -----------------------------------
+# -- unit rows, and verify_structure on both kinds of values ----------------------
 
 
 @PROPS
@@ -196,28 +201,35 @@ def test_unit_columns_is_none_unless_every_row_is_a_unit_vector(rows):
 @st.composite
 def graph_values_params(draw):
     """A random graph, a coloring's indicator matrix or arbitrary values on
-    it, and a parameter matrix that mostly does not fit them."""
+    it, a parameter matrix that mostly does not fit them, and the Coloring
+    of the indicator where no class is empty (else None)."""
     n = draw(st.integers(1, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     k = draw(st.integers(1, 4))
+    g, col = graph_from_edges(n, edges), None
     if draw(st.booleans()):
         colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
         f = [[int(j == c) for j in range(k)] for c in colors]
+        if len(set(colors)) == k:
+            col = Coloring(g, tuple(colors), k)
     else:
         f = draw(st.lists(row(k), min_size=n, max_size=n))
-    return graph_from_edges(n, edges), RatMatrix(f), RatMatrix(draw(square(k)))
+    return g, RatMatrix(f), RatMatrix(draw(square(k))), col
 
 
 @PROPS
 @given(graph_values_params())
 def test_verify_structure_residual_is_af_minus_fs(case):
-    g, f, s = case
+    """A Coloring is checked as the matrix of its unit rows: the scan and
+    the matrix route give the same answer and residual."""
+    g, f, s, col = case
     expect = g.adjacency_matrix() @ f - f @ s
     for host in (g, g.adjacency_matrix()):
-        ok, residual = verify_structure(host, f, s)
-        assert residual == expect
-        assert ok == expect.is_zero()
+        for values in (f, col) if col is not None else (f,):
+            ok, residual = verify_structure(host, values, s)
+            assert residual == expect
+            assert ok == expect.is_zero()
 
 
 def test_structure_from_a_distance_coloring_multiplies_no_matrix(monkeypatch):

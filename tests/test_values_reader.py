@@ -8,10 +8,12 @@ code files are vertex sets, --coloring and --structure exclude each other,
 colour indices are bounded before anything is allocated, a structure's
 coloring must be over its host, and a graph spec is read once per build.
 """
+import io
 import json
 import os
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -147,14 +149,14 @@ def test_local_distrib_reads_each_colorings_colours_from_the_coloring(
     # no indicator or decode; the product rows are read to build the product
     # graph and to compare it with the factors'
     assert kernel_calls == {"scans": 3, "indicators": 0, "unit_columns": 0, "product_rows": 2}
-    # a structure file's values are a matrix: its colours are decoded from
-    # its unit rows, once to verify it and once for the pair counts
+    # a structure file's unit rows are decoded once, where the file is read,
+    # into the Coloring that the scan verifies and the pair counts read
     unit = write(tmp_path, "unit.json", {"graph": product, **weight_structure(10)})
     kernel_calls.update(scans=0, indicators=0, unit_columns=0, product_rows=0)
     code, by_structure, err = run(capsys, "local", "distrib", "--left", w5, "--right", w5,
                                   "--structure", unit)
     assert (code, err, by_structure) == (0, "", by_coloring)
-    assert kernel_calls["unit_columns"] == 2
+    assert kernel_calls == {"scans": 3, "indicators": 0, "unit_columns": 1, "product_rows": 2}
 
 
 def test_the_coloring_route_prints_what_the_indicator_structure_prints(capsys, files, tmp_path):
@@ -169,6 +171,111 @@ def test_the_coloring_route_prints_what_the_indicator_structure_prints(capsys, f
         by_structure = run(capsys, *argv, "--structure", unit)
         assert by_coloring == by_structure
         assert by_coloring[0] == 0
+
+
+def test_a_01_file_with_an_unused_column_stays_a_matrix_structure(capsys, files, tmp_path):
+    """A Coloring has no empty class, so a fifth colour that no vertex has
+    keeps the values a matrix; every command prints what it printed when
+    colours were decoded from any unit rows."""
+    doc = {"graph": ham(3), "f": [[int(c == j) for j in range(5)] for c in weights(3)],
+           "s": [[0, 3, 0, 0, 0], [1, 0, 2, 0, 0], [0, 2, 0, 1, 0], [0, 0, 3, 0, 0],
+                 [0, 0, 0, 0, 0]]}
+    assert isinstance(equitable.read_structure(doc)[1], RatMatrix)
+    full = {"graph": ham(3), **weight_structure(3)}
+    assert equitable.read_structure(full)[1] == Coloring(hamming_graph(3, 2), tuple(weights(3)), 4)
+    unused = write(tmp_path, "unused.json", doc)
+    rows = ('{"rows": [["1", "0", "0", "0", "0"], ["0", "3", "0", "0", "0"], '
+            '["0", "0", "3", "0", "0"], ["0", "0", "0", "1", "0"]]}\n')
+    zeros = ", ".join(['["0", "0", "0", "0", "0"]'] * 8)
+    for argv, out in [
+        (["verify", "--structure", unused], f'{{"ok": true, "residual": [{zeros}]}}\n'),
+        (["oracle", "--graph", files["h3"], "--code", files["code0"], "--structure", unused],
+         rows),
+        (["distrib", "code", "--graph", files["h3"], "--code", files["code0"],
+          "--structure", unused, "--verify-oracle"], rows),
+        (["distrib", "vertex", "--graph", files["h3"], "--structure", unused, "--color", "0",
+          "--verify-oracle"], rows),
+    ]:
+        assert run(capsys, *argv) == (0, out, "")
+
+
+def test_vertex_verify_oracle_starts_at_the_first_row_equal_to_e_color(capsys, files, tmp_path):
+    """Matrix values need not be 0/1: the oracle sums from the first vertex
+    whose row is e_color, and without one the message is unchanged."""
+    eigen = write(tmp_path, "eigen.json", {
+        "graph": ham(3), "f": [[(-1) ** w] for w in weights(3)], "s": [[-3]]})
+    mixed = write(tmp_path, "mixed.json", {
+        "graph": ham(3), "f": [[1, w] for w in weights(3)], "s": [[3, 3], [0, 1]]})
+    argv = ["distrib", "vertex", "--graph", files["h3"], "--verify-oracle", "--color"]
+    assert (run(capsys, *argv, "0", "--structure", eigen)
+            == (0, '{"rows": [["1"], ["-3"], ["3"], ["-1"]]}\n', ""))
+    assert run(capsys, *argv, "0", "--structure", mixed)[0] == 0
+    assert run(capsys, *argv, "1", "--structure", mixed) == (
+        1, "", "error: --verify-oracle for a vertex needs 0/1 values with a vertex of color 1\n")
+
+
+def run_quiet(argv):
+    """``main`` with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+SMALL_GRAPHS = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(2, 3)).map(
+        lambda nq: {"gen": "hamming", "n": nq[0], "q": nq[1]}),
+    st.integers(3, 6).flatmap(lambda n: st.integers(1, n - 1).map(
+        lambda k: {"gen": "johnson", "n": n, "k": k})),
+    st.integers(2, 5).map(lambda n: {"gen": "halved", "n": n}),
+)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(spec=SMALL_GRAPHS, data=st.data())
+def test_a_coloring_file_and_its_01_structure_file_print_the_same(spec, data):
+    """The distance coloring of a vertex, relabelled, and the structure file
+    of its unit rows and quotient matrix give the same bytes and exit codes
+    in every command that reads values; so does their pair coloring over the
+    graph times itself."""
+    g = load_graph(spec)
+    vertex = data.draw(st.integers(0, g.n - 1), label="vertex")
+    dist = distance_coloring(g, [vertex])
+    k = dist.n_colors
+    relabel = data.draw(st.permutations(range(k)), label="relabel")
+    col = Coloring(g, tuple(relabel[c] for c in dist.colors), k)
+    color = data.draw(st.integers(0, k - 1), label="color")
+    s = equitable.quotient_matrix(g, col)
+    pairs = [c1 * k + c2 for c1 in col.colors for c2 in col.colors]
+    product = {"gen": "product", "left": spec, "right": spec}
+
+    def unit_rows(colors, width):
+        return [[int(c == j) for j in range(width)] for c in colors]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = write(tmp, "g.json", spec)
+        code = write(tmp, "code.json", [vertex])
+        coloring = write(tmp, "c.json", {"graph": spec, "colors": list(col.colors)})
+        structure = write(tmp, "f.json", {"graph": spec, "f": unit_rows(col.colors, k),
+                                          "s": s.to_strings()})
+        pair_coloring = write(tmp, "cc.json", {"graph": product, "colors": pairs})
+        pair_structure = write(tmp, "ff.json", {
+            "graph": product, "f": unit_rows(pairs, k * k),
+            "s": equitable.tensor_params(s, s).to_strings()})
+        for argv, by_coloring, by_structure in [
+            (["distrib", "vertex", "--graph", graph, "--color", str(color), "--verify-oracle"],
+             coloring, structure),
+            (["distrib", "code", "--graph", graph, "--code", code, "--verify-oracle"],
+             coloring, structure),
+            (["oracle", "--graph", graph, "--code", code], coloring, structure),
+            (["local", "distrib", "--left", coloring, "--right", coloring],
+             pair_coloring, pair_structure),
+        ]:
+            expect = run_quiet([*argv, "--coloring", by_coloring])
+            assert expect[0] == 0
+            assert run_quiet([*argv, "--structure", by_structure]) == expect
+        code, out, err = run_quiet(["verify", "--structure", structure])
+        assert (code, json.loads(out)["ok"], err) == (0, True, "")
 
 
 # -- code files are vertex sets ---------------------------------------------
@@ -325,7 +432,8 @@ WRONG_S_MESSAGE = ("values do not satisfy the defining equation; first nonzero r
                    "row 7: ['0', '0', '1', '-1']")
 
 
-def test_a_coloured_structure_with_a_wrong_s_reports_the_residual_of_its_indicator(monkeypatch):
+def test_a_coloured_structure_with_a_wrong_s_reports_the_residual_of_its_indicator(
+        monkeypatch, kernel_calls):
     g = hamming_graph(3, 2)
     col = distance_coloring(g, [0])
 
@@ -338,6 +446,9 @@ def test_a_coloured_structure_with_a_wrong_s_reports_the_residual_of_its_indicat
         with pytest.raises(StructureError) as err:
             PerfectStructure(g, values, RatMatrix(WRONG_S))
         assert str(err.value) == WRONG_S_MESSAGE
+        # the coloring is scanned once and its residual read from its colours;
+        # the matrix is never decoded into colours
+        assert (kernel_calls["scans"], kernel_calls["unit_columns"]) == (1, 0)
         with pytest.raises(ShapeError, match=r"^parameter matrix \(2, 2\) does not fit values "
                                              r"\(8, 4\)$"):
             PerfectStructure(g, values, RatMatrix([[0, 3], [1, 2]]))
