@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-from .errors import DEFAULT_VERTEX_BUDGET, EqpartError, ShapeError
+from .errors import DEFAULT_VERTEX_BUDGET, EqpartError
 
 # Each command imports the library functions it calls, so that a run loads
 # only the modules its command needs (``--help`` none of them).
@@ -121,15 +121,13 @@ def _load_matrix_file(path: str, load=None) -> RatMatrix:
 
 
 def _load_code_file(path: str) -> list[int]:
-    """The vertex set in the code file at ``path``, in first-occurrence order."""
+    """The vertices in the code file at ``path``: an array, bare or under the key vertices."""
     from .inputs import read_ints
 
     doc = _load_json(path)
     if isinstance(doc, dict):
-        doc = doc.get("vertices")
-    if not isinstance(doc, list):
-        raise EqpartError(f"{path} does not hold a vertex list")
-    return list(dict.fromkeys(read_ints(doc, f"code file {path}")))
+        doc = doc.get("vertices", doc)
+    return read_ints(doc, f"code file {path}")
 
 
 def _parse_row(text: str, option: str) -> RatMatrix:
@@ -278,12 +276,13 @@ def _mode_fiber(args, load):
 
 
 def _mode_pcube(args, load):
-    from .distributions import pcube_distribution
+    from .distributions import _check_pcube, pcube_distribution
 
     n, p, q = args.n, args.p, args.q
     spec = {"gen": "hamming", "n": n, "q": q}
 
     def code():
+        _check_pcube(n, p, q)
         return [v for v, word in enumerate(load(spec).labels) if max(word) < p]
 
     return spec, code, lambda s, f0: pcube_distribution(n, p, q, s, f0)
@@ -301,7 +300,7 @@ def _cmd_distrib(args, load) -> int:
     spec, code_of, form = _DISTRIB_MODES[args.mode](args, load)
     graph = code = f = None
     if args.coloring or args.structure or args.verify_oracle:
-        from .graphs import class_sums
+        from .graphs import _code_labels, class_sums
 
         code = code_of()
         graph = load(spec)
@@ -314,12 +313,7 @@ def _cmd_distrib(args, load) -> int:
         if args.f0:
             f0 = _parse_row(args.f0, "--f0")
         elif f is not None:
-            if code and not 0 <= min(code) <= max(code) < graph.n:
-                raise ShapeError(f"row index out of range 0..{graph.n - 1} in {tuple(code)}")
-            labels = [None] * graph.n  # 0 on the code: class_sums' row 0 is f summed over it
-            for v in code:
-                labels[v] = 0
-            f0 = class_sums(f.values, labels, 1)
+            f0 = class_sums(f.values, _code_labels(graph.n, code), 1)  # f summed over the code
         else:
             raise EqpartError("need --f0 or --coloring/--structure")
     rows = form(s, f0)

@@ -108,13 +108,17 @@ def vertex_distribution(g: Graph | IntersectionArray, s: RatMatrix, j: int) -> R
     return closed_form_rows(g, s, [int(i == j) for i in range(s.rows)])
 
 
+def _check_lattice(m: int, k: int, q: int) -> None:
+    if m < 1 or k < 1 or q < 2:
+        raise EqpartError(f"needs m, k >= 1 and q >= 2, got m={m}, k={k}, q={q}")
+
+
 def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to the zero class of the block-sum coloring
     of the length-(m*k) Hamming graph: row w = f0 p_w(S/m), with the p_w of
     the length-k Hamming graph H(k, q).
     """
-    if m < 1 or k < 1 or q < 2:
-        raise EqpartError(f"needs m, k >= 1 and q >= 2, got m={m}, k={k}, q={q}")
+    _check_lattice(m, k, q)
     return recurrence_rows(f0, _hamming_matrix(k, q), s / m)
 
 
@@ -134,6 +138,11 @@ def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     return recurrence_rows(f0, _hamming_matrix(k, q), shifted)
 
 
+def _check_pcube(n: int, p: int, q: int) -> None:
+    if n < 1 or not 1 <= p < q:
+        raise EqpartError(f"needs n >= 1 and 1 <= p < q, got n={n}, p={p}, q={q}")
+
+
 def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to the same-dimension subcube over the
     smaller alphabet {0..p-1}, p < q.
@@ -144,8 +153,7 @@ def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     S - (p-1) n I.  The covering radius of the subcube is n, so rows run
     w = 0..n.
     """
-    if n < 1 or not 1 <= p < q:
-        raise EqpartError(f"needs n >= 1 and 1 <= p < q, got n={n}, p={p}, q={q}")
+    _check_pcube(n, p, q)
     shifted = s - RatMatrix.identity(s.rows).scale((p - 1) * n)
     return recurrence_rows(f0, _hamming_matrix(n, q, p), shifted)
 

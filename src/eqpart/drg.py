@@ -23,7 +23,7 @@ from math import comb
 
 from ._record import Record
 from .errors import EqpartError, NotDistanceRegularError, NotEquitableError
-from .inputs import read_spec
+from .inputs import _check_generator, read_spec
 
 # names defined in eqpart.polys, looked up there on first access
 _POLYS_NAMES = frozenset((
@@ -136,8 +136,7 @@ def hamming_intersection_array(n: int, q: int) -> IntersectionArray:
     BFS over the q**n vertices is needed; the tests compare this array with
     :func:`intersection_array` of the built graph on every small case.
     """
-    if n < 1 or q < 2:
-        raise EqpartError(f"invalid Hamming parameters n={n}, q={q}")
+    _check_generator(("hamming", n, q))
     return _array_from_bc([(q - 1) * (n - w) for w in range(n)], range(1, n + 1))
 
 
@@ -155,8 +154,7 @@ def johnson_intersection_array(n: int, k: int) -> IntersectionArray:
     the C(n, k) vertices is needed; the tests compare this array with
     :func:`intersection_array` of the built graph on every small case.
     """
-    if not 0 <= k <= n:
-        raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={k}, n={n}")
+    _check_generator(("johnson", n, k))
     d = min(k, n - k)
     return _array_from_bc(
         [(k - w) * (n - k - w) for w in range(d)], [w * w for w in range(1, d + 1)]
@@ -176,8 +174,7 @@ def halved_cube_intersection_array(n: int) -> IntersectionArray:
     vertices is needed; the tests compare this array with
     :func:`intersection_array` of the built graph for n = 2..10.
     """
-    if n < 2:
-        raise EqpartError(f"halved cube needs n >= 2, got {n}")
+    _check_generator(("halved", n, "even"))
     d = n // 2
     return _array_from_bc(
         [comb(n - 2 * w, 2) for w in range(d)], [comb(2 * w, 2) for w in range(1, d + 1)]

@@ -222,9 +222,9 @@ def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
 
 def distance_coloring(g: Graph, code: Iterable[int]) -> Coloring:
     """Color every vertex by its distance to the set."""
-    code = frozenset(read_ints(code, "code"))
+    code = read_ints(code, "code")  # in the given order, as BFS checks it
     dist, rho = distances_from_set(g, code)
-    return Coloring(g, tuple(dist), rho + 1, distance_code=code)
+    return Coloring(g, tuple(dist), rho + 1, distance_code=frozenset(code))
 
 
 class CompletelyRegularCode(Record):
@@ -262,8 +262,9 @@ def lattice_coloring(
     matrix of that smaller graph, which ``load`` builds from its spec, as
     for :func:`load_coloring`.
     """
-    if m < 1 or k < 1:
-        raise EqpartError(f"lattice coloring needs m, k >= 1, got m={m}, k={k}")
+    from .distributions import _check_lattice
+
+    _check_lattice(m, k, q)
     g = load({"gen": "hamming", "n": m * k, "q": q})
     # coordinate i of the block sum adds word[i], word[k + i], ... = word[i::k]
     colors = tuple(
@@ -293,12 +294,6 @@ def tensor_params(r1: RatMatrix, r2: RatMatrix) -> RatMatrix:
 
 
 # -- JSON ------------------------------------------------------------------
-
-
-def coloring_to_json(c: Coloring) -> dict:
-    from .graphs import graph_to_json
-
-    return {"graph": graph_to_json(c.graph), "colors": list(c.colors)}
 
 
 def load_coloring(spec: dict, load: Callable[[dict], Graph] = load_graph) -> Coloring:

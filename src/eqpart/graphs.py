@@ -27,7 +27,7 @@ from .errors import (
     UnreachableVertexError,
     check_budget,
 )
-from .inputs import read_ints, read_key, read_spec  # noqa: F401 - re-exported
+from .inputs import _check_generator, read_ints, read_key, read_spec  # noqa: F401 - re-exported
 from .ratmat import RatMatrix
 from .words import Words, decode_word, encode_word, halved_word  # noqa: F401 - re-exported
 
@@ -81,23 +81,13 @@ def _vertex_count(key: tuple, budget: int) -> int:
     budget that building it makes, in the same order; nothing is built.  A
     count is computed only until it passes the budget, and a product's
     factors are checked before the product."""
-    kind, a, b = key
+    kind, a, b = _check_generator(key)
     if kind == "hamming":
-        if a < 1:
-            raise EqpartError(f"hamming graph needs n >= 1, got {a}")
-        if b < 2:
-            raise EqpartError(f"hamming graph needs q >= 2, got {b}")
         counts, what = (b**i for i in range(a + 1)), f"vertices of H({a},{b})"
     elif kind == "johnson":
-        if not 0 <= b <= a:
-            raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={b}, n={a}")
         counts = (math.comb(a, i) for i in range(min(b, a - b) + 1))
         what = f"vertices of J({a},{b})"
     elif kind == "halved":
-        if a < 2:
-            raise EqpartError(f"halved cube needs n >= 2, got {a}")
-        if b not in ("even", "odd"):
-            raise EqpartError(f"parity must be 'even' or 'odd', got {b!r}")
         counts, what = (2**i for i in range(a)), f"vertices of halved({a},{b})"
     elif kind == "product":
         counts, what = (_vertex_count(a, budget) * _vertex_count(b, budget),), "vertices"
@@ -235,16 +225,22 @@ def is_direct_product(g: Graph, g1: Graph, g2: Graph) -> bool:
     )
 
 
+def _code_labels(n: int, code: Iterable[int], rest=None) -> list:
+    """0 at the vertices of ``code`` (once each, however often listed) and
+    ``rest`` at the others: the one check of a code's vertices, which BFS
+    and the CLI's sum over a code share."""
+    labels = [rest] * n
+    for v in code:
+        if not 0 <= v < n:
+            raise EqpartError(f"source vertex {v} out of range")
+        labels[v] = 0
+    return labels
+
+
 def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int]:
     """Multi-source BFS distances; raises if some vertex is unreachable."""
-    dist = [-1] * g.n
-    queue = deque()
-    for s in sources:
-        if not 0 <= s < g.n:
-            raise EqpartError(f"source vertex {s} out of range")
-        if dist[s] != 0:
-            dist[s] = 0
-            queue.append(s)
+    dist = _code_labels(g.n, sources, -1)
+    queue = deque(v for v, d in enumerate(dist) if d == 0)
     if not queue:
         raise EqpartError("empty source set")
     while queue:
@@ -253,11 +249,8 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    if any(d < 0 for d in dist):
-        missing = next(v for v, d in enumerate(dist) if d < 0)
-        raise UnreachableVertexError(
-            f"vertex {missing} is unreachable from the given set"
-        )
+    if -1 in dist:
+        raise UnreachableVertexError(f"vertex {dist.index(-1)} is unreachable from the given set")
     return dist
 
 
@@ -318,12 +311,9 @@ def load_graph(spec, budget: int = DEFAULT_VERTEX_BUDGET, load=None) -> Graph:
     spec gives, before either factor is built."""
     key = spec if isinstance(spec, tuple) else read_spec(spec)
     kind, a, b = key
-    if kind == "hamming":
-        return hamming_graph(a, b, budget)
-    if kind == "johnson":
-        return johnson_graph(a, b, budget)
-    if kind == "halved":
-        return halved_cube(a, b, budget)
+    build = {"hamming": hamming_graph, "johnson": johnson_graph, "halved": halved_cube}.get(kind)
+    if build is not None:
+        return build(a, b, budget)
     _vertex_count(key, budget)
     if kind == "edges":
         return graph_from_edges(a, b)

@@ -1,9 +1,10 @@
 """Readers of JSON input: object keys, integer arrays and graph specs.
 
-They check the shape and types of what a file holds and build nothing, so
-that a command which needs only a graph's parameters (a closed-form
-distribution over a generator spec) reads them without loading
-:mod:`eqpart.graphs`; that module re-exports every name here.
+They check the shape and types of what a file holds, and the parameter
+ranges of a generator spec, and build nothing, so that a command which
+needs only a graph's parameters (a closed-form distribution over a
+generator spec) reads them without loading :mod:`eqpart.graphs`; that
+module re-exports every public name here.
 """
 from __future__ import annotations
 
@@ -42,6 +43,23 @@ def _int_key(spec: dict, key: str) -> int:
     return value
 
 
+def _check_generator(key: tuple) -> tuple:
+    """``key``, a generator spec as :func:`read_spec` reads it, if its ranges
+    hold: the one check that spec reads, generators and closed forms share."""
+    kind, a, b = key
+    if kind == "hamming" and a < 1:
+        raise EqpartError(f"hamming graph needs n >= 1, got {a}")
+    if kind == "hamming" and b < 2:
+        raise EqpartError(f"hamming graph needs q >= 2, got {b}")
+    if kind == "johnson" and not 0 <= b <= a:
+        raise EqpartError(f"johnson graph needs 0 <= k <= n, got k={b}, n={a}")
+    if kind == "halved" and b not in ("even", "odd"):
+        raise EqpartError(f"halved cube sign must be 'even' or 'odd', got {b!r}")
+    if kind == "halved" and a < 2:
+        raise EqpartError(f"halved cube needs n >= 2, got {a}")
+    return key
+
+
 def _is_int_pair(e) -> bool:
     return isinstance(e, list) and len(e) == 2 and all(
         isinstance(x, int) and not isinstance(x, bool) for x in e
@@ -58,8 +76,8 @@ def read_spec(spec) -> tuple:
     Accepted forms: {"gen":"hamming","n":..,"q":..}, {"gen":"johnson","n":..,
     "k":..}, {"gen":"halved","n":..,"sign":"even"|"odd"}, {"gen":"product",
     "left":<spec>,"right":<spec>}, or {"n_vertices":N,"edges":[[u,v],...]}.
-    A missing or mistyped key raises EqpartError.  Parameter ranges are
-    checked by the generators and by the closed-form intersection arrays.
+    A missing or mistyped key, or a generator parameter out of range,
+    raises EqpartError.
     """
     if not isinstance(spec, dict):
         raise EqpartError(f"graph spec must be a JSON object, got {type(spec).__name__}")
@@ -72,14 +90,11 @@ def read_spec(spec) -> tuple:
         return ("edges", n, tuple(map(tuple, edges)))
     gen = spec.get("gen")
     if gen == "hamming":
-        return (gen, _int_key(spec, "n"), _int_key(spec, "q"))
+        return _check_generator((gen, _int_key(spec, "n"), _int_key(spec, "q")))
     if gen == "johnson":
-        return (gen, _int_key(spec, "n"), _int_key(spec, "k"))
+        return _check_generator((gen, _int_key(spec, "n"), _int_key(spec, "k")))
     if gen == "halved":
-        sign = spec.get("sign", "even")
-        if sign not in ("even", "odd"):
-            raise EqpartError(f"halved cube sign must be 'even' or 'odd', got {sign!r}")
-        return (gen, _int_key(spec, "n"), sign)
+        return _check_generator((gen, _int_key(spec, "n"), spec.get("sign", "even")))
     if gen == "product":
         left, right = (read_key(spec, side, "product graph spec") for side in ("left", "right"))
         return (gen, read_spec(left), read_spec(right))

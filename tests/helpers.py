@@ -12,9 +12,14 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from eqpart.errors import EqpartError, ShapeError
-from eqpart.graphs import Graph, bfs_distances, class_sums
+from eqpart.graphs import Graph, bfs_distances, class_sums, graph_to_json
 from eqpart.polys import poly_add, poly_mul_x, poly_scale
 from eqpart.ratmat import RatMatrix, parse_rational, row_poly_eval
+
+
+def coloring_to_json(c) -> dict:
+    """A coloring as the coloring file that ``load_coloring`` reads."""
+    return {"graph": graph_to_json(c.graph), "colors": list(c.colors)}
 
 
 def all_pairs_distances(g: Graph) -> list[list[int]]:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqpart import equitable, graphs, localdist
+from eqpart import drg, equitable, graphs, localdist
 from eqpart.cli import main
-from eqpart.errors import ShapeError
+from eqpart.errors import EqpartError, ShapeError
 from eqpart.ratmat import from_json, parse_rational
 
 
@@ -486,3 +486,225 @@ def test_fuzzed_json_in_any_file_option_ends_in_one_error_line(fuzz_dir, data):
     else:
         assert code in (1, 2) and err.count("\n") == 1 and err.endswith("\n")
         assert err.startswith("error: " if code == 1 else "usage: ")
+
+
+# -- one check per input: the same message on every route ---------------------------
+
+# kind -> route -> argv, where "@bad" is the faulty graph spec or code file and
+# "{0}"-style tokens are the faulty flags; every other "@name" is a valid file
+# of FUZZ_FILES
+ROUTES = {
+    "graph": {
+        "--s": ["distrib", "vertex", "--graph", "@bad", "--s", "@S", "--color", "0"],
+        "--coloring": ["distrib", "vertex", "--graph", "@G", "--coloring", "@bad_coloring",
+                       "--color", "0"],
+        "--verify-oracle": ["distrib", "vertex", "--graph", "@bad", "--coloring", "@C",
+                            "--color", "0", "--verify-oracle"],
+        "quotient": ["quotient", "--graph", "@bad", "--coloring", "@C"],
+        "crc-check": ["crc-check", "--graph", "@bad", "--code", "@K"],
+        "oracle": ["oracle", "--graph", "@bad", "--code", "@K", "--coloring", "@C"],
+        "distrib fiber": ["distrib", "fiber", "--left", "@G1", "--right", "@bad", "--s", "@S",
+                          "--f0", "[1, 0, 0, 0]"],
+        "local reconstruct": ["local", "reconstruct", "--graph", "@bad", "--right-s", "@S1",
+                              "--s", "@S1", "--h0", "[1]"],
+    },
+    "lattice": {
+        "--s": ["-m", "{0}", "-k", "{1}", "-q", "{2}", "--s", "@S1", "--f0", "[1]"],
+        "--coloring": ["-m", "{0}", "-k", "{1}", "-q", "{2}", "--coloring", "@C"],
+        "--structure": ["-m", "{0}", "-k", "{1}", "-q", "{2}", "--structure", "@T"],
+        "--verify-oracle": ["-m", "{0}", "-k", "{1}", "-q", "{2}", "--coloring", "@C",
+                            "--verify-oracle"],
+    },
+    "code": {
+        "--s": ["distrib", "code", "--graph", "@G", "--code", "@bad", "--s", "@S",
+                "--f0", "[1, 0, 0, 0]"],
+        "--coloring": ["distrib", "code", "--graph", "@G", "--code", "@bad", "--coloring", "@C"],
+        "--structure": ["distrib", "code", "--graph", "@G", "--code", "@bad", "--structure", "@T"],
+        "--verify-oracle": ["distrib", "code", "--graph", "@G", "--code", "@bad",
+                            "--coloring", "@C", "--verify-oracle"],
+        "crc-check": ["crc-check", "--graph", "@G", "--code", "@bad"],
+        "oracle": ["oracle", "--graph", "@G", "--code", "@bad", "--coloring", "@C"],
+    },
+}
+ROUTES["pcube"] = {
+    route: [{"-m": "-n", "-k": "-p"}.get(t, t) for t in argv]
+    for route, argv in ROUTES["lattice"].items()
+}
+
+# fault -> (kind, the faulty input, the one error line every route prints)
+FAULTS = {
+    "hamming n=0": ("graph", h(0), "hamming graph needs n >= 1, got 0"),
+    "hamming q=1": ("graph", h(3, 1), "hamming graph needs q >= 2, got 1"),
+    "johnson k>n": ("graph", {"gen": "johnson", "n": 3, "k": 4},
+                    "johnson graph needs 0 <= k <= n, got k=4, n=3"),
+    "halved n=1": ("graph", {"gen": "halved", "n": 1}, "halved cube needs n >= 2, got 1"),
+    "halved sign x": ("graph", {"gen": "halved", "n": 4, "sign": "x"},
+                      "halved cube sign must be 'even' or 'odd', got 'x'"),
+    "lattice m=0": ("lattice", (0, 1, 2), "needs m, k >= 1 and q >= 2, got m=0, k=1, q=2"),
+    "lattice k=0": ("lattice", (1, 0, 2), "needs m, k >= 1 and q >= 2, got m=1, k=0, q=2"),
+    "lattice q=1": ("lattice", (3, 1, 1), "needs m, k >= 1 and q >= 2, got m=3, k=1, q=1"),
+    "pcube n=0": ("pcube", (0, 1, 2), "needs n >= 1 and 1 <= p < q, got n=0, p=1, q=2"),
+    "pcube q=1": ("pcube", (3, 1, 1), "needs n >= 1 and 1 <= p < q, got n=3, p=1, q=1"),
+    "pcube p=0": ("pcube", (3, 0, 2), "needs n >= 1 and 1 <= p < q, got n=3, p=0, q=2"),
+    "pcube p=q": ("pcube", (3, 2, 2), "needs n >= 1 and 1 <= p < q, got n=3, p=2, q=2"),
+    "code vertex -1": ("code", [0, -1], "source vertex -1 out of range"),
+    "code vertex N": ("code", [8], "source vertex 8 out of range"),
+    # two faults: the first in the file's order, whichever route reads it
+    "code vertices -1, N": ("code", [-1, 8], "source vertex -1 out of range"),
+}
+FAULT_CELLS = [(fault, route) for fault, (kind, _, _) in FAULTS.items() for route in ROUTES[kind]]
+
+
+def fault_argv(tmp_path, fault, route):
+    kind, bad, _ = FAULTS[fault]
+    files = {**FUZZ_FILES, "bad": bad, "bad_coloring": {"graph": bad, "colors": [0] * 8}}
+    argv = ROUTES[kind][route]
+    if kind in ("lattice", "pcube"):
+        argv = ["distrib", kind, *(t.format(*bad) for t in argv)]
+    return [write(tmp_path, f"{t[1:]}.json", files[t[1:]]) if t.startswith("@") else t
+            for t in argv]
+
+
+@pytest.mark.parametrize("fault,route", FAULT_CELLS)
+def test_a_bad_input_prints_one_message_on_every_route(capsys, tmp_path, fault, route):
+    code, out, err = run(capsys, *fault_argv(tmp_path, fault, route))
+    assert (code, out, err) == (1, "", f"error: {FAULTS[fault][2]}\n")
+
+
+LIBRARY_CALLS = [
+    ("hamming n=0", graphs.hamming_graph, (0, 2)),
+    ("hamming n=0", drg.hamming_intersection_array, (0, 2)),
+    ("hamming q=1", graphs.hamming_graph, (3, 1)),
+    ("hamming q=1", drg.hamming_intersection_array, (3, 1)),
+    ("johnson k>n", graphs.johnson_graph, (3, 4)),
+    ("johnson k>n", drg.johnson_intersection_array, (3, 4)),
+    ("halved n=1", graphs.halved_cube, (1,)),
+    ("halved n=1", drg.halved_cube_intersection_array, (1,)),
+    ("halved sign x", graphs.halved_cube, (4, "x")),
+    ("lattice m=0", equitable.lattice_coloring, (0, 1, 2)),
+    ("lattice q=1", equitable.lattice_coloring, (3, 1, 1)),
+    ("code vertex -1", graphs.bfs_distances, (graphs.hamming_graph(3, 2), [0, -1])),
+]
+
+
+@pytest.mark.parametrize("fault,function,args", LIBRARY_CALLS,
+                         ids=[f"{fn.__name__}-{fault}" for fault, fn, _ in LIBRARY_CALLS])
+def test_the_library_raises_the_message_of_every_route(fault, function, args):
+    with pytest.raises(EqpartError) as exc:
+        function(*args)
+    assert str(exc.value) == FAULTS[fault][2]
+
+
+# -- generated faults in every file and JSON argument ----------------------------------
+
+# JSON values of every type but the one a node holds; a string is letters only,
+# so that it is no rational either
+SCALARS = (st.none() | st.booleans() | st.integers(-9, 9)
+           | st.floats(allow_nan=False, allow_infinity=False) | st.text("abcxyz", max_size=3))
+OTHER_TYPE = {
+    dict: SCALARS,
+    list: SCALARS | st.just({"x": 1}),
+    int: st.none() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text("abcxyz", max_size=3) | st.just([]) | st.just([1]) | st.just({"x": 1}),
+    str: st.none() | st.booleans() | st.integers(-9, 9) | st.just([]) | st.just({"x": 1}),
+}
+# files, and keys, whose integers are matrix entries: any integer is one
+MATRIX_FILES, MATRIX_KEYS = {"S", "S1"}, {"f", "s"}
+
+
+def subtrees(doc, path=(), in_matrix=False):
+    """(path, node, whether it lies in a matrix) for ``doc`` and each subtree."""
+    yield path, doc, in_matrix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from subtrees(child, (*path, key), in_matrix or key in MATRIX_KEYS)
+
+
+def replaced(doc, path, value):
+    """``doc`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+@st.composite
+def faulty(draw, doc, in_matrix):
+    """(fault, doc or the bytes of its text) for the valid ``doc``, with one
+    fault that no reader accepts: non-UTF-8 bytes, a node of a wrong type, a
+    missing key, a negative count (a size, colour or vertex; not a matrix
+    entry) or a huge colour or vertex, a ragged matrix, or an empty array.
+    A huge graph size is no fault: a closed form builds no graph."""
+    nodes = list(subtrees(doc, in_matrix=in_matrix))
+    faults = ["non-utf-8", "wrong type"]
+    dicts = [(path, node) for path, node, _ in nodes if isinstance(node, dict) and node]
+    faults += ["missing key"] * bool(dicts)
+    counts = [path for path, node, m in nodes if type(node) is int and not m]
+    faults += ["huge or negative"] * bool(counts)
+    entries = [path for path in counts if isinstance(path[-1], int)]  # colours and vertices
+    matrices = [path for path, node, m in nodes if m and isinstance(node, list) and len(node) > 1
+                and all(isinstance(row, list) for row in node)]
+    rows = [(path, node) for path, node, _ in nodes if path and path[:-1] in matrices]
+    faults += ["ragged"] * bool(rows)
+    faults += ["empty array"] * any(isinstance(node, list) for _, node, _ in nodes)
+    fault = draw(st.sampled_from(faults))
+    if fault == "non-utf-8":
+        text = json.dumps(doc).encode()
+        at = draw(st.integers(0, len(text)))
+        return fault, text[:at] + b"\xff" + text[at:]
+    if fault == "wrong type":
+        path, node, _ = draw(st.sampled_from(nodes))
+        return fault, replaced(doc, path, draw(OTHER_TYPE[type(node)]))
+    if fault == "missing key":
+        path, node = draw(st.sampled_from(dicts))
+        key = draw(st.sampled_from(sorted(node)))
+        return fault, replaced(doc, path, {k: v for k, v in node.items() if k != key})
+    if fault == "huge or negative":
+        path = draw(st.sampled_from(counts))
+        huge = st.integers(10**3, 10**30) if path in entries else st.nothing()
+        return fault, replaced(doc, path, draw(st.integers(-10**30, -1) | huge))
+    if fault == "ragged":
+        path, row = draw(st.sampled_from(rows))
+        return fault, replaced(doc, path, [*row, 0])
+    path = draw(st.sampled_from([p for p, node, _ in nodes if isinstance(node, list)]))
+    return fault, replaced(doc, path, [])
+
+
+JSON_ARGS = ("--f0", "--h0")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_a_faulty_file_or_json_argument_ends_in_exit_1_or_2(fuzz_dir, data):
+    """Every file and JSON argument of every subcommand, given generated
+    input with a fault, ends in one ``error:`` line and exit 1, or a usage
+    message and exit 2, with nothing on stdout; an exception escaping
+    ``main`` fails the test."""
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS), label="argv")
+    inputs = [i for i, t in enumerate(argv) if t.startswith("@") or argv[i - 1] in JSON_ARGS]
+    at = data.draw(st.sampled_from(inputs), label="input")
+    if argv[at - 1] in JSON_ARGS:
+        fault, bad = data.draw(faulty(json.loads(argv[at]), True), label="fault")
+        bad = bad.decode("utf-8", "surrogateescape") if isinstance(bad, bytes) else json.dumps(bad)
+    else:
+        name = argv[at][1:]
+        fault, bad = data.draw(faulty(FUZZ_FILES[name], name in MATRIX_FILES), label="fault")
+        path = fuzz_dir / "faulty.json"
+        path.write_bytes(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
+        bad = str(path)
+    argv = [bad if i == at else str(fuzz_dir / f"{t[1:]}.json") if t.startswith("@") else t
+            for i, t in enumerate(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*argv, "--vertex-budget", "64"])
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (1, 2) and out.getvalue() == "", (fault, argv)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:  # a JSON argument that starts with "-" reads as an option
+        assert err.startswith("usage: ") and "Traceback" not in err

@@ -9,7 +9,6 @@ from eqpart.equitable import (
     all_one_coloring,
     check_completely_regular,
     coloring_from_list,
-    coloring_to_json,
     distance_coloring,
     fiber_coloring,
     lattice_coloring,
@@ -35,6 +34,7 @@ from eqpart.graphs import (
     johnson_graph,
 )
 from eqpart.ratmat import RatMatrix, from_json
+from helpers import coloring_to_json
 
 
 def test_quotient_all_one_color():

@@ -310,7 +310,8 @@ def test_a_code_vertex_out_of_range_ends_in_an_error_before_f0_is_summed(
     code, out, err = run(capsys, "distrib", "code", "--graph", files["h3"], "--code", code_file,
                          values, values_file)
     assert (code, out) == (1, "")
-    assert err == f"error: row index out of range 0..7 in {tuple(vertices)}\n"
+    bad = next(v for v in vertices if not 0 <= v < 8)
+    assert err == f"error: source vertex {bad} out of range\n"
 
 
 # -- --coloring excludes --structure ----------------------------------------
