@@ -145,21 +145,6 @@ def _emit(doc) -> None:
     print(json.dumps(doc))
 
 
-def _first_difference(formula: RatMatrix, oracle: RatMatrix) -> str:
-    if formula.shape() != oracle.shape():
-        return f"formula has shape {formula.shape()}, oracle {oracle.shape()}"
-    i, j = next(
-        (i, j)
-        for i in range(formula.rows)
-        for j in range(formula.cols)
-        if formula[i, j] != oracle[i, j]
-    )
-    return (
-        f"first difference at row {i}, column {j}: "
-        f"formula {formula[i, j]}, oracle {oracle[i, j]}"
-    )
-
-
 def _vertex_of_color(values, color: int) -> int:
     """The first vertex whose value, in a Coloring or a matrix, is e_color."""
     from .ratmat import RatMatrix
@@ -323,10 +308,12 @@ def _cmd_distrib(args, load) -> int:
         if args.mode == "vertex":
             code = [_vertex_of_color(f.values, args.color)]
         from .oracle import brute_distribution
+        from .ratmat import first_difference
 
         brute = brute_distribution(graph, code, f)
         if brute != rows:
-            raise EqpartError("formula and oracle disagree: " + _first_difference(rows, brute))
+            raise EqpartError("formula and oracle disagree: "
+                              + first_difference(rows, brute, "formula", "oracle"))
     _emit({"rows": rows.to_strings()})
     return 0
 

@@ -2,29 +2,30 @@
 
 The pairwise distribution of two perfect structures f (params S) and g
 (params R) over the same host is the matrix g^T f; it is itself a perfect
-structure with parameters S over R^T.  When R^T vanishes above its
-superdiagonal and the superdiagonal is nonzero, every row of such a
-structure follows from the first one: this is how the distribution of a
+structure with parameters S over R^T.  When R^T is tridiagonal with a
+nonzero superdiagonal, every row of such a structure follows from the first
+one by a three-term recurrence: this is how the distribution of a
 completely regular code follows from its quotient matrix and the counts of
 each colour over the code.  One row kernel computes those rows
-(:func:`eqpart.ratmat.recurrence_rows`), and a matrix identity certifies
-them on every call.
+(:func:`eqpart.ratmat.recurrence_rows`) from the three diagonals alone, and
+an identity read off the same band certifies them on every call.
 
 The remaining functions are closed forms: distributions with respect to a
 vertex of a distance-regular graph, to the zero class of the block-sum
 coloring, to a factor fiber of a direct product, to a smaller-alphabet
 subcube, and the rearranged product distribution h* of :mod:`eqpart.localdist`.
 Each is row w = f0 p_w(T) for the polynomials p_w of an integer
-intersection array and a matrix T (aS + bI, or I (x) S - R2 (x) I for h*):
-the same kernel on the array's tridiagonal matrix, with no polynomial
-expanded and no graph built.  :mod:`eqpart.drg` is imported only by the
-forms that take an array.  Every function returns the rows as one
-RatMatrix, and the kernel is the one reader and checker of a first row.
+intersection array, the diagonals b, a, c of the kernel, and a matrix T:
+aS + bI, or I (x) S - R2 (x) I for h*.  Each is one kernel call, with no
+polynomial expanded, no (D+1)-square matrix built and no graph built.
+:mod:`eqpart.drg` is imported only by the forms that take an array.  Every
+function returns the rows as one RatMatrix, and the kernel is the one
+reader and checker of a first row.
 """
 from __future__ import annotations
 
 from .errors import EqpartError, ShapeError, StructureError
-from .ratmat import RatMatrix, recurrence_rows, tensor, tridiagonal
+from .ratmat import RatMatrix, band, band_product, first_difference, recurrence_rows, tensor
 
 
 def _same_host(g: PerfectStructure, f: PerfectStructure) -> bool:
@@ -46,55 +47,62 @@ def distribution(g: PerfectStructure, f: PerfectStructure) -> RatMatrix:
     if not _same_host(g, f):
         raise ShapeError("structures are not over compatible hosts")
     h = gv.transpose() @ fv
-    if g.params.transpose() @ h != h @ f.params:
-        raise StructureError("distribution identity failed; inputs are inconsistent")
+    lhs, rhs = g.params.transpose() @ h, h @ f.params
+    if lhs != rhs:
+        raise StructureError("distribution identity failed; inputs are inconsistent: "
+                             + first_difference(lhs, rhs, "R^T H", "H S"))
     return h
 
 
 def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0) -> RatMatrix:
-    """All B.rows rows of a perfect structure over ``b`` from its first row:
-    B[i,i+1] h_{i+1} = h_i S - sum_{j<=i} B[i,j] h_j, by the row kernel
-    :func:`eqpart.ratmat.recurrence_rows`.
+    """All B.rows rows of a perfect structure over a tridiagonal ``b`` from
+    its first row: B[i,i+1] h_{i+1} = h_i S - B[i,i] h_i - B[i,i-1] h_{i-1},
+    by the row kernel :func:`eqpart.ratmat.recurrence_rows` on B's band.
+    A nonzero entry off the band, in the rows the recurrence reads, raises
+    ReconstructionError naming it (:func:`eqpart.ratmat.band`).
 
-    The rows are then certified by matrix products, independently of the
-    kernel: row 0 must be h0, and B[:n-1] H = H[:n-1] S must hold.  With h0
-    fixed and every superdiagonal entry of B nonzero, that identity has
-    exactly one solution H, so a passing check proves the rows; a failing
-    one raises StructureError.
+    The rows are then certified on the band, independently of the kernel:
+    row 0 must be h0, and B[:n-1] H = H[:n-1] S must hold.  With h0 fixed
+    and every superdiagonal entry of B nonzero, that identity has exactly
+    one solution H, so a passing check proves the rows; a failing one raises
+    StructureError naming the first differing entry.
     """
-    h = recurrence_rows(h0, b, s)
+    diagonals = band(b)
+    h = recurrence_rows(h0, s, *diagonals)
     if h.sum_rows([[0]]) != (h0 if isinstance(h0, RatMatrix) else RatMatrix.row_vector(h0)):
         raise StructureError("first-row reconstruction does not start at h0")
-    n = h.rows
-    if n > 1:
-        head = [[i] for i in range(n - 1)]
-        if b.sum_rows(head) @ h != h.sum_rows(head) @ s:
-            raise StructureError("first-row reconstruction fails B[:n-1] H = H[:n-1] S")
+    if h.rows > 1:
+        lhs = band_product(h, *diagonals)
+        rhs = h.sum_rows([i] for i in range(h.rows - 1)) @ s
+        if lhs != rhs:
+            raise StructureError("first-row reconstruction fails B[:n-1] H = H[:n-1] S: "
+                                 + first_difference(lhs, rhs, "B H", "H S"))
     return h
 
 
 def closed_form_rows(g: Graph | IntersectionArray, t: RatMatrix, f0) -> RatMatrix:
     """Rows f0 p_w(T), w = 0..D, for the intersection array ``g`` (or that
-    of the distance-regular graph ``g``): the row kernel on the array's
-    tridiagonal matrix."""
+    of the distance-regular graph ``g``): the row kernel on its diagonals."""
     from .drg import IntersectionArray, intersection_array
 
     ia = g if isinstance(g, IntersectionArray) else intersection_array(g)
-    return recurrence_rows(f0, tridiagonal(ia.b, ia.a, ia.c), t)
+    return recurrence_rows(f0, t, ia.b, ia.a, ia.c)
 
 
-def _hamming_matrix(n: int, q: int, p: int = 1) -> RatMatrix:
-    """The tridiagonal matrix of the Hamming graph H(n, q/p)'s array scaled
+def _hamming_band(n: int, q: int, p: int = 1) -> tuple[list[int], list[int], list[int]]:
+    """The diagonals b, a, c of the Hamming graph H(n, q/p)'s array scaled
     by p: b_i = (n-i)(q-p), a_i = i(q-2p), c_i = p*i.
 
     For p = 1 this is the array of H(n, q).  Scaling an array by p and the
     polynomial argument by p leaves every p_w unchanged, so these integers
     give the polynomials of the rational alphabet q/p at p*x."""
-    return tridiagonal(
-        [(n - i) * (q - p) for i in range(n)],
-        [i * (q - 2 * p) for i in range(n + 1)],
-        [p * i for i in range(1, n + 1)],
-    )
+    return ([(n - i) * (q - p) for i in range(n)], [i * (q - 2 * p) for i in range(n + 1)],
+            [p * i for i in range(1, n + 1)])
+
+
+def _minus(s: RatMatrix, x: int) -> RatMatrix:
+    """S - x I."""
+    return s - RatMatrix.identity(s.rows).scale(x)
 
 
 def vertex_distribution(g: Graph | IntersectionArray, s: RatMatrix, j: int) -> RatMatrix:
@@ -119,7 +127,7 @@ def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     the length-k Hamming graph H(k, q).
     """
     _check_lattice(m, k, q)
-    return recurrence_rows(f0, _hamming_matrix(k, q), s / m)
+    return recurrence_rows(f0, s / m, *_hamming_band(k, q))
 
 
 def fiber_distribution(g2: Graph | IntersectionArray, d: int, s: RatMatrix, f0) -> RatMatrix:
@@ -127,15 +135,14 @@ def fiber_distribution(g2: Graph | IntersectionArray, d: int, s: RatMatrix, f0) 
     whose left factor is d-regular: row w = f0 p_w(S - d I), with the p_w of
     the (distance-regular) right factor, given as a graph or its array.
     """
-    return closed_form_rows(g2, s - RatMatrix.identity(s.rows).scale(d), f0)
+    return closed_form_rows(g2, _minus(s, d), f0)
 
 
 def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Fiber specialization for an m-dimensional subcube of the
     length-(m+k) Hamming graph: shift by the subcube degree (q-1)m and use
     the polynomials of the length-k complement H(k, q)."""
-    shifted = s - RatMatrix.identity(s.rows).scale((q - 1) * m)
-    return recurrence_rows(f0, _hamming_matrix(k, q), shifted)
+    return recurrence_rows(f0, _minus(s, (q - 1) * m), *_hamming_band(k, q))
 
 
 def _check_pcube(n: int, p: int, q: int) -> None:
@@ -154,8 +161,7 @@ def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     w = 0..n.
     """
     _check_pcube(n, p, q)
-    shifted = s - RatMatrix.identity(s.rows).scale((p - 1) * n)
-    return recurrence_rows(f0, _hamming_matrix(n, q, p), shifted)
+    return recurrence_rows(f0, _minus(s, (p - 1) * n), *_hamming_band(n, q, p))
 
 
 def star_params(r2: RatMatrix, s: RatMatrix) -> RatMatrix:

@@ -25,7 +25,7 @@ from .distributions import reconstruct_local, star_params  # noqa: F401 - re-exp
 from .equitable import Coloring, PerfectStructure, tensor_params
 from .errors import EqpartError, ShapeError, StructureError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, class_sums, direct_product, is_direct_product
-from .ratmat import RatMatrix, tensor
+from .ratmat import RatMatrix, first_difference, tensor
 
 
 def _pair_colors(g1: PerfectStructure, g2: PerfectStructure) -> list[int] | None:
@@ -120,12 +120,15 @@ def tensor_distribution(
     else:
         # the contingency sums of f over the pair colors
         h = class_sums(f.values, pairs, k1 * k2)
-    lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h
-    if lhs != h @ f.params:
-        raise StructureError("product distribution identity failed")
+    lhs, rhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h, h @ f.params
+    if lhs != rhs:
+        raise StructureError("product distribution identity failed: "
+                             + first_difference(lhs, rhs, "(R1 (+) R2)^T h", "h S"))
     h_star = rearrange(h, k1, k2)
-    if g1.params.transpose() @ h_star != h_star @ star_params(g2.params, f.params):
-        raise StructureError("rearranged distribution identity failed")
+    lhs, rhs = g1.params.transpose() @ h_star, h_star @ star_params(g2.params, f.params)
+    if lhs != rhs:
+        raise StructureError("rearranged distribution identity failed: "
+                             + first_difference(lhs, rhs, "R1^T h*", "h* S*"))
     return RearrangedDistribution(
         h,
         h_star,

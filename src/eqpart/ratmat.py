@@ -6,11 +6,11 @@ numerator is 1, so a zero matrix has denominator 1 and an integer matrix is
 plain integer rows over 1.  Two matrices are equal exactly when their
 reduced rational entries are, and that is a comparison of the stored form.
 Sums, products, Kronecker products, reshapes, polynomial rows and the rows
-of a lower-Hessenberg recurrence are computed on the integer numerators,
-and text is rendered from them.  That recurrence (:func:`recurrence_rows`)
-is the one row kernel of every weight distribution: first-row
-reconstruction runs it on a code's quotient matrix, and each closed form on
-the tridiagonal matrix of an intersection array (:func:`tridiagonal`).
+of a three-term recurrence are computed on the integer numerators, and text
+is rendered from them.  That recurrence (:func:`recurrence_rows`) is the
+one row kernel of every weight distribution; it reads a tridiagonal matrix
+as its three diagonals, an intersection array's b, a, c or the band of a
+code's quotient matrix (:func:`band`), never as a square matrix.
 ``fractions.Fraction`` appears only where a caller reads a scalar (``row``,
 indexing, iteration) or hands one in, and is imported there, so that a run
 which never does loads no ``fractions``.
@@ -330,65 +330,69 @@ def row_poly_eval(row, coeffs: Sequence, m: RatMatrix) -> RatMatrix:
     return acc
 
 
-def tridiagonal(b: Sequence, a: Sequence, c: Sequence) -> RatMatrix:
-    """The tridiagonal B = R^T of an array b_0..b_{D-1}, a_0..a_D, c_1..c_D
-    with every c_w >= 1: B[w,w] = a_w, B[w,w+1] = c_{w+1}, B[w+1,w] = b_w.
+def first_difference(x: RatMatrix, y: RatMatrix, left: str, right: str) -> str:
+    """The witness of a failed identity x = y: the first entry, in row-major
+    order, where the two sides differ, with both values, the sides named
+    ``left`` and ``right``; or the two shapes when they differ."""
+    if x.shape() != y.shape():
+        return f"{left} has shape {x.shape()}, {right} {y.shape()}"
+    dx, dy = x._den, y._den
+    i, j = next((i, j) for i, (rx, ry) in enumerate(zip(x._num, y._num))
+                for j, (u, v) in enumerate(zip(rx, ry)) if u * dy != v * dx)
+    return (f"first difference at row {i}, column {j}: "
+            f"{left} {_text(x._num[i][j], dx)}, {right} {_text(y._num[i][j], dy)}")
 
-    R is the quotient matrix of the distance partition of a code or a
-    vertex, so ``recurrence_rows(row, tridiagonal(b, a, c), T)`` runs the
-    three-term recurrence c_{w+1} r_{w+1} = r_w T - a_w r_w - b_{w-1} r_{w-1},
-    whose rows are r_w = row p_w(T) for the polynomials p_w of the array.
-    c_1 may differ from 1 (a scaled array, or the array of a code)."""
+
+def band(m: RatMatrix) -> tuple[list[int], list[int], list[int], int]:
+    """(b, a, c, den): the sub-, main and superdiagonal numerators of a
+    square matrix B over its denominator, as :func:`recurrence_rows` reads
+    them.  Rows 0..n-2 of B, the rows that recurrence reads, must vanish off
+    those three diagonals; a nonzero entry there raises ReconstructionError
+    naming it."""
+    if not m.is_square():
+        raise ShapeError(f"reconstruction matrix must be square, got {m.shape()}")
+    num, n = m._num, m.rows
+    for i in range(n - 1):
+        for j, x in enumerate(num[i]):
+            if x and abs(i - j) > 1:
+                side = "above the superdiagonal" if j > i else "below the subdiagonal"
+                raise ReconstructionError(f"entry ({i},{j}) = {_text(x, m._den)} {side}")
+    return ([num[i + 1][i] for i in range(n - 1)], [num[i][i] for i in range(n)],
+            [num[i][i + 1] for i in range(n - 1)], m._den)
+
+
+def band_product(h: RatMatrix, b: Sequence[int], a: Sequence[int], c: Sequence[int],
+                 den: int = 1) -> RatMatrix:
+    """Rows 0..D-1, D = len(c) >= 1, of B H for the tridiagonal B of
+    :func:`recurrence_rows`, read from its band:
+    row i = (b_{i-1} h_{i-1} + a_i h_i + c_{i+1} h_{i+1}) / den."""
+    num = h._num
+    # at i = 0 the coefficient b_{-1} = 0 meets row -1, the last row of H
+    out = tuple(
+        tuple(x * u + y * v + z * w for u, v, w in zip(num[i - 1], num[i], num[i + 1]))
+        for i, (x, y, z) in enumerate(zip((0, *b), a, c))
+    )
+    return RatMatrix._of(out, h._den * den)
+
+
+def recurrence_rows(row, t: RatMatrix, b: Sequence[int], a: Sequence[int], c: Sequence[int],
+                    den: int = 1) -> RatMatrix:
+    """Rows r_0..r_D, D = len(c), of the three-term recurrence of the
+    tridiagonal matrix B with subdiagonal b_0..b_{D-1}, diagonal a_0..a_D and
+    superdiagonal c_1..c_D, integer numerators over the positive ``den``:
+
+        r_0 = row,   c_{w+1} r_{w+1} = den r_w T - a_w r_w - b_{w-1} r_{w-1}.
+
+    For an intersection array (den 1) these are the rows row p_w(T) of its
+    polynomials; c_1 may differ from 1 (a scaled array).  For B = R^T, with
+    R the quotient matrix of a completely regular code (:func:`band`), and T
+    the parameters S of a perfect structure, they are the rows of the
+    structure's distribution from its first row.  Every c_w must be nonzero;
+    a_D enters no row.  Each row costs one vector-matrix product and two
+    combinations, reduced after every step; no matrix of B is built."""
     depth = len(c)
     if len(b) != depth or len(a) != depth + 1:
         raise ShapeError(f"array lengths ({len(b)},{len(a)},{depth}) do not fit together")
-    for w, cw in enumerate(c, 1):
-        if cw < 1:
-            raise ShapeError(f"c_{w} = {cw} < 1")
-    rows = []
-    for w in range(depth + 1):
-        row = [0] * (depth + 1)
-        row[w] = a[w]
-        if w:
-            row[w - 1] = b[w - 1]
-        if w < depth:
-            row[w + 1] = c[w]
-        rows.append(row)
-    return RatMatrix(rows)
-
-
-def _check_hessenberg(b: RatMatrix) -> None:
-    """The rows 0..B.rows-2 of B, which the recurrence reads, must vanish
-    above the superdiagonal and be nonzero on it."""
-    if not b.is_square():
-        raise ShapeError(f"reconstruction matrix must be square, got {b.shape()}")
-    for i in range(b.rows - 1):
-        row = b._num[i]
-        if row[i + 1] == 0:
-            raise ReconstructionError(f"superdiagonal entry ({i},{i + 1}) is zero")
-        for j in range(i + 2, b.cols):
-            if row[j] != 0:
-                raise ReconstructionError(
-                    f"entry ({i},{j}) = {_text(row[j], b._den)} above the superdiagonal"
-                )
-
-
-def recurrence_rows(row, b: RatMatrix, t: RatMatrix) -> RatMatrix:
-    """Rows r_0..r_{n-1}, n = B.rows, of the recurrence of a
-    lower-Hessenberg matrix B with a nonzero superdiagonal:
-
-        r_0 = row,   B[i,i+1] r_{i+1} = r_i T - sum_{j<=i} B[i,j] r_j.
-
-    For B = R^T, with R the quotient matrix of a completely regular code and
-    T the parameters S of a perfect structure, these are the rows of the
-    structure's distribution from its first row; for a tridiagonal B
-    (:func:`tridiagonal`) they are row p_w(T) for the polynomials p_w of an
-    intersection array.  Each row costs one vector-matrix product and one
-    combination per nonzero B[i,j], on integer numerators over one
-    denominator, reduced after every step; no polynomial is expanded.  Row
-    n-1 of B enters no row."""
-    n = b.rows
-    _check_hessenberg(b)
     if not t.is_square():
         raise ShapeError(f"the recurrence needs a square matrix, got {t.shape()}")
     if not isinstance(row, RatMatrix):
@@ -396,34 +400,32 @@ def recurrence_rows(row, b: RatMatrix, t: RatMatrix) -> RatMatrix:
     if row.rows != 1 or row.cols != t.rows:
         raise ShapeError(f"row of shape {row.shape()} does not fit {t.shape()}")
     cols = list(zip(*t._num))
-    dt, db = t._den, b._den
+    dt = t._den
     rows = [(row._num[0], row._den)]
-    for i in range(n - 1):
-        cur, dcur = rows[i]
-        # r_i T over dcur * dt
-        acc = [sum(map(mul, cur, col)) for col in cols]
-        den = dcur * dt
-        brow = b._num[i]
-        for j in range(i + 1):
-            if brow[j]:
-                # minus (B[i,j] / db) r_j, over the lcm of the two denominators
-                vj, dj = rows[j]
-                d2 = db * dj
-                g = gcd(den, d2)
-                s1, s2 = d2 // g, brow[j] * (den // g)
-                acc = [x * s1 - s2 * y for x, y in zip(acc, vj)]
-                den *= s1
-        # over B[i,i+1] = sup / db, with the sign moved to the numerators
-        sup = brow[i + 1]
-        scale = db if sup > 0 else -db
-        if scale != 1:
-            acc = [x * scale for x in acc]
-        den *= abs(sup)
-        g = gcd(den, *acc)
+    for w, cw in enumerate(c):
+        if not cw:
+            raise ReconstructionError(f"superdiagonal entry ({w},{w + 1}) is zero")
+        cur, d = rows[w]
+        # den r_w T - a_w r_w, over d * dt
+        aw = a[w] * dt
+        acc = [den * sum(map(mul, cur, col)) - aw * x for col, x in zip(cols, cur)]
+        d *= dt
+        if w:
+            # minus b_{w-1} r_{w-1}, over the lcm of the two denominators
+            prev, dp = rows[w - 1]
+            g = gcd(d, dp)
+            s1, s2 = dp // g, b[w - 1] * (d // g)
+            acc = [x * s1 - s2 * y for x, y in zip(acc, prev)]
+            d *= s1
+        # over c_{w+1}, with its sign moved to the numerators
+        if cw < 0:
+            acc = [-x for x in acc]
+        d *= abs(cw)
+        g = gcd(d, *acc)
         if g != 1:
             acc = [x // g for x in acc]
-            den //= g
-        rows.append((acc, den))
+            d //= g
+        rows.append((acc, d))
     den = lcm(*(d for _, d in rows))
-    num = tuple(tuple(x * (den // d) for x in v) for v, d in rows)
+    num = tuple(tuple(v) if d == den else tuple(x * (den // d) for x in v) for v, d in rows)
     return RatMatrix._of(num, den)

@@ -21,7 +21,7 @@ from eqpart.equitable import (
     quotient_matrix,
     structure_from_coloring,
 )
-from eqpart.errors import EqpartError, ReconstructionError, ShapeError
+from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import decode_word, direct_product, hamming_graph, johnson_graph
 from eqpart.oracle import brute_distribution
 from eqpart.ratmat import RatMatrix, from_json
@@ -99,6 +99,19 @@ def test_distribution_rejects_mismatched_hosts():
         distribution(g1, g2)
 
 
+def test_a_broken_distribution_identity_names_its_first_difference(monkeypatch):
+    # values that no longer satisfy A f = f S: vertex 0 of H(2,3) counts colour 0 twice
+    g = hamming_graph(2, 3)
+    f = structure_from_coloring(g, distance_coloring(g, [0]))
+    real = PerfectStructure.value_matrix
+    bump = RatMatrix([[1, 0, 0]] + [[0, 0, 0]] * 8)
+    monkeypatch.setattr(PerfectStructure, "value_matrix", lambda self: real(self) + bump)
+    with pytest.raises(StructureError, match=(
+            r"^distribution identity failed; inputs are inconsistent: first difference at "
+            r"row 0, column 1: R\^T H 4, H S 16$")):
+        distribution(f, f)
+
+
 # -- first-row reconstruction ----------------------------------------------
 
 
@@ -142,9 +155,8 @@ def test_both_reconstruction_routes_agree_on_random_inputs():
         n = rng.randint(2, 5)
         rows = []
         for i in range(n):
-            row = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-            for j in range(i + 2, n):
-                row[j] = Fraction(0)
+            row = [Fraction(rng.randint(-3, 3)) if abs(i - j) <= 1 else Fraction(0)
+                   for j in range(n)]
             if i + 1 < n:
                 row[i + 1] = Fraction(rng.randint(1, 4))
             rows.append(row)

@@ -19,7 +19,8 @@ from eqpart.equitable import (
     trivial_coloring,
     verify_structure,
 )
-from eqpart.errors import EqpartError, ShapeError
+from eqpart import localdist
+from eqpart.errors import EqpartError, ShapeError, StructureError
 from eqpart.graphs import (
     direct_product,
     graph_from_edges,
@@ -54,6 +55,30 @@ PRODUCT_PARAMS_9X9 = from_json(
 
 def vertex_structure(g, v=0):
     return structure_from_coloring(g, distance_coloring(g, [v]))
+
+
+def test_broken_product_identities_name_their_first_difference(monkeypatch):
+    # f: a vertex of H(2,3) = H(1,3) x H(1,3), against the product of two vertex structures
+    h, g = hamming_graph(1, 3), hamming_graph(2, 3)
+    v, f = vertex_structure(h), vertex_structure(g)
+    assert tensor_distribution(v, v, f).h == from_json([[1, 0, 0], [0, 2, 0], [0, 2, 0], [0, 0, 4]])
+    sums = localdist.class_sums
+    with monkeypatch.context() as patch:
+        # one more vertex of f-colour 1 counted in the pair class (0, 0)
+        patch.setattr(localdist, "class_sums",
+                      lambda *args: sums(*args) + from_json([[0, 1, 0]] + [[0, 0, 0]] * 3))
+        with pytest.raises(StructureError, match=(
+                r"^product distribution identity failed: first difference at row 0, column 0: "
+                r"\(R1 \(\+\) R2\)\^T h 0, h S 1$")):
+            tensor_distribution(v, v, f)
+    params = localdist.star_params
+    with monkeypatch.context() as patch:
+        wrong = from_json([[0] * 6] * 5 + [[0, 0, 0, 0, 0, "1/2"]])
+        patch.setattr(localdist, "star_params", lambda r2, s: params(r2, s) + wrong)
+        with pytest.raises(StructureError, match=(
+                r"^rearranged distribution identity failed: first difference at row 1, "
+                r"column 5: R1\^T h\* 4, h\* S\* 6$")):
+            tensor_distribution(v, v, f)
 
 
 def test_tensor_structure_9x9_params():

@@ -1,14 +1,17 @@
 """The row kernel against the polynomial route, and the indicator shortcut
 of structure verification against the generic product.
 
-The kernel (``recurrence_rows``) runs the recurrence of a lower-Hessenberg
-matrix B; the reference expands its polynomials (``helpers``).  Generated
-cases are bounded: arrays of diameter at most 6 and degree at most 8,
-Hessenberg matrices up to 7 x 7 and square matrices up to 4 x 4 with
-numerators in [-9, 9] and denominators in [1, 9], alphabets up to 7.
+The kernel (``recurrence_rows``) runs the three-term recurrence of a
+tridiagonal matrix B from its three diagonals; the reference expands the
+polynomials of the dense B (``helpers``).  Generated cases are bounded:
+arrays of diameter at most 6 and degree at most 8, tridiagonal matrices up
+to 7 x 7 and square matrices up to 4 x 4 with numerators in [-9, 9] and
+denominators in [1, 9], alphabets up to 7.
 """
 import json
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,17 @@ from hypothesis import strategies as st
 
 from eqpart.cli import main
 from eqpart import distributions
-from eqpart.distributions import pcube_distribution, reconstruct_from_first_row
-from eqpart.drg import IntersectionArray, krawtchouk_p_polynomials, p_polynomials
+from eqpart.distributions import (
+    pcube_distribution,
+    reconstruct_from_first_row,
+    vertex_distribution,
+)
+from eqpart.drg import (
+    IntersectionArray,
+    hamming_intersection_array,
+    krawtchouk_p_polynomials,
+    p_polynomials,
+)
 from eqpart.equitable import (
     Coloring,
     distance_coloring,
@@ -26,7 +38,7 @@ from eqpart.equitable import (
 )
 from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import graph_from_edges, hamming_graph
-from eqpart.ratmat import RatMatrix, recurrence_rows, tridiagonal
+from eqpart.ratmat import RatMatrix, band, recurrence_rows
 
 from helpers import rows_by_matrix_polynomials, rows_by_polynomials
 
@@ -63,7 +75,7 @@ def arrays(draw) -> IntersectionArray:
 def test_recurrence_equals_the_p_polynomials(case):
     ia, f0, t = case
     t = RatMatrix(t)
-    rows = recurrence_rows(f0, tridiagonal(ia.b, ia.a, ia.c), t)
+    rows = recurrence_rows(f0, t, ia.b, ia.a, ia.c)
     assert rows == rows_by_polynomials(f0, p_polynomials(ia), t)
     assert rows.rows == ia.diameter + 1
 
@@ -77,11 +89,11 @@ def test_an_array_with_c1_other_than_1_is_no_graphs_array():
 def test_recurrence_rejects_arrays_that_do_not_fit():
     t = RatMatrix.identity(2)
     with pytest.raises(ShapeError, match="array lengths"):
-        recurrence_rows([1, 0], tridiagonal((1,), (0,), (1,)), t)
-    with pytest.raises(ShapeError, match="c_2 = 0"):
-        recurrence_rows([1, 0], tridiagonal((2, 1), (0, 0, 0), (1, 0)), t)
+        recurrence_rows([1, 0], t, (1,), (0,), (1,))
+    with pytest.raises(ReconstructionError, match=r"superdiagonal entry \(1,2\) is zero"):
+        recurrence_rows([1, 0], t, (2, 1), (0, 0, 0), (1, 0))
     with pytest.raises(ShapeError, match="does not fit"):
-        recurrence_rows([1, 0, 0], tridiagonal((1,), (0, 0), (1,)), t)
+        recurrence_rows([1, 0, 0], t, (1,), (0, 0), (1,))
 
 
 @PROPS
@@ -110,14 +122,13 @@ def test_cli_lattice_k30_equals_the_polynomial_route(capsys, tmp_path):
 
 
 @st.composite
-def hessenberg(draw):
-    """(B, n_rows): a lower-Hessenberg B, tridiagonal half of the time, with
-    rational entries and a nonzero (possibly negative) superdiagonal in the
-    rows the recurrence reads; n_rows may be less than B.rows, and the rows
-    it does not read are arbitrary."""
+def tridiagonal_matrices(draw):
+    """(B, n_rows): a tridiagonal B with rational entries and a nonzero
+    (possibly negative) superdiagonal in the rows the recurrence reads;
+    n_rows may be less than B.rows, and the rows it does not read are
+    arbitrary."""
     size = draw(st.integers(1, 7))
     n_rows = draw(st.integers(1, size))
-    band = draw(st.booleans())
     nonzero = rationals.filter(bool)
     rows = []
     for i in range(size):
@@ -126,23 +137,23 @@ def hessenberg(draw):
             continue
         rows.append([
             draw(nonzero) if j == i + 1
-            else Fraction(0) if j > i + 1 or (band and j < i - 1)
-            else draw(rationals)
+            else draw(rationals) if abs(i - j) <= 1
+            else Fraction(0)
             for j in range(size)
         ])
     return RatMatrix(rows), n_rows
 
 
 @PROPS
-@given(hessenberg(), st.integers(1, 4).flatmap(lambda k: st.tuples(row(k), square(k))))
-def test_kernel_equals_the_polynomial_route_on_hessenberg_matrices(case, values):
+@given(tridiagonal_matrices(), st.integers(1, 4).flatmap(lambda k: st.tuples(row(k), square(k))))
+def test_kernel_equals_the_polynomial_route_on_tridiagonal_matrices(case, values):
     b, n_rows = case
     h0, s = values
     s = RatMatrix(s)
     expect = rows_by_matrix_polynomials(b, s, h0, n_rows)
     # the kernel gives B.rows rows: the leading n_rows x n_rows block gives these
     lead = RatMatrix([b.row(i)[:n_rows] for i in range(n_rows)])
-    assert recurrence_rows(h0, lead, s) == expect
+    assert recurrence_rows(h0, s, *band(lead)) == expect
     assert reconstruct_from_first_row(lead, s, h0) == expect
 
 
@@ -157,24 +168,50 @@ def test_reconstruction_pattern_errors_name_the_entry():
         reconstruct_from_first_row(bad, s, [1])
 
 
+def test_an_entry_below_the_subdiagonal_is_named():
+    s = RatMatrix([[1]])
+    bad = RatMatrix([[0, 1, 0, 0], [1, 0, 1, 0], ["-3/4", 1, 0, 1], [0, 0, 1, 0]])
+    with pytest.raises(ReconstructionError, match=r"^entry \(2,0\) = -3/4 below the subdiagonal$"):
+        reconstruct_from_first_row(bad, s, [1])
+
+
 def test_a_kernel_that_drops_a_term_fails_the_certificate(monkeypatch):
     # a vertex of H(3, 2) and its distance coloring: B = R^T, S = R
-    b = tridiagonal((3, 2, 1), (0, 0, 0, 0), (1, 2, 3))
+    b = RatMatrix([[0, 1, 0, 0], [3, 0, 2, 0], [0, 2, 0, 3], [0, 0, 1, 0]])
     s = b.transpose()
     good = reconstruct_from_first_row(b, s, [1, 0, 0, 0])
     assert good == RatMatrix([[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
 
-    def dropped(row, b, t):
-        # the recurrence without the subdiagonal terms B[i,i-1] r_{i-1}
-        rows = [list(RatMatrix.row_vector(row).row(0))]
-        for i in range(b.rows - 1):
-            nxt = (RatMatrix([rows[i]]) @ t - RatMatrix([rows[i]]).scale(b[i, i])).row(0)
-            rows.append([x / b[i, i + 1] for x in nxt])
-        return RatMatrix(rows)
+    def dropped(row, t, sub, diag, sup, den=1):
+        # the recurrence without the subdiagonal terms b_{w-1} r_{w-1}
+        rows = [RatMatrix.row_vector(row)]
+        for w, cw in enumerate(sup):
+            rows.append(((rows[w] @ t).scale(den) - rows[w].scale(diag[w])).scale(Fraction(1, cw)))
+        return RatMatrix([r.row(0) for r in rows])
 
     monkeypatch.setattr(distributions, "recurrence_rows", dropped)
-    with pytest.raises(StructureError, match="fails"):
+    # row 2 of the dropped recurrence is e_0 S^2 / 2 = (3/2, 0, 3, 0), not (0, 0, 3, 0);
+    # row 1 of B H is then 3 h_0 + 2 h_2 = (6, 0, 6, 0), and of H S is (3, 0, 6, 0)
+    with pytest.raises(StructureError, match=(
+            r"^first-row reconstruction fails B\[:n-1\] H = H\[:n-1\] S: first difference "
+            r"at row 1, column 0: B H 6, H S 3$")):
         reconstruct_from_first_row(b, s, [1, 0, 0, 0])
+
+
+def test_long_closed_form_arrays_build_no_square_matrix():
+    """The 2001 rows of the H(2000,2) array are under 1 MB of integers,
+    where a dense 2001 x 2001 matrix of B took 61 MB."""
+    ia = hamming_intersection_array(2000, 2)
+    tracemalloc.start()
+    try:
+        rows = vertex_distribution(ia, RatMatrix([[1]]), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20 and rows.rows == 2001
+    # the all-one colouring, S = (degree): row w counts the words of weight w
+    binomials = RatMatrix([[comb(2000, w)] for w in range(2001)])
+    assert vertex_distribution(ia, RatMatrix([[2000]]), 0) == binomials
 
 
 # -- unit rows, and verify_structure on both kinds of values ----------------------
