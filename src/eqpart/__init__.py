@@ -44,9 +44,7 @@ _EXPORTS = {
         "fiber_coloring",
         "lattice_coloring",
         "quotient_matrix",
-        "structure_from_coloring",
         "tensor_params",
-        "trivial_coloring",
         "verify_structure",
     ),
     "errors": (
@@ -73,12 +71,10 @@ _EXPORTS = {
     ),
     "localdist": (
         "RearrangedDistribution",
-        "extract_local",
         "rearrange",
         "reconstruct_local",
         "tensor_distribution",
         "tensor_structure",
-        "unrearrange",
     ),
     "oracle": ("brute_distribution", "brute_pair_distribution"),
     "ratmat": ("RatMatrix", "tensor"),

@@ -37,16 +37,12 @@ from .ratmat import RatMatrix, tensor
 
 
 class Coloring(Record):
-    """Vertex-to-color map with colors 0..n_colors-1, every class nonempty.
-
-    ``distance_code`` is set when the coloring arose as the distance coloring
-    of a vertex set, and remembers that set.
-    """
+    """Vertex-to-color map with colors 0..n_colors-1, every class nonempty;
+    two colorings are equal when their graphs, colors and counts are."""
 
     graph: Graph
     colors: tuple[int, ...]
     n_colors: int
-    distance_code: frozenset[int] | None = None
 
     def __post_init__(self):
         if len(self.colors) != self.graph.n:
@@ -91,11 +87,6 @@ def coloring_from_list(g: Graph, colors: Sequence[int]) -> Coloring:
     colors must be integers (a JSON array read from a file is checked)."""
     colors = tuple(read_ints(colors, "colors"))
     return Coloring(g, colors, max(colors) + 1 if colors else 0)
-
-
-def trivial_coloring(g: Graph) -> Coloring:
-    """Each vertex its own color; the quotient matrix is the adjacency matrix."""
-    return Coloring(g, tuple(range(g.n)), g.n)
 
 
 def all_one_coloring(g: Graph) -> Coloring:
@@ -191,10 +182,11 @@ class PerfectStructure(Record):
             raise ShapeError("matrix values need a parameter matrix")
         ok, residual = verify_structure(self.host, f, s)
         if not ok:
-            bad = next(i for i in range(residual.rows) if any(x != 0 for x in residual.row(i)))
+            rows = residual.to_strings()
+            bad = next(i for i, row in enumerate(rows) if any(x != "0" for x in row))
             raise StructureError(
                 f"values do not satisfy the defining equation; first nonzero "
-                f"residual row {bad}: {list(map(str, residual.row(bad)))}"
+                f"residual row {bad}: {rows[bad]}"
             )
 
     @property
@@ -213,18 +205,11 @@ class PerfectStructure(Record):
         return f.indicator() if isinstance(f, Coloring) else f
 
 
-def structure_from_coloring(g: Graph, c: Coloring) -> PerfectStructure:
-    """The coloring as a structure over products (:mod:`eqpart.localdist`):
-    the coloring itself as the values and its quotient matrix, from one
-    neighbour-count scan, as S; no indicator matrix is built."""
-    return PerfectStructure(g, c)
-
-
 def distance_coloring(g: Graph, code: Iterable[int]) -> Coloring:
     """Color every vertex by its distance to the set."""
     code = read_ints(code, "code")  # in the given order, as BFS checks it
     dist, rho = distances_from_set(g, code)
-    return Coloring(g, tuple(dist), rho + 1, distance_code=frozenset(code))
+    return Coloring(g, tuple(dist), rho + 1)
 
 
 class CompletelyRegularCode(Record):
@@ -240,6 +225,7 @@ class CompletelyRegularCode(Record):
 def check_completely_regular(g: Graph, code: Iterable[int]) -> CompletelyRegularCode:
     """Build the distance coloring, derive its quotient matrix, and confirm
     the tridiagonal pattern."""
+    code = read_ints(code, "code")  # once, so that a generator still works
     col = distance_coloring(g, code)
     rows = _quotient_rows(g, col.colors, col.n_colors)
     for i, row in enumerate(rows):
@@ -248,7 +234,7 @@ def check_completely_regular(g: Graph, code: Iterable[int]) -> CompletelyRegular
                 raise NotTridiagonalError(
                     f"quotient entry ({i},{j}) = {x} off the three diagonals"
                 )
-    return CompletelyRegularCode(g, col.distance_code, col.n_colors - 1, RatMatrix(rows))
+    return CompletelyRegularCode(g, frozenset(code), col.n_colors - 1, RatMatrix(rows))
 
 
 def lattice_coloring(

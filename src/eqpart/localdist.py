@@ -16,14 +16,14 @@ other closed forms, so that it runs without this module and the graph code
 it imports; both names are bound here too.
 
 Index flattening is frozen as rows (i1 * k2 + i2) and columns
-(i2 * m + j); the round-trip between h and h* is exact.
+(i2 * m + j): h* is the row-major reshape of h.
 """
 from __future__ import annotations
 
 from ._record import Record
 from .distributions import reconstruct_local, star_params  # noqa: F401 - re-exported
 from .equitable import Coloring, PerfectStructure, tensor_params
-from .errors import EqpartError, ShapeError, StructureError
+from .errors import ShapeError, StructureError
 from .graphs import DEFAULT_VERTEX_BUDGET, Graph, class_sums, direct_product, is_direct_product
 from .ratmat import RatMatrix, first_difference, tensor
 
@@ -66,19 +66,12 @@ def rearrange(h: RatMatrix, n_left: int, n_right: int) -> RatMatrix:
     return h.reshape(n_left, n_right * h.cols)
 
 
-def unrearrange(h_star: RatMatrix, n_right: int) -> RatMatrix:
-    """Inverse of :func:`rearrange`."""
-    if h_star.cols % n_right:
-        raise ShapeError(f"{h_star.cols} columns do not split into {n_right} groups")
-    return h_star.reshape(h_star.rows * n_right, h_star.cols // n_right)
-
-
 class RearrangedDistribution(Record):
     """The pair (h, h*) with its index metadata.
 
-    ``left_is_distance`` / ``right_is_distance`` record whether the factor
-    structures were distance colorings, which is what makes the first row
-    and column blocks of h local distributions.
+    When both factor structures are distance colorings of a vertex, rows
+    (0, i2) and (i1, 0) of h are the two local distributions of f: on the
+    fibers through the right and the left factor.
     """
 
     h: RatMatrix
@@ -86,8 +79,6 @@ class RearrangedDistribution(Record):
     n_left: int
     n_right: int
     n_values: int
-    left_is_distance: bool = False
-    right_is_distance: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -97,10 +88,6 @@ class RearrangedDistribution(Record):
             "h": self.h.to_strings(),
             "h_star": self.h_star.to_strings(),
         }
-
-
-def _is_distance(g: PerfectStructure) -> bool:
-    return getattr(g.values, "distance_code", None) is not None
 
 
 def tensor_distribution(
@@ -129,27 +116,4 @@ def tensor_distribution(
     if lhs != rhs:
         raise StructureError("rearranged distribution identity failed: "
                              + first_difference(lhs, rhs, "R1^T h*", "h* S*"))
-    return RearrangedDistribution(
-        h,
-        h_star,
-        k1,
-        k2,
-        m,
-        left_is_distance=_is_distance(g1),
-        right_is_distance=_is_distance(g2),
-    )
-
-
-def extract_local(rd: RearrangedDistribution) -> tuple[RatMatrix, RatMatrix]:
-    """The two local distributions inside h.
-
-    First: rows (0, i2) of h — the distribution of f restricted to the fiber
-    through the right factor.  Second: rows (i1, 0) — the restriction to the
-    fiber through the left factor.  Both factor structures must be distance
-    colorings for this reading to hold.
-    """
-    if not (rd.left_is_distance and rd.right_is_distance):
-        raise EqpartError("local blocks need distance colorings on both factors")
-    first = rd.h.sum_rows([i2] for i2 in range(rd.n_right))
-    second = rd.h.sum_rows([i1 * rd.n_right] for i1 in range(rd.n_left))
-    return first, second
+    return RearrangedDistribution(h, h_star, k1, k2, m)

@@ -10,12 +10,12 @@ from . import codes
 from .distributions import lattice_distribution, vertex_distribution
 from .drg import hamming_intersection_array, intersection_array
 from .equitable import (
+    PerfectStructure,
     all_one_coloring,
     check_completely_regular,
     distance_coloring,
     lattice_coloring,
     quotient_matrix,
-    structure_from_coloring,
     verify_structure,
 )
 from .graphs import hamming_graph
@@ -42,7 +42,7 @@ def checks():
     vcol = distance_coloring(h23, [0])
 
     def product_params_9x9():
-        g1 = structure_from_coloring(h23, vcol)
+        g1 = PerfectStructure(h23, vcol)
         ts = tensor_structure(g1, g1)
         assert ts.params == from_json(PRODUCT_PARAMS_3ARY_2CUBE)
 

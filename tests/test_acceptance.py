@@ -35,9 +35,7 @@ from eqpart.equitable import (
     fiber_coloring,
     lattice_coloring,
     quotient_matrix,
-    structure_from_coloring,
     tensor_params,
-    trivial_coloring,
     verify_structure,
 )
 from eqpart.graphs import (
@@ -52,7 +50,6 @@ from eqpart.localdist import (
     star_params,
     tensor_distribution,
     tensor_structure,
-    unrearrange,
 )
 from eqpart.oracle import brute_distribution
 from eqpart.ratmat import RatMatrix, from_json
@@ -136,7 +133,7 @@ PRODUCT_PARAMS_9X9 = from_json(
 @criterion("criterion 1: printed 9x9 product parameter matrix", budget=1.0)
 def test_criterion_1_tensor_structure_9x9():
     g = H(2, 3)
-    s = structure_from_coloring(g, vertex_coloring(g))
+    s = PerfectStructure(g, vertex_coloring(g))
     ts = tensor_structure(s, s)
     assert ts.params == PRODUCT_PARAMS_9X9
 
@@ -262,7 +259,7 @@ def test_criterion_5_oracle_sweep():
         else:
             f_pool = [all_one_coloring(g), vertex_coloring(g)]
             if g.n <= 32:
-                f_pool.append(trivial_coloring(g))
+                f_pool.append(Coloring(g, tuple(range(g.n)), g.n))
         for f in f_pool:
             s = quotient_matrix(g, f)
             per_color = {}
@@ -314,8 +311,8 @@ def test_criterion_5_oracle_sweep():
             all_one_coloring(prod),
             Coloring(prod, fib.colors, fib.n_colors),
             tensor_structure(
-                structure_from_coloring(left, vertex_coloring(left)),
-                structure_from_coloring(right, vertex_coloring(right)),
+                PerfectStructure(left, vertex_coloring(left)),
+                PerfectStructure(right, vertex_coloring(right)),
             ),
         ]
         for f in f_pool:
@@ -417,7 +414,7 @@ def test_criterion_8_rearrangement_identities():
     instances = []
 
     def vertex_struct(g):
-        return structure_from_coloring(g, vertex_coloring(g))
+        return PerfectStructure(g, vertex_coloring(g))
 
     pairs = [
         (H(2, 3), H(2, 3)),
@@ -430,31 +427,31 @@ def test_criterion_8_rearrangement_identities():
     for left, right in pairs:
         prod = direct_product(left, right)
         g1, g2 = vertex_struct(left), vertex_struct(right)
-        f_pool = [structure_from_coloring(prod, all_one_coloring(prod))]
+        f_pool = [PerfectStructure(prod, all_one_coloring(prod))]
         if prod.n <= 128:
             fib = fiber_coloring(left, right)
             f_pool.append(
-                structure_from_coloring(prod, Coloring(prod, fib.colors, fib.n_colors))
+                PerfectStructure(prod, Coloring(prod, fib.colors, fib.n_colors))
             )
             f_pool.append(tensor_structure(g1, g2))
         if left.name.startswith("H(") and right.name.startswith("H(") and prod.n <= 128:
-            f_pool.append(structure_from_coloring(prod, distance_coloring(prod, [0])))
+            f_pool.append(PerfectStructure(prod, distance_coloring(prod, [0])))
         for f in f_pool:
             instances.append((left, right, g1, g2, f))
 
     # touch the size ceiling with one-color factor structures
     big = H(6, 2)
-    ones = structure_from_coloring(big, all_one_coloring(big))
+    ones = PerfectStructure(big, all_one_coloring(big))
     big_prod = direct_product(big, big)
     instances.append(
-        (big, big, ones, ones, structure_from_coloring(big_prod, distance_coloring(big_prod, [0])))
+        (big, big, ones, ones, PerfectStructure(big_prod, distance_coloring(big_prod, [0])))
     )
 
     assert max(g1.graph.n * g2.graph.n for _, _, g1, g2, _ in instances) == 4096
     for left, right, g1, g2, f in instances:
         rd = tensor_distribution(g1, g2, f)
-        # round trip is exact
-        assert unrearrange(rd.h_star, rd.n_right) == rd.h
+        # h* is the row-major reshape of h
+        assert rd.h_star.reshape(rd.h.rows, rd.h.cols) == rd.h
         # the governing identity of h, recomputed here
         lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ rd.h
         assert lhs == rd.h @ f.params

@@ -136,11 +136,11 @@ def test_local_distrib_regenerates_the_product_rows_once(capsys, tmp_path, monke
 
 
 def test_local_distrib_over_another_1024_vertex_graph_raises(capsys, tmp_path):
-    s = equitable.structure_from_coloring(graphs.hamming_graph(5, 2),
+    s = equitable.PerfectStructure(graphs.hamming_graph(5, 2),
                                           equitable.distance_coloring(graphs.hamming_graph(5, 2),
                                                                       [0]))
     other = graphs.hamming_graph(5, 4)
-    f = equitable.structure_from_coloring(other, equitable.all_one_coloring(other))
+    f = equitable.PerfectStructure(other, equitable.all_one_coloring(other))
     with pytest.raises(ShapeError, match="direct product"):
         localdist.tensor_distribution(s, s, f)
     left = write(tmp_path, "left.json", vertex_coloring(h(5), 5))

@@ -19,7 +19,6 @@ from eqpart.equitable import (
     distance_coloring,
     lattice_coloring,
     quotient_matrix,
-    structure_from_coloring,
 )
 from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import decode_word, direct_product, hamming_graph, johnson_graph
@@ -33,35 +32,35 @@ S3 = from_json([[0, 4, 0], [1, 1, 2], [0, 2, 2]])
 
 def test_distribution_all_one_on_k2():
     g = hamming_graph(1, 2)
-    ones = structure_from_coloring(g, all_one_coloring(g))
+    ones = PerfectStructure(g, all_one_coloring(g))
     assert distribution(ones, ones) == from_json([[2]])
 
 
 def test_distribution_vertex_coloring_diagonal():
     g = hamming_graph(2, 3)
-    struct = structure_from_coloring(g, distance_coloring(g, [0]))
+    struct = PerfectStructure(g, distance_coloring(g, [0]))
     dist = distribution(struct, struct)
     assert dist == from_json([[1, 0, 0], [0, 4, 0], [0, 0, 4]])
 
 
 def test_distribution_code_coloring():
     g = hamming_graph(7, 2)
-    struct = structure_from_coloring(g, distance_coloring(g, hamming_code_vertices(3)))
+    struct = PerfectStructure(g, distance_coloring(g, hamming_code_vertices(3)))
     assert distribution(struct, struct) == from_json([[16, 0], [0, 112]])
 
 
 def test_distribution_total_is_vertex_count():
     g = hamming_graph(3, 2)
-    f = structure_from_coloring(g, distance_coloring(g, [0]))
-    ones = structure_from_coloring(g, all_one_coloring(g))
+    f = PerfectStructure(g, distance_coloring(g, [0]))
+    ones = PerfectStructure(g, all_one_coloring(g))
     rows = distribution(ones, f)
     assert sum(x for row in rows for x in row) == g.n
 
 
 def test_distribution_identity_holds_for_mixed_pair():
     g = hamming_graph(4, 2)
-    gcol = structure_from_coloring(g, distance_coloring(g, [0]))
-    fcol = structure_from_coloring(g, lattice_coloring(2, 2, 2))
+    gcol = PerfectStructure(g, distance_coloring(g, [0]))
+    fcol = PerfectStructure(g, lattice_coloring(2, 2, 2))
     dist = distribution(gcol, fcol)
     h = dist
     assert gcol.params.transpose() @ h == h @ fcol.params
@@ -70,8 +69,8 @@ def test_distribution_identity_holds_for_mixed_pair():
 def test_distribution_column_sums_are_class_sizes():
     g = hamming_graph(4, 2)
     f = distance_coloring(g, [0])
-    gcol = structure_from_coloring(g, lattice_coloring(2, 2, 2))
-    rows = distribution(gcol, structure_from_coloring(g, f))
+    gcol = PerfectStructure(g, lattice_coloring(2, 2, 2))
+    rows = distribution(gcol, PerfectStructure(g, f))
     for j in range(rows.cols):
         assert sum(rows[i, j] for i in range(rows.rows)) == f.class_sizes()[j]
 
@@ -93,8 +92,8 @@ def test_johnson_vertex_distribution_matches_eberlein_values():
 
 
 def test_distribution_rejects_mismatched_hosts():
-    g1 = structure_from_coloring(hamming_graph(2, 2), all_one_coloring(hamming_graph(2, 2)))
-    g2 = structure_from_coloring(hamming_graph(1, 3), all_one_coloring(hamming_graph(1, 3)))
+    g1 = PerfectStructure(hamming_graph(2, 2), all_one_coloring(hamming_graph(2, 2)))
+    g2 = PerfectStructure(hamming_graph(1, 3), all_one_coloring(hamming_graph(1, 3)))
     with pytest.raises(ShapeError):
         distribution(g1, g2)
 
@@ -102,7 +101,7 @@ def test_distribution_rejects_mismatched_hosts():
 def test_a_broken_distribution_identity_names_its_first_difference(monkeypatch):
     # values that no longer satisfy A f = f S: vertex 0 of H(2,3) counts colour 0 twice
     g = hamming_graph(2, 3)
-    f = structure_from_coloring(g, distance_coloring(g, [0]))
+    f = PerfectStructure(g, distance_coloring(g, [0]))
     real = PerfectStructure.value_matrix
     bump = RatMatrix([[1, 0, 0]] + [[0, 0, 0]] * 8)
     monkeypatch.setattr(PerfectStructure, "value_matrix", lambda self: real(self) + bump)

@@ -15,9 +15,7 @@ from eqpart.equitable import (
     load_coloring,
     load_structure,
     quotient_matrix,
-    structure_from_coloring,
     tensor_params,
-    trivial_coloring,
     verify_structure,
 )
 from eqpart.errors import (
@@ -56,7 +54,7 @@ def test_quotient_proper_2coloring_of_k2():
 
 def test_quotient_trivial_coloring_is_adjacency():
     g = johnson_graph(4, 2)
-    assert quotient_matrix(g, trivial_coloring(g)) == g.adjacency_matrix()
+    assert quotient_matrix(g, Coloring(g, tuple(range(g.n)), g.n)) == g.adjacency_matrix()
 
 
 def test_quotient_not_equitable_witness():
@@ -121,7 +119,7 @@ def test_distance_coloring_classes():
     g = hamming_graph(2, 3)
     col = distance_coloring(g, [0])
     assert col.class_sizes() == [1, 4, 4]
-    assert col.distance_code == frozenset([0])
+    assert col == Coloring(g, (0, 1, 1, 1, 2, 2, 1, 2, 2), 3)
 
     whole = distance_coloring(g, range(g.n))
     assert whole.n_colors == 1
@@ -141,6 +139,9 @@ def test_check_completely_regular_code_params():
     crc8 = check_completely_regular(g8, extended_hamming_code_vertices(3))
     assert crc8.rho == 2
     assert crc8.params == from_json([[0, 8, 0], [1, 0, 7], [0, 8, 0]])
+
+    # the code is read once, so a generator gives the same code
+    assert check_completely_regular(g, iter([0])).code == frozenset({0})
 
 
 def test_crc_superdiagonal_entries_nonzero():

@@ -23,9 +23,7 @@ from eqpart.equitable import (
     coloring_from_list,
     distance_coloring,
     lattice_coloring,
-    structure_from_coloring,
     tensor_params,
-    trivial_coloring,
     verify_structure,
 )
 from eqpart.errors import StructureError
@@ -88,10 +86,10 @@ def values_over(draw, g):
 
 @st.composite
 def structures(draw, g, mixed):
-    """structure_from_coloring of the trivial coloring of g (S = A), or, when
+    """The structure of the trivial coloring of g (S = A), or, when
     ``mixed``, its values times T = S + cI, which commutes with S, so that
     A (f T) = (f T) S: a perfect structure whose rows are not unit vectors."""
-    f = structure_from_coloring(g, trivial_coloring(g))
+    f = PerfectStructure(g, Coloring(g, tuple(range(g.n)), g.n))
     if not mixed:
         return f
     c = draw(rationals)
@@ -151,7 +149,7 @@ def test_colour_count_verification_accepts_every_equitable_coloring():
     even_weight = [v for v in range(16) if bin(v).count("1") % 2 == 0]
     for code in ([0], [0, 15], even_weight):
         col = distance_coloring(g, code)
-        s = structure_from_coloring(g, col).params
+        s = PerfectStructure(g, col).params
         zero = RatMatrix.zeros(g.n, col.n_colors)
         assert verify_structure(g, col.indicator(), s) == (True, zero)
 
@@ -166,8 +164,8 @@ def factors(draw):
         col = distance_coloring(g, [draw(st.integers(0, g.n - 1))])
     else:
         g = draw(connected_graphs(max_n=4))
-        col = trivial_coloring(g)
-    return structure_from_coloring(g, col)
+        col = Coloring(g, tuple(range(g.n)), g.n)
+    return PerfectStructure(g, col)
 
 
 @PROPS
@@ -197,7 +195,7 @@ def test_product_of_two_colorings_is_the_pair_coloring(data):
 
 def test_product_of_a_coloring_and_a_structure_stays_kronecker():
     g = hamming_graph(2, 2)
-    col = structure_from_coloring(g, distance_coloring(g, [0]))
+    col = PerfectStructure(g, distance_coloring(g, [0]))
     t = col.params + RatMatrix.identity(3).scale(Fraction(1, 2))
     mixed = PerfectStructure(g, col.value_matrix() @ t, col.params)
     prod = tensor_structure(col, mixed)
@@ -301,7 +299,7 @@ def test_graph_route_builds_no_per_vertex_matrix_on_a_coloring(
 
 def test_the_counting_wrapper_sees_the_kronecker_route_of_a_structure(operand_rows):
     g = hamming_graph(3, 2)
-    f = structure_from_coloring(g, distance_coloring(g, [0]))
+    f = PerfectStructure(g, distance_coloring(g, [0]))
     mixed = PerfectStructure(g, f.value_matrix() @ (f.params + RatMatrix.identity(4)), f.params)
     tensor_structure(f, mixed)
     assert 64 in operand_rows["operands"]

@@ -15,25 +15,21 @@ from eqpart.equitable import (
     distance_coloring,
     lattice_coloring,
     quotient_matrix,
-    structure_from_coloring,
-    trivial_coloring,
     verify_structure,
 )
 from eqpart import localdist
-from eqpart.errors import EqpartError, ShapeError, StructureError
+from eqpart.errors import ShapeError, StructureError
 from eqpart.graphs import (
     direct_product,
     graph_from_edges,
     hamming_graph,
 )
 from eqpart.localdist import (
-    extract_local,
     rearrange,
     reconstruct_local,
     star_params,
     tensor_distribution,
     tensor_structure,
-    unrearrange,
 )
 from eqpart.oracle import brute_pair_distribution
 from eqpart.ratmat import RatMatrix, from_json
@@ -54,7 +50,7 @@ PRODUCT_PARAMS_9X9 = from_json(
 
 
 def vertex_structure(g, v=0):
-    return structure_from_coloring(g, distance_coloring(g, [v]))
+    return PerfectStructure(g, distance_coloring(g, [v]))
 
 
 def test_broken_product_identities_name_their_first_difference(monkeypatch):
@@ -95,7 +91,7 @@ def test_tensor_structure_one_color_factor():
     g1 = hamming_graph(2, 3)
     g2 = hamming_graph(2, 2)
     s1 = vertex_structure(g1)
-    ones = structure_from_coloring(g2, all_one_coloring(g2))
+    ones = PerfectStructure(g2, all_one_coloring(g2))
     ts = tensor_structure(s1, ones)
     assert ts.params == s1.params + RatMatrix.identity(3).scale(2)
 
@@ -121,7 +117,7 @@ def test_rearrange_roundtrip():
         )
         star = rearrange(h, n1, n2)
         assert star.shape() == (n1, n2 * m)
-        assert unrearrange(star, n2) == h
+        assert star.reshape(n1 * n2, m) == h
         # the map is the claimed entrywise bijection
         for i1 in range(n1):
             for i2 in range(n2):
@@ -136,7 +132,7 @@ def test_tensor_distribution_counts_for_all_one_values():
     g2 = hamming_graph(1, 3)
     s1, s2 = vertex_structure(g1), vertex_structure(g2)
     prod = direct_product(g1, g2)
-    f = structure_from_coloring(prod, all_one_coloring(prod))
+    f = PerfectStructure(prod, all_one_coloring(prod))
     rd = tensor_distribution(s1, s2, f)
     sizes1 = s1.values.class_sizes()
     sizes2 = s2.values.class_sizes()
@@ -150,7 +146,7 @@ def test_tensor_distribution_lattice_values_match_pair_oracle():
     s1 = vertex_structure(g1)
     prod = direct_product(g1, g1)
     lat = lattice_coloring(2, 2, 3)
-    f = structure_from_coloring(prod, Coloring(prod, lat.colors, lat.n_colors))
+    f = PerfectStructure(prod, Coloring(prod, lat.colors, lat.n_colors))
     rd = tensor_distribution(s1, s1, f)
     pair_coloring = tensor_structure(s1, s1).values
     assert rd.h == brute_pair_distribution(prod, pair_coloring, f)
@@ -165,7 +161,7 @@ def test_tensor_distribution_rejects_wrong_host():
     g1 = hamming_graph(1, 2)
     s1 = vertex_structure(g1)
     other = hamming_graph(2, 3)
-    f = structure_from_coloring(other, all_one_coloring(other))
+    f = PerfectStructure(other, all_one_coloring(other))
     with pytest.raises(ShapeError):
         tensor_distribution(s1, s1, f)
 
@@ -182,7 +178,7 @@ def test_reconstruct_local_matches_tensor_distribution():
     g = hamming_graph(2, 3)
     s1 = vertex_structure(g)
     prod = direct_product(g, g)
-    f = structure_from_coloring(prod, all_one_coloring(prod))
+    f = PerfectStructure(prod, all_one_coloring(prod))
     rd = tensor_distribution(s1, s1, f)
     full = reconstruct_local(g, s1.params, f.params, RatMatrix([rd.h_star.row(0)]))
     assert full == rd.h_star
@@ -194,7 +190,7 @@ def test_reconstruct_local_hamming_code_over_split_cube():
     prod = direct_product(left, right)
     assert prod.same_adjacency(hamming_graph(7, 2))
     s1, s2 = vertex_structure(left), vertex_structure(right)
-    f = structure_from_coloring(prod, distance_coloring(prod, hamming_code_vertices(3)))
+    f = PerfectStructure(prod, distance_coloring(prod, hamming_code_vertices(3)))
     rd = tensor_distribution(s1, s2, f)
     # oracle: count color pairs directly
     pair_coloring = tensor_structure(s1, s2).values
@@ -203,15 +199,22 @@ def test_reconstruct_local_hamming_code_over_split_cube():
     assert full == rd.h_star
 
 
-def test_extract_local_blocks():
+def local_blocks(rd):
+    """Rows (0, i2) and (i1, 0) of h: the local distributions of f on the
+    fibers through the right and the left factor, when both factors are
+    vertex structures."""
+    first = rd.h.sum_rows([i2] for i2 in range(rd.n_right))
+    second = rd.h.sum_rows([i1 * rd.n_right] for i1 in range(rd.n_left))
+    return first, second
+
+
+def test_local_blocks():
     g1 = hamming_graph(2, 3)
     g2 = hamming_graph(1, 3)
     s1, s2 = vertex_structure(g1), vertex_structure(g2)
-    prod = direct_product(g1, g2)
-    ts = tensor_structure(s1, s2)
-    f = ts
+    f = tensor_structure(s1, s2)
     rd = tensor_distribution(s1, s2, f)
-    first, second = extract_local(rd)
+    first, second = local_blocks(rd)
     assert first.shape() == (rd.n_right, rd.n_values)
     assert second.shape() == (rd.n_left, rd.n_values)
     # f is the product coloring itself, so the blocks count fiber vertices of
@@ -224,15 +227,15 @@ def test_extract_local_blocks():
             assert first[i2, j] == expect
 
 
-def test_extract_local_single_vertex_right_factor():
+def test_local_blocks_single_vertex_right_factor():
     g1 = hamming_graph(2, 2)
     single = graph_from_edges(1, [])
     s1 = vertex_structure(g1)
-    s2 = structure_from_coloring(single, distance_coloring(single, [0]))
+    s2 = PerfectStructure(single, distance_coloring(single, [0]))
     prod = direct_product(g1, single)
-    f = structure_from_coloring(prod, distance_coloring(prod, [0]))
+    f = PerfectStructure(prod, distance_coloring(prod, [0]))
     rd = tensor_distribution(s1, s2, f)
-    first, second = extract_local(rd)
+    first, second = local_blocks(rd)
     # with a one-vertex right factor the second block is the whole
     # distribution of f with respect to the left vertex coloring
     from eqpart.distributions import distribution
@@ -241,21 +244,11 @@ def test_extract_local_single_vertex_right_factor():
     assert first.shape() == (1, rd.n_values)
 
 
-def test_extract_local_needs_distance_colorings():
-    g1 = hamming_graph(1, 2)
-    ones = structure_from_coloring(g1, all_one_coloring(g1))
-    prod = direct_product(g1, g1)
-    f = structure_from_coloring(prod, all_one_coloring(prod))
-    rd = tensor_distribution(ones, ones, f)
-    with pytest.raises(EqpartError):
-        extract_local(rd)
-
-
 def test_trivial_left_coloring_params_are_adjacency():
     # a fixed 5-vertex connected graph, deliberately not regular
     g1 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
-    triv = trivial_coloring(g1)
-    s1 = structure_from_coloring(g1, triv)
+    triv = Coloring(g1, tuple(range(g1.n)), g1.n)
+    s1 = PerfectStructure(g1, triv)
     assert s1.params == g1.adjacency_matrix()
     g2 = hamming_graph(1, 2)
     s2 = vertex_structure(g2)
@@ -271,11 +264,11 @@ def test_trivial_left_coloring_params_are_adjacency():
 
 PRODUCT_GROWTH_PROBE = """
 import resource
-from eqpart.equitable import distance_coloring, structure_from_coloring
+from eqpart.equitable import PerfectStructure, distance_coloring
 from eqpart.graphs import hamming_graph
 from eqpart.localdist import tensor_structure
 g = hamming_graph(8, 2)
-weights = structure_from_coloring(g, distance_coloring(g, [0]))
+weights = PerfectStructure(g, distance_coloring(g, [0]))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 tensor_structure(weights, weights)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)

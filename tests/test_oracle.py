@@ -10,7 +10,6 @@ from eqpart.equitable import (
     all_one_coloring,
     distance_coloring,
     lattice_coloring,
-    trivial_coloring,
 )
 from eqpart.errors import ShapeError
 from eqpart.graphs import hamming_graph
@@ -52,7 +51,7 @@ def test_pair_distribution_diagonal_for_same_coloring():
 
 def test_pair_distribution_trivial_coloring_recovers_values():
     g = hamming_graph(2, 2)
-    triv = trivial_coloring(g)
+    triv = Coloring(g, tuple(range(g.n)), g.n)
     col = distance_coloring(g, [0])
     table = brute_pair_distribution(g, triv, col)
     assert table == col.indicator()

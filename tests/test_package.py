@@ -25,7 +25,6 @@ from eqpart.equitable import (
     all_one_coloring,
     check_completely_regular,
     distance_coloring,
-    structure_from_coloring,
 )
 from eqpart.errors import EqpartError, ShapeError, StructureError
 from eqpart.graphs import Graph, hamming_graph
@@ -52,8 +51,8 @@ EXPORTS = {
     "equitable": [
         "Coloring", "CompletelyRegularCode", "PerfectStructure", "all_one_coloring",
         "check_completely_regular", "coloring_from_list", "distance_coloring",
-        "fiber_coloring", "lattice_coloring", "quotient_matrix", "structure_from_coloring",
-        "tensor_params", "trivial_coloring", "verify_structure",
+        "fiber_coloring", "lattice_coloring", "quotient_matrix", "tensor_params",
+        "verify_structure",
     ],
     "errors": [
         "EqpartError", "NotDistanceRegularError", "NotEquitableError", "NotTridiagonalError",
@@ -65,8 +64,8 @@ EXPORTS = {
         "graph_from_edges", "halved_cube", "hamming_graph", "johnson_graph", "load_graph",
     ],
     "localdist": [
-        "RearrangedDistribution", "extract_local", "rearrange",
-        "reconstruct_local", "tensor_distribution", "tensor_structure", "unrearrange",
+        "RearrangedDistribution", "rearrange", "reconstruct_local", "tensor_distribution",
+        "tensor_structure",
     ],
     "oracle": ["brute_distribution", "brute_pair_distribution"],
     "ratmat": ["RatMatrix", "tensor"],
@@ -114,7 +113,7 @@ H22 = hamming_graph(2, 2)
 
 
 def _vertex_structure(g):
-    return structure_from_coloring(g, distance_coloring(g, [0]))
+    return PerfectStructure(g, distance_coloring(g, [0]))
 
 
 def _rearranged():
@@ -129,7 +128,7 @@ RECORDS = {
     Coloring: (lambda: distance_coloring(H22, [0]), all_one_coloring(H22), "colors"),
     PerfectStructure: (
         lambda: _vertex_structure(H22),
-        structure_from_coloring(H22, all_one_coloring(H22)),
+        PerfectStructure(H22, all_one_coloring(H22)),
         "values",
     ),
     CompletelyRegularCode: (
@@ -179,8 +178,7 @@ def test_records_take_fields_by_position_or_keyword_with_defaults():
     g = Graph(4, H22.adj)
     assert (g.labels, g.name) == (None, "")
     assert Graph(n=4, adj=H22.adj, name="x") == Graph(4, H22.adj, None, "x")
-    assert distance_coloring(H22, [0]).distance_code == frozenset({0})
-    assert Coloring(H22, (0, 0, 0, 0), 1).distance_code is None
+    assert distance_coloring(H22, [0]) == Coloring(H22, (0, 1, 1, 2), 3)
     with pytest.raises(TypeError):
         Graph(4)
     with pytest.raises(TypeError):

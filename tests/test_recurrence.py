@@ -32,8 +32,8 @@ from eqpart.drg import (
 )
 from eqpart.equitable import (
     Coloring,
+    PerfectStructure,
     distance_coloring,
-    structure_from_coloring,
     verify_structure,
 )
 from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
@@ -280,6 +280,6 @@ def test_structure_from_a_distance_coloring_multiplies_no_matrix(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(RatMatrix, "__matmul__", counting)
-    struct = structure_from_coloring(g, col)
+    struct = PerfectStructure(g, col)
     assert products == []
     assert struct.params.shape() == (7, 7)

@@ -142,3 +142,29 @@ def test_local_reconstruct_loads_no_graph_structure_or_product_code(runs):
     loaded = runs["local_reconstruct"]
     assert {"eqpart.distributions", "eqpart.drg"} <= loaded
     assert not loaded & {"eqpart.graphs", "eqpart.equitable", "eqpart.localdist"}
+
+
+BAD_STRUCTURE = """
+import sys
+from eqpart.equitable import PerfectStructure
+from eqpart.errors import StructureError
+from eqpart.graphs import hamming_graph
+from eqpart.ratmat import from_json
+try:
+    PerfectStructure(hamming_graph(2, 2), from_json([[1, 0], [0, 1], [0, 1], ["1/2", 0]]),
+                     from_json([[0, 2], [2, 0]]))
+except StructureError as exc:
+    print(exc)
+print("fractions" in sys.modules)
+"""
+
+
+def test_a_failed_structure_check_names_its_row_without_fraction_code():
+    proc = subprocess.run([sys.executable, "-c", BAD_STRUCTURE],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == [
+        "values do not satisfy the defining equation; first nonzero residual row 1: "
+        "['-1/2', '0']",
+        "False",
+    ]

@@ -26,7 +26,6 @@ from eqpart.equitable import (
     PerfectStructure,
     coloring_from_list,
     distance_coloring,
-    structure_from_coloring,
 )
 from eqpart.errors import EqpartError, ShapeError, StructureError
 from eqpart.graphs import hamming_graph, load_graph, read_spec
@@ -393,7 +392,7 @@ def test_any_colors_array_ends_in_a_result_or_an_error(colors, command):
 
 def test_a_structure_rejects_a_coloring_that_is_not_its_values():
     g = hamming_graph(3, 2)
-    ones = structure_from_coloring(g, equitable.all_one_coloring(g))
+    ones = PerfectStructure(g, equitable.all_one_coloring(g))
     other = hamming_graph(2, 2)
     with pytest.raises(StructureError, match="^coloring is over a different graph than the host$"):
         PerfectStructure(g, equitable.all_one_coloring(other), ones.params)
@@ -408,10 +407,10 @@ def test_a_structure_rejects_a_coloring_that_is_not_its_values():
 def test_the_internal_constructions_pass_the_coloring_check():
     g = hamming_graph(3, 2)
     col = distance_coloring(g, [0])
-    assert structure_from_coloring(g, col).values is col
+    assert PerfectStructure(g, col).values is col
     from eqpart.localdist import tensor_structure
 
-    pair = tensor_structure(structure_from_coloring(g, col), structure_from_coloring(g, col))
+    pair = tensor_structure(PerfectStructure(g, col), PerfectStructure(g, col))
     assert isinstance(pair.values, Coloring)
 
 
@@ -419,8 +418,8 @@ def test_the_product_of_two_colorings_is_a_coloring_built_without_an_indicator(k
     from eqpart.localdist import tensor_structure
 
     g = hamming_graph(3, 2)
-    s1 = structure_from_coloring(g, distance_coloring(g, [0]))
-    s2 = structure_from_coloring(g, equitable.all_one_coloring(g))
+    s1 = PerfectStructure(g, distance_coloring(g, [0]))
+    s2 = PerfectStructure(g, equitable.all_one_coloring(g))
     pair = tensor_structure(s1, s2)
     assert isinstance(pair.values, Coloring) and pair.n_colors == 4
     assert pair.values.colors == tuple(c for c in s1.values.colors for _ in range(8))
@@ -462,7 +461,7 @@ def test_a_coloured_structure_given_no_s_takes_the_quotient_matrix_of_one_scan(k
     assert (kernel_calls["scans"], kernel_calls["indicators"]) == (1, 0)
     assert derived.params == equitable.quotient_matrix(g, col)
     assert derived == PerfectStructure(g, col, derived.params)
-    assert structure_from_coloring(g, col) == derived
+    assert PerfectStructure(g, col) == derived
 
 
 def test_matrix_values_given_no_s_raise_a_shape_error():
