@@ -35,7 +35,6 @@ _EXPORTS = {
     ),
     "equitable": (
         "Coloring",
-        "CompletelyRegularCode",
         "PerfectStructure",
         "all_one_coloring",
         "check_completely_regular",
@@ -62,7 +61,6 @@ _EXPORTS = {
         "DEFAULT_VERTEX_BUDGET",
         "Graph",
         "direct_product",
-        "distances_from_set",
         "graph_from_edges",
         "halved_cube",
         "hamming_graph",
@@ -70,7 +68,6 @@ _EXPORTS = {
         "load_graph",
     ),
     "localdist": (
-        "RearrangedDistribution",
         "rearrange",
         "reconstruct_local",
         "tensor_distribution",

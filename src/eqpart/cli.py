@@ -198,8 +198,8 @@ def _cmd_crc_check(args, load) -> int:
     from .equitable import check_completely_regular
 
     g = load(_load_json(args.graph))
-    crc = check_completely_regular(g, _load_code_file(args.code))
-    _emit({"rho": crc.rho, "R": crc.params.to_strings()})
+    r = check_completely_regular(g, _load_code_file(args.code))
+    _emit({"rho": r.rows - 1, "R": r.to_strings()})
     return 0
 
 
@@ -223,8 +223,8 @@ def _mode_code(args, load):
     code = _load_code_file(args.code)
 
     def form(s, h0):
-        crc = check_completely_regular(load(spec), code)
-        return reconstruct_from_first_row(crc.params.transpose(), s, h0)
+        r = check_completely_regular(load(spec), code)
+        return reconstruct_from_first_row(r.transpose(), s, h0)
 
     return spec, lambda: code, form
 
@@ -331,13 +331,16 @@ def _cmd_local_distrib(args, load) -> int:
     or --structure file, all three read by ``_read_values``.  The product is
     f's graph, which ``tensor_distribution`` compares row by row with the
     product of the factors' graphs; no product is built from the factors."""
-    from .localdist import tensor_distribution
+    from .localdist import rearrange, tensor_distribution
 
     g1, g2 = (_read_values(load, path) for path in (args.left, args.right))
     f = _read_values(load, args.coloring, args.structure)
     if f is None:
         raise EqpartError("need --coloring or --structure for the distributed values")
-    _emit(tensor_distribution(g1, g2, f).to_json())
+    h = tensor_distribution(g1, g2, f)
+    k1, k2 = g1.n_colors, g2.n_colors
+    _emit({"n_left": k1, "n_right": k2, "k": f.n_colors, "h": h.to_strings(),
+           "h_star": rearrange(h, k1, k2).to_strings()})
     return 0
 
 

@@ -17,10 +17,11 @@ subcube, and the rearranged product distribution h* of :mod:`eqpart.localdist`.
 Each is row w = f0 p_w(T) for the polynomials p_w of an integer
 intersection array, the diagonals b, a, c of the kernel, and a matrix T:
 aS + bI, or I (x) S - R2 (x) I for h*.  Each is one kernel call, with no
-polynomial expanded, no (D+1)-square matrix built and no graph built.
-:mod:`eqpart.drg` is imported only by the forms that take an array.  Every
-function returns the rows as one RatMatrix, and the kernel is the one
-reader and checker of a first row.
+polynomial expanded, no (D+1)-square matrix built and no graph built: the
+forms over a distance-regular graph take its IntersectionArray, and a
+caller with a graph passes ``intersection_array(g)``.  Every function
+returns the rows as one RatMatrix, and the kernel is the one reader and
+checker of a first row.
 """
 from __future__ import annotations
 
@@ -80,15 +81,6 @@ def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0) -> RatMatrix:
     return h
 
 
-def closed_form_rows(g: Graph | IntersectionArray, t: RatMatrix, f0) -> RatMatrix:
-    """Rows f0 p_w(T), w = 0..D, for the intersection array ``g`` (or that
-    of the distance-regular graph ``g``): the row kernel on its diagonals."""
-    from .drg import IntersectionArray, intersection_array
-
-    ia = g if isinstance(g, IntersectionArray) else intersection_array(g)
-    return recurrence_rows(f0, t, ia.b, ia.a, ia.c)
-
-
 def _hamming_band(n: int, q: int, p: int = 1) -> tuple[list[int], list[int], list[int]]:
     """The diagonals b, a, c of the Hamming graph H(n, q/p)'s array scaled
     by p: b_i = (n-i)(q-p), a_i = i(q-2p), c_i = p*i.
@@ -105,15 +97,13 @@ def _minus(s: RatMatrix, x: int) -> RatMatrix:
     return s - RatMatrix.identity(s.rows).scale(x)
 
 
-def vertex_distribution(g: Graph | IntersectionArray, s: RatMatrix, j: int) -> RatMatrix:
+def vertex_distribution(ia: IntersectionArray, s: RatMatrix, j: int) -> RatMatrix:
     """Distribution of an S-perfect coloring with respect to any color-j
-    vertex of a distance-regular graph: row w = e_j p_w(S).
-
-    ``g`` is the graph or just its intersection array.
-    """
+    vertex of a distance-regular graph with intersection array ``ia``:
+    row w = e_j p_w(S)."""
     if not 0 <= j < s.rows:
         raise ShapeError(f"color {j} out of range for a {s.rows}-color structure")
-    return closed_form_rows(g, s, [int(i == j) for i in range(s.rows)])
+    return recurrence_rows([int(i == j) for i in range(s.rows)], s, ia.b, ia.a, ia.c)
 
 
 def _check_lattice(m: int, k: int, q: int) -> None:
@@ -130,12 +120,12 @@ def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     return recurrence_rows(f0, s / m, *_hamming_band(k, q))
 
 
-def fiber_distribution(g2: Graph | IntersectionArray, d: int, s: RatMatrix, f0) -> RatMatrix:
+def fiber_distribution(ia: IntersectionArray, d: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to a left-factor fiber of a direct product
     whose left factor is d-regular: row w = f0 p_w(S - d I), with the p_w of
-    the (distance-regular) right factor, given as a graph or its array.
+    the intersection array ``ia`` of the distance-regular right factor.
     """
-    return closed_form_rows(g2, _minus(s, d), f0)
+    return recurrence_rows(f0, _minus(s, d), ia.b, ia.a, ia.c)
 
 
 def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
@@ -170,11 +160,9 @@ def star_params(r2: RatMatrix, s: RatMatrix) -> RatMatrix:
     return tensor(RatMatrix.identity(r2.rows), s) - tensor(r2, RatMatrix.identity(s.rows))
 
 
-def reconstruct_local(
-    g1: Graph | IntersectionArray, r2: RatMatrix, s: RatMatrix, h_star_0
-) -> RatMatrix:
+def reconstruct_local(ia: IntersectionArray, r2: RatMatrix, s: RatMatrix, h_star_0) -> RatMatrix:
     """All rows of the rearranged product distribution h* from its first
-    row, for a distance-regular left factor given as a graph or its
-    intersection array: row i = row_0 p_i(I (x) S - R2 (x) I), by the
-    recurrence of that array (see :mod:`eqpart.localdist`)."""
-    return closed_form_rows(g1, star_params(r2, s), h_star_0)
+    row, for a distance-regular left factor with intersection array ``ia``:
+    row i = row_0 p_i(I (x) S - R2 (x) I), by the recurrence of that array
+    (see :mod:`eqpart.localdist`)."""
+    return recurrence_rows(h_star_0, star_params(r2, s), ia.b, ia.a, ia.c)

@@ -6,7 +6,8 @@ from u depends only on w; those counts c_w, a_w, b_w form the intersection
 array.  Equivalently, every vertex is a completely regular code and all
 share one quotient matrix, the array's tridiagonal matrix: that is how
 :func:`intersection_array` checks a built graph.  The array is all a
-closed-form distribution needs (:func:`eqpart.distributions.closed_form_rows`).
+closed-form distribution needs: each form of :mod:`eqpart.distributions`
+takes one and runs the row kernel on its diagonals.
 The Hamming, Johnson and halved-cube arrays have closed forms, so a
 generator spec yields its array without building the graph; this module
 imports :mod:`eqpart.graphs` and :mod:`eqpart.equitable` only to build or
@@ -24,6 +25,7 @@ from math import comb
 from ._record import Record
 from .errors import EqpartError, NotDistanceRegularError, NotEquitableError
 from .inputs import _check_generator, read_spec
+from .ratmat import band
 
 # names defined in eqpart.polys, looked up there on first access
 _POLYS_NAMES = frozenset((
@@ -107,7 +109,7 @@ def intersection_array(g: Graph) -> IntersectionArray:
     first = None
     for u in range(g.n):
         try:
-            r = check_completely_regular(g, [u]).params
+            r = check_completely_regular(g, [u])
         except NotEquitableError as exc:
             counts = " != ".join(map(str, exc.profiles))
             raise NotDistanceRegularError(
@@ -120,10 +122,8 @@ def intersection_array(g: Graph) -> IntersectionArray:
                 (0, u), f"distance partitions with quotient matrices {first.to_strings()} and "
                 f"{r.to_strings()}"
             )
-    rows = [[int(x) for x in row] for row in first.to_strings()]
-    d = len(rows) - 1
-    return _array_from_bc([rows[w][w + 1] for w in range(d)],
-                          [rows[w][w - 1] for w in range(1, d + 1)])
+    c, a, b, _ = band(first)  # an integer matrix: its denominator is 1
+    return IntersectionArray(len(b), tuple(b), tuple(a), tuple(c))
 
 
 def hamming_intersection_array(n: int, q: int) -> IntersectionArray:

@@ -8,8 +8,9 @@ and a Coloring is such a value matrix, with its indicator's shape but no
 indicator built: :func:`verify_structure` checks either kind of values.
 
 A vertex set is a completely regular code exactly when its distance coloring
-is perfect, in which case the quotient matrix is tridiagonal and the number
-of colors is the covering radius plus one.
+is perfect, in which case the quotient matrix R is tridiagonal and the
+number of colors is the covering radius plus one.  R is all the code's
+parameters, so :func:`check_completely_regular` returns R alone.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from .errors import (
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     Graph,
+    bfs_distances,
     direct_product,
-    distances_from_set,
     encode_word,
     load_graph,
     read_ints,
@@ -206,26 +207,17 @@ class PerfectStructure(Record):
 
 
 def distance_coloring(g: Graph, code: Iterable[int]) -> Coloring:
-    """Color every vertex by its distance to the set."""
-    code = read_ints(code, "code")  # in the given order, as BFS checks it
-    dist, rho = distances_from_set(g, code)
-    return Coloring(g, tuple(dist), rho + 1)
+    """Color every vertex by its distance to the set, read once (so a
+    generator works) and in the given order, as BFS checks it."""
+    dist = bfs_distances(g, read_ints(code, "code"))
+    return Coloring(g, tuple(dist), max(dist) + 1)
 
 
-class CompletelyRegularCode(Record):
-    """Vertex set whose distance coloring is perfect; params is the
-    tridiagonal (rho+1)-square quotient matrix."""
-
-    graph: Graph
-    code: frozenset[int]
-    rho: int
-    params: RatMatrix
-
-
-def check_completely_regular(g: Graph, code: Iterable[int]) -> CompletelyRegularCode:
-    """Build the distance coloring, derive its quotient matrix, and confirm
-    the tridiagonal pattern."""
-    code = read_ints(code, "code")  # once, so that a generator still works
+def check_completely_regular(g: Graph, code: Iterable[int]) -> RatMatrix:
+    """The quotient matrix R of the distance coloring of ``code``, confirmed
+    tridiagonal: the code is completely regular, with covering radius
+    ``R.rows - 1``.  Raises NotEquitableError when the distance coloring is
+    not equitable and NotTridiagonalError naming an entry off the band."""
     col = distance_coloring(g, code)
     rows = _quotient_rows(g, col.colors, col.n_colors)
     for i, row in enumerate(rows):
@@ -234,7 +226,7 @@ def check_completely_regular(g: Graph, code: Iterable[int]) -> CompletelyRegular
                 raise NotTridiagonalError(
                     f"quotient entry ({i},{j}) = {x} off the three diagonals"
                 )
-    return CompletelyRegularCode(g, frozenset(code), col.n_colors - 1, RatMatrix(rows))
+    return RatMatrix(rows)
 
 
 def lattice_coloring(

@@ -254,12 +254,6 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int]:
     return dist
 
 
-def distances_from_set(g: Graph, code: Iterable[int]) -> tuple[list[int], int]:
-    """Per-vertex distance to the set and the covering radius (their max)."""
-    dist = bfs_distances(g, code)
-    return dist, max(dist)
-
-
 def groups_of(labels: Sequence, n_classes: int) -> list[list[int]]:
     """Entry i lists the vertices v with ``labels[v] == i``, in order; a
     vertex labelled None is in no entry."""

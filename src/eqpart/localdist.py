@@ -9,18 +9,19 @@ the column produces the rearranged matrix h*, which is itself a perfect
 structure over R1^T with parameters I (x) S - R2 (x) I.  That turns the
 reconstruction machinery of :mod:`eqpart.distributions` loose on h*: when g1
 is the distance coloring of a vertex of a distance-regular graph, all rows
-of h* — hence both local distributions of f — follow from the first row.
-That formula, :func:`reconstruct_local`, and the parameters of h*,
-:func:`star_params`, are defined in :mod:`eqpart.distributions` with the
-other closed forms, so that it runs without this module and the graph code
-it imports; both names are bound here too.
+of h* — hence both local distributions of f — follow from the first row
+and the left factor's intersection array.  That formula,
+:func:`reconstruct_local`, and the parameters of h*, :func:`star_params`,
+are defined in :mod:`eqpart.distributions` with the other closed forms, so
+that it runs without this module and the graph code it imports; both names
+are bound here too.  :func:`tensor_distribution` returns h, certified with
+h*, and :func:`rearrange` gives h* from it.
 
 Index flattening is frozen as rows (i1 * k2 + i2) and columns
 (i2 * m + j): h* is the row-major reshape of h.
 """
 from __future__ import annotations
 
-from ._record import Record
 from .distributions import reconstruct_local, star_params  # noqa: F401 - re-exported
 from .equitable import Coloring, PerfectStructure, tensor_params
 from .errors import ShapeError, StructureError
@@ -66,41 +67,17 @@ def rearrange(h: RatMatrix, n_left: int, n_right: int) -> RatMatrix:
     return h.reshape(n_left, n_right * h.cols)
 
 
-class RearrangedDistribution(Record):
-    """The pair (h, h*) with its index metadata.
-
-    When both factor structures are distance colorings of a vertex, rows
-    (0, i2) and (i1, 0) of h are the two local distributions of f: on the
-    fibers through the right and the left factor.
-    """
-
-    h: RatMatrix
-    h_star: RatMatrix
-    n_left: int
-    n_right: int
-    n_values: int
-
-    def to_json(self) -> dict:
-        return {
-            "n_left": self.n_left,
-            "n_right": self.n_right,
-            "k": self.n_values,
-            "h": self.h.to_strings(),
-            "h_star": self.h_star.to_strings(),
-        }
-
-
-def tensor_distribution(
-    g1: PerfectStructure,
-    g2: PerfectStructure,
-    f: PerfectStructure,
-) -> RearrangedDistribution:
-    """Distribution of f with respect to g1 (x) g2, with both governing
-    identities asserted before returning.  f must be over the direct product
-    of the factors' graphs, which is checked row by row, not built again."""
+def tensor_distribution(g1: PerfectStructure, g2: PerfectStructure,
+                        f: PerfectStructure) -> RatMatrix:
+    """The distribution h of f with respect to g1 (x) g2, with its identity
+    and that of h* = ``rearrange(h, k1, k2)`` asserted before returning.  f
+    must be over the direct product of the factors' graphs, which is checked
+    row by row, not built again.  When g1 and g2 are distance colorings of a
+    vertex, rows (0, i2) and (i1, 0) of h are the local distributions of f
+    on the fibers through the right and the left factor."""
     if not isinstance(f.host, Graph) or not is_direct_product(f.host, g1.graph, g2.graph):
         raise ShapeError("f is over a different graph than the direct product of the factors")
-    k1, k2, m = g1.n_colors, g2.n_colors, f.n_colors
+    k1, k2 = g1.n_colors, g2.n_colors
     pairs = _pair_colors(g1, g2)
     if pairs is None:
         h = tensor(g1.value_matrix(), g2.value_matrix()).transpose() @ f.value_matrix()
@@ -116,4 +93,4 @@ def tensor_distribution(
     if lhs != rhs:
         raise StructureError("rearranged distribution identity failed: "
                              + first_difference(lhs, rhs, "R1^T h*", "h* S*"))
-    return RearrangedDistribution(h, h_star, k1, k2, m)
+    return h

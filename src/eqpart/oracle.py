@@ -10,15 +10,15 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import ShapeError
-from .graphs import Graph, class_sums, distances_from_set
+from .graphs import Graph, bfs_distances, class_sums
 from .ratmat import RatMatrix
 
 
 def brute_distribution(g: Graph, code: Iterable[int], f) -> RatMatrix:
     """Row w = sum of f over the vertices at distance w from the set,
     for w = 0 .. covering radius."""
-    dist, rho = distances_from_set(g, code)
-    return class_sums(f, dist, rho + 1)
+    dist = bfs_distances(g, code)
+    return class_sums(f, dist, max(dist) + 1)
 
 
 # the name the benchmark tracer wraps

@@ -46,6 +46,7 @@ from eqpart.graphs import (
     johnson_graph,
 )
 from eqpart.localdist import (
+    rearrange,
     reconstruct_local,
     star_params,
     tensor_distribution,
@@ -142,13 +143,13 @@ def test_criterion_1_tensor_structure_9x9():
 def test_criterion_2_code_examples():
     g7 = H(7, 2)
     code = hamming_code_vertices(3)
-    crc = check_completely_regular(g7, code)
-    assert crc.rho == 1 and crc.params == from_json([[0, 7], [1, 6]])
+    r = check_completely_regular(g7, code)
+    assert r.rows - 1 == 1 and r == from_json([[0, 7], [1, 6]])
 
     g8 = H(8, 2)
-    crc8 = check_completely_regular(g8, extended_hamming_code_vertices(3))
-    assert crc8.rho == 2
-    assert crc8.params == from_json([[0, 8, 0], [1, 0, 7], [0, 8, 0]])
+    r8 = check_completely_regular(g8, extended_hamming_code_vertices(3))
+    assert r8.rows - 1 == 2
+    assert r8 == from_json([[0, 8, 0], [1, 0, 7], [0, 8, 0]])
 
     members = set(code)
     values = from_json([[7 if v in members else -1] for v in range(g7.n)])
@@ -162,7 +163,7 @@ def test_criterion_3_vertex_distribution_vs_enumeration():
     code = hamming_code_vertices(3)
     col = distance_coloring(g, code)
     s = quotient_matrix(g, col)
-    dist = vertex_distribution(g, s, 0)
+    dist = vertex_distribution(intersection_array(g), s, 0)
     polys = p_polynomials(hamming_intersection_array(7, 2))
     assert dist == rows_by_polynomials(RatMatrix([[1, 0]]), polys, s)
     column = tuple(dist[w, 0] for w in range(8))
@@ -201,9 +202,9 @@ def test_criterion_4_reconstruction_routes():
     rng = random.Random(20240301)
     checked = 0
     for _ in range(100):
-        g, code, crc = rng.choice(crc_pool)
-        b = crc.params.transpose()
-        n_rows = crc.rho + 1
+        g, code, r = rng.choice(crc_pool)
+        b = r.transpose()
+        n_rows = r.rows
         if rng.random() < 0.5:
             # a real structure: the code's own distance coloring
             col = distance_coloring(g, code)
@@ -271,7 +272,7 @@ def test_criterion_5_oracle_sweep():
             for v in sample:
                 j = f.colors[v]
                 if j not in per_color:
-                    per_color[j] = vertex_distribution(g, s, j)
+                    per_color[j] = vertex_distribution(cached_array(kind, *params), s, j)
                     e_j = RatMatrix([[int(i == j) for i in range(s.rows)]])
                     assert per_color[j] == rows_by_polynomials(e_j, polys, s)
                 assert per_color[j] == brute_distribution(g, [v], f)
@@ -320,7 +321,7 @@ def test_criterion_5_oracle_sweep():
                 s, f0 = f.params, sum_over(code, f)
             else:
                 s, f0 = quotient_matrix(prod, f), sum_over(code, f)
-            dist = fiber_distribution(right, d, s, f0)
+            dist = fiber_distribution(intersection_array(right), d, s, f0)
             assert dist == brute_distribution(prod, code, f)
             comparisons += 1
 
@@ -342,7 +343,8 @@ def test_criterion_5_oracle_sweep():
                     f0 = sum_over(code, f)
                     dist = subcube_distribution(m, k, q, s, f0)
                     assert dist == brute_distribution(g, code, f)
-                    assert dist == fiber_distribution(H(k, q), (q - 1) * m, s, f0)
+                    assert dist == fiber_distribution(cached_array("H", k, q), (q - 1) * m,
+                                                      s, f0)
                     comparisons += 1
 
     # smaller-alphabet subcube of the same dimension
@@ -449,19 +451,20 @@ def test_criterion_8_rearrangement_identities():
 
     assert max(g1.graph.n * g2.graph.n for _, _, g1, g2, _ in instances) == 4096
     for left, right, g1, g2, f in instances:
-        rd = tensor_distribution(g1, g2, f)
+        h = tensor_distribution(g1, g2, f)
+        h_star = rearrange(h, g1.n_colors, g2.n_colors)
         # h* is the row-major reshape of h
-        assert rd.h_star.reshape(rd.h.rows, rd.h.cols) == rd.h
+        assert h_star.reshape(h.rows, h.cols) == h
         # the governing identity of h, recomputed here
-        lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ rd.h
-        assert lhs == rd.h @ f.params
+        lhs = tensor_params(g1.params.transpose(), g2.params.transpose()) @ h
+        assert lhs == h @ f.params
         # and the rearranged identity
-        assert g1.params.transpose() @ rd.h_star == rd.h_star @ star_params(
+        assert g1.params.transpose() @ h_star == h_star @ star_params(
             g2.params, f.params
         )
         # first-row reconstruction agrees whenever the left factor qualifies
-        if rd.n_left > 1:
+        if g1.n_colors > 1:
             full = reconstruct_local(
-                left, g2.params, f.params, RatMatrix([rd.h_star.row(0)])
+                intersection_array(left), g2.params, f.params, RatMatrix([h_star.row(0)])
             )
-            assert full == rd.h_star
+            assert full == h_star

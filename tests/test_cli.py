@@ -280,7 +280,8 @@ def test_local_params_9x9(capsys, tmp_path):
 def test_local_distrib_and_reconstruct(capsys, tmp_path):
     coloring = write(tmp_path, "vcol.json", vertex_coloring_doc())
     product_graph = {"gen": "product", "left": H23, "right": H23}
-    ones = write(tmp_path, "ones.json", {"graph": product_graph, "colors": [0] * 81})
+    ones_doc = {"graph": product_graph, "colors": [0] * 81}
+    ones = write(tmp_path, "ones.json", ones_doc)
     code, doc = run_cli(
         capsys,
         "local",
@@ -294,6 +295,17 @@ def test_local_distrib_and_reconstruct(capsys, tmp_path):
     )
     assert code == 0
     assert doc["n_left"] == doc["n_right"] == 3 and doc["k"] == 1
+    # h from the library, and h* its rearrangement, in this key order
+    from eqpart.equitable import PerfectStructure, load_coloring
+    from eqpart.localdist import rearrange, tensor_distribution
+    from eqpart.ratmat import RatMatrix
+
+    g1, f = (PerfectStructure(c.graph, c)
+             for c in map(load_coloring, (vertex_coloring_doc(), ones_doc)))
+    h = tensor_distribution(g1, g1, f)
+    assert isinstance(h, RatMatrix)
+    assert list(doc) == ["n_left", "n_right", "k", "h", "h_star"]
+    assert doc["h"] == h.to_strings() and doc["h_star"] == rearrange(h, 3, 3).to_strings()
 
     graph = write(tmp_path, "h23.json", H23)
     s3 = write(tmp_path, "s3.json", [[0, 4, 0], [1, 1, 2], [0, 2, 2]])

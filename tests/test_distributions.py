@@ -13,6 +13,7 @@ from eqpart.distributions import (
     subcube_distribution,
     vertex_distribution,
 )
+from eqpart.drg import intersection_array
 from eqpart.equitable import (
     PerfectStructure,
     all_one_coloring,
@@ -83,7 +84,7 @@ def test_johnson_vertex_distribution_matches_eberlein_values():
     g = johnson_graph(5, 2)
     col = distance_coloring(g, [0])
     s = quotient_matrix(g, col)
-    dist = vertex_distribution(g, s, 0)
+    dist = vertex_distribution(intersection_array(g), s, 0)
     expect = [
         [poly_eval(eberlein(w, 5, 2), 0) if j == w else Fraction(0) for j in range(3)]
         for w in range(3)
@@ -174,13 +175,13 @@ def test_both_reconstruction_routes_agree_on_random_inputs():
 
 def test_vertex_distribution_first_row_is_unit():
     g = hamming_graph(2, 3)
-    dist = vertex_distribution(g, S3, 1)
+    dist = vertex_distribution(intersection_array(g), S3, 1)
     assert dist.row(0) == (0, 1, 0)
 
 
 def test_vertex_distribution_3ary_2cube():
     g = hamming_graph(2, 3)
-    dist = vertex_distribution(g, S3, 0)
+    dist = vertex_distribution(intersection_array(g), S3, 0)
     expect = from_json([[1, 0, 0], [0, 4, 0], [0, 0, 4]])
     assert dist == expect
     assert brute_distribution(g, [0], distance_coloring(g, [0])) == expect
@@ -190,7 +191,7 @@ def test_vertex_distribution_hamming_code_column():
     g = hamming_graph(7, 2)
     col = distance_coloring(g, hamming_code_vertices(3))
     s = quotient_matrix(g, col)
-    dist = vertex_distribution(g, s, 0)
+    dist = vertex_distribution(intersection_array(g), s, 0)
     codeword_column = tuple(dist[w, 0] for w in range(8))
     assert codeword_column == (1, 0, 0, 7, 7, 0, 0, 1)
     # against the brute-force weight enumerator of the 16 codewords
@@ -208,7 +209,7 @@ def test_vertex_distribution_consistent_with_reconstruction():
     f = distance_coloring(g, [1])
     s = quotient_matrix(g, f)
     j = f.colors[0]
-    via_polys = vertex_distribution(g, s, j)
+    via_polys = vertex_distribution(intersection_array(g), s, j)
     e_j = [Fraction(1) if i == j else Fraction(0) for i in range(s.rows)]
     via_rows = reconstruct_from_first_row(r.transpose(), s, e_j)
     assert via_polys == via_rows
@@ -217,7 +218,7 @@ def test_vertex_distribution_consistent_with_reconstruction():
 
 def test_vertex_distribution_rejects_bad_color():
     with pytest.raises(ShapeError):
-        vertex_distribution(hamming_graph(2, 3), S3, 5)
+        vertex_distribution(intersection_array(hamming_graph(2, 3)), S3, 5)
 
 
 # -- lattice distributions ---------------------------------------------------
@@ -260,7 +261,7 @@ def test_lattice_distribution_matches_oracle(m, k, q):
 
 def test_fiber_distribution_4cycle():
     k2 = hamming_graph(1, 2)
-    dist = fiber_distribution(k2, 1, from_json([[2]]), [2])
+    dist = fiber_distribution(intersection_array(k2), 1, from_json([[2]]), [2])
     assert dist == from_json([[2], [2]])
     prod = direct_product(k2, k2)
     code = [0, 2]
@@ -268,7 +269,7 @@ def test_fiber_distribution_4cycle():
 
 
 def test_fiber_distribution_first_row_is_f0():
-    dist = fiber_distribution(hamming_graph(2, 3), 2, S3, [1, 2, 1])
+    dist = fiber_distribution(intersection_array(hamming_graph(2, 3)), 2, S3, [1, 2, 1])
     assert dist.row(0) == (1, 2, 1)
 
 
@@ -289,7 +290,7 @@ def test_fiber_distribution_matches_oracle(left, right):
         f0 = [Fraction(0)] * f.n_colors
         for v in code:
             f0[f.colors[v]] += 1
-        dist = fiber_distribution(right, d, s, f0)
+        dist = fiber_distribution(intersection_array(right), d, s, f0)
         assert dist == brute_distribution(prod, code, f)
 
 
@@ -298,7 +299,8 @@ def test_subcube_distribution_smallest_case():
     dist = subcube_distribution(1, 1, 2, from_json([[2]]), [2])
     assert dist == from_json([[2], [2]])
     # specialization agrees with the generic fiber route
-    generic = fiber_distribution(hamming_graph(1, 2), 1, from_json([[2]]), [2])
+    generic = fiber_distribution(intersection_array(hamming_graph(1, 2)), 1, from_json([[2]]),
+                                  [2])
     assert dist == generic
 
 
@@ -313,7 +315,8 @@ def test_subcube_distribution_matches_oracle_and_fiber(m, k, q):
             f0[f.colors[v]] += 1
         dist = subcube_distribution(m, k, q, s, f0)
         assert dist == brute_distribution(g, code, f)
-        assert dist == fiber_distribution(hamming_graph(k, q), (q - 1) * m, s, f0)
+        assert dist == fiber_distribution(intersection_array(hamming_graph(k, q)), (q - 1) * m,
+                                          s, f0)
 
 
 # -- smaller-alphabet subcube -------------------------------------------------

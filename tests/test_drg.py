@@ -55,6 +55,24 @@ def test_intersection_array_matches_counting_oracle(graph, expect_b, expect_c):
     assert (ia.diameter, ia.b, ia.a, ia.c) == (diam, b, a, c)
 
 
+def test_intersection_array_reads_the_quotient_band(monkeypatch):
+    from eqpart.drg import halved_cube_intersection_array, johnson_intersection_array
+    from eqpart.ratmat import RatMatrix
+
+    # the array is read off R's band as integers, with no entry printed and parsed back
+    monkeypatch.setattr(RatMatrix, "to_strings", lambda self: pytest.fail("to_strings called"))
+    c7 = graph_from_edges(7, [(v, (v + 1) % 7) for v in range(7)])
+    for g, closed in [
+        (hamming_graph(4, 3), hamming_intersection_array(4, 3)),
+        (johnson_graph(7, 3), johnson_intersection_array(7, 3)),
+        (halved_cube(8), halved_cube_intersection_array(8)),
+        (c7, IntersectionArray(3, (2, 1, 1), (0, 0, 0, 1), (1, 1, 1))),
+    ]:
+        ia = intersection_array(g)
+        assert ia == closed
+        assert all(type(x) is int for x in ia.b + ia.a + ia.c)
+
+
 def test_intersection_array_hamming_3_2_all_a_zero():
     ia = intersection_array(hamming_graph(3, 2))
     assert ia.a == (0, 0, 0, 0)

@@ -131,17 +131,20 @@ def test_distance_coloring_classes():
 
 def test_check_completely_regular_code_params():
     g = hamming_graph(7, 2)
-    crc = check_completely_regular(g, hamming_code_vertices(3))
-    assert crc.rho == 1
-    assert crc.params == from_json([[0, 7], [1, 6]])
+    r = check_completely_regular(g, hamming_code_vertices(3))
+    assert r.rows - 1 == 1
+    assert r == from_json([[0, 7], [1, 6]])
 
     g8 = hamming_graph(8, 2)
-    crc8 = check_completely_regular(g8, extended_hamming_code_vertices(3))
-    assert crc8.rho == 2
-    assert crc8.params == from_json([[0, 8, 0], [1, 0, 7], [0, 8, 0]])
+    r8 = check_completely_regular(g8, extended_hamming_code_vertices(3))
+    assert r8.rows - 1 == 2
+    assert r8 == from_json([[0, 8, 0], [1, 0, 7], [0, 8, 0]])
 
-    # the code is read once, so a generator gives the same code
-    assert check_completely_regular(g, iter([0])).code == frozenset({0})
+    # R is the quotient matrix of the distance coloring, for a list and for a
+    # generator, which is read once
+    for code, again in ((hamming_code_vertices(3), hamming_code_vertices(3)), (iter([0]), [0])):
+        r = check_completely_regular(g, code)
+        assert isinstance(r, RatMatrix) and r == quotient_matrix(g, distance_coloring(g, again))
 
 
 def test_crc_superdiagonal_entries_nonzero():
@@ -152,9 +155,9 @@ def test_crc_superdiagonal_entries_nonzero():
         (johnson_graph(5, 2), [0]),
     ]
     for g, code in cases:
-        crc = check_completely_regular(g, code)
-        for i in range(crc.rho):
-            assert crc.params[i, i + 1] != 0
+        r = check_completely_regular(g, code)
+        for i in range(r.rows - 1):
+            assert r[i, i + 1] != 0
 
 
 def test_check_completely_regular_rejects_non_code():

@@ -27,8 +27,8 @@ distance-regular graph, against ``brute_distribution`` from a fiber and
 reconstruction runs on generated completely regular codes: translates of
 the Hamming codes of length 3 and 7 and of the extended Hamming code of
 length 8, lattice classes, subcubes, and the k-sets of J(n,k) that contain
-a fixed point, each certified by ``check_completely_regular`` before its R
-is read.
+a fixed point, each certified by ``check_completely_regular``, which
+returns its R.
 """
 import operator
 from fractions import Fraction
@@ -163,7 +163,7 @@ def test_reconstruction_from_a_vertex_or_antipodal_pair_equals_the_oracle(case, 
     f, n, _ = case
     u = data.draw(st.integers(0, f.host.n - 1), label="u")
     code = data.draw(st.sampled_from([[u], [u, u ^ (2**n - 1)]]), label="code")
-    r = check_completely_regular(f.host, code).params
+    r = check_completely_regular(f.host, code)
     h0 = f.value_matrix().sum_rows([code])
     rows = reconstruct_from_first_row(r.transpose(), f.params, h0)
     assert rows == brute_distribution(f.host, code, f)
@@ -311,7 +311,7 @@ def completely_regular_codes(draw):
 @given(case=completely_regular_codes(), data=st.data())
 def test_reconstruction_of_generated_codes_equals_the_oracle(case, data):
     g, code = case
-    r = check_completely_regular(g, code).params
+    r = check_completely_regular(g, code)
     f = data.draw(vertex_structure(g).flatmap(maybe_mixed), label="f")
     h0, expect = _oracle_case(f, code)
     assert reconstruct_from_first_row(r.transpose(), f.params, h0) == expect

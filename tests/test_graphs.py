@@ -23,7 +23,6 @@ from eqpart.graphs import (
     bfs_distances,
     decode_word,
     direct_product,
-    distances_from_set,
     encode_word,
     graph_from_edges,
     graph_to_json,
@@ -203,29 +202,29 @@ def test_handshake_on_generators():
 
 def test_distances_from_set():
     g = hamming_graph(2, 3)
-    dist, rho = distances_from_set(g, range(g.n))
-    assert rho == 0 and set(dist) == {0}
+    dist = bfs_distances(g, range(g.n))
+    assert max(dist) == 0 and set(dist) == {0}
 
-    dist, rho = distances_from_set(g, [0])
-    assert rho == 2
+    dist = bfs_distances(g, [0])
+    assert max(dist) == 2
     sizes = [dist.count(w) for w in range(3)]
     assert sizes == [1, 4, 4]
 
     from eqpart.codes import hamming_code_vertices
 
     g7 = hamming_graph(7, 2)
-    dist, rho = distances_from_set(g7, hamming_code_vertices(3))
-    assert rho == 1
+    dist = bfs_distances(g7, hamming_code_vertices(3))
+    assert max(dist) == 1
     assert dist.count(0) == 16 and dist.count(1) == 112
 
 
 def test_distances_errors():
     g = hamming_graph(2, 2)
     with pytest.raises(EqpartError):
-        distances_from_set(g, [])
+        bfs_distances(g, [])
     disconnected = graph_from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(UnreachableVertexError):
-        distances_from_set(disconnected, [0])
+        bfs_distances(disconnected, [0])
 
 
 def test_distance_w_sum():

@@ -18,6 +18,7 @@ from eqpart.equitable import (
     verify_structure,
 )
 from eqpart import localdist
+from eqpart.drg import intersection_array
 from eqpart.errors import ShapeError, StructureError
 from eqpart.graphs import (
     direct_product,
@@ -57,7 +58,7 @@ def test_broken_product_identities_name_their_first_difference(monkeypatch):
     # f: a vertex of H(2,3) = H(1,3) x H(1,3), against the product of two vertex structures
     h, g = hamming_graph(1, 3), hamming_graph(2, 3)
     v, f = vertex_structure(h), vertex_structure(g)
-    assert tensor_distribution(v, v, f).h == from_json([[1, 0, 0], [0, 2, 0], [0, 2, 0], [0, 0, 4]])
+    assert tensor_distribution(v, v, f) == from_json([[1, 0, 0], [0, 2, 0], [0, 2, 0], [0, 0, 4]])
     sums = localdist.class_sums
     with monkeypatch.context() as patch:
         # one more vertex of f-colour 1 counted in the pair class (0, 0)
@@ -133,12 +134,12 @@ def test_tensor_distribution_counts_for_all_one_values():
     s1, s2 = vertex_structure(g1), vertex_structure(g2)
     prod = direct_product(g1, g2)
     f = PerfectStructure(prod, all_one_coloring(prod))
-    rd = tensor_distribution(s1, s2, f)
+    h = tensor_distribution(s1, s2, f)
     sizes1 = s1.values.class_sizes()
     sizes2 = s2.values.class_sizes()
-    for i1 in range(rd.n_left):
-        for i2 in range(rd.n_right):
-            assert rd.h[i1 * rd.n_right + i2, 0] == sizes1[i1] * sizes2[i2]
+    for i1 in range(s1.n_colors):
+        for i2 in range(s2.n_colors):
+            assert h[i1 * s2.n_colors + i2, 0] == sizes1[i1] * sizes2[i2]
 
 
 def test_tensor_distribution_lattice_values_match_pair_oracle():
@@ -147,13 +148,12 @@ def test_tensor_distribution_lattice_values_match_pair_oracle():
     prod = direct_product(g1, g1)
     lat = lattice_coloring(2, 2, 3)
     f = PerfectStructure(prod, Coloring(prod, lat.colors, lat.n_colors))
-    rd = tensor_distribution(s1, s1, f)
+    h = tensor_distribution(s1, s1, f)
     pair_coloring = tensor_structure(s1, s1).values
-    assert rd.h == brute_pair_distribution(prod, pair_coloring, f)
+    assert h == brute_pair_distribution(prod, pair_coloring, f)
     # rearranged matrix satisfies its governing equation
-    ok, _ = verify_structure(
-        s1.params.transpose(), rd.h_star, star_params(s1.params, f.params)
-    )
+    ok, _ = verify_structure(s1.params.transpose(), rearrange(h, s1.n_colors, s1.n_colors),
+                             star_params(s1.params, f.params))
     assert ok
 
 
@@ -170,7 +170,7 @@ def test_reconstruct_local_row0_is_identity():
     r2 = from_json([[0, 2], [1, 1]])
     s = from_json([[3]])
     h0 = [Fraction(1), Fraction(2)]
-    rows = reconstruct_local(hamming_graph(1, 2), r2, s, h0)
+    rows = reconstruct_local(intersection_array(hamming_graph(1, 2)), r2, s, h0)
     assert rows.row(0) == (1, 2)
 
 
@@ -179,9 +179,10 @@ def test_reconstruct_local_matches_tensor_distribution():
     s1 = vertex_structure(g)
     prod = direct_product(g, g)
     f = PerfectStructure(prod, all_one_coloring(prod))
-    rd = tensor_distribution(s1, s1, f)
-    full = reconstruct_local(g, s1.params, f.params, RatMatrix([rd.h_star.row(0)]))
-    assert full == rd.h_star
+    h_star = rearrange(tensor_distribution(s1, s1, f), s1.n_colors, s1.n_colors)
+    full = reconstruct_local(intersection_array(g), s1.params, f.params,
+                             RatMatrix([h_star.row(0)]))
+    assert full == h_star
 
 
 def test_reconstruct_local_hamming_code_over_split_cube():
@@ -191,20 +192,22 @@ def test_reconstruct_local_hamming_code_over_split_cube():
     assert prod.same_adjacency(hamming_graph(7, 2))
     s1, s2 = vertex_structure(left), vertex_structure(right)
     f = PerfectStructure(prod, distance_coloring(prod, hamming_code_vertices(3)))
-    rd = tensor_distribution(s1, s2, f)
+    h = tensor_distribution(s1, s2, f)
     # oracle: count color pairs directly
     pair_coloring = tensor_structure(s1, s2).values
-    assert rd.h == brute_pair_distribution(prod, pair_coloring, f)
-    full = reconstruct_local(left, s2.params, f.params, RatMatrix([rd.h_star.row(0)]))
-    assert full == rd.h_star
+    assert h == brute_pair_distribution(prod, pair_coloring, f)
+    h_star = rearrange(h, s1.n_colors, s2.n_colors)
+    full = reconstruct_local(intersection_array(left), s2.params, f.params,
+                             RatMatrix([h_star.row(0)]))
+    assert full == h_star
 
 
-def local_blocks(rd):
+def local_blocks(h, n_left, n_right):
     """Rows (0, i2) and (i1, 0) of h: the local distributions of f on the
     fibers through the right and the left factor, when both factors are
     vertex structures."""
-    first = rd.h.sum_rows([i2] for i2 in range(rd.n_right))
-    second = rd.h.sum_rows([i1 * rd.n_right] for i1 in range(rd.n_left))
+    first = h.sum_rows([i2] for i2 in range(n_right))
+    second = h.sum_rows([i1 * n_right] for i1 in range(n_left))
     return first, second
 
 
@@ -213,16 +216,16 @@ def test_local_blocks():
     g2 = hamming_graph(1, 3)
     s1, s2 = vertex_structure(g1), vertex_structure(g2)
     f = tensor_structure(s1, s2)
-    rd = tensor_distribution(s1, s2, f)
-    first, second = local_blocks(rd)
-    assert first.shape() == (rd.n_right, rd.n_values)
-    assert second.shape() == (rd.n_left, rd.n_values)
+    n_left, n_right, n_values = s1.n_colors, s2.n_colors, f.n_colors
+    first, second = local_blocks(tensor_distribution(s1, s2, f), n_left, n_right)
+    assert first.shape() == (n_right, n_values)
+    assert second.shape() == (n_left, n_values)
     # f is the product coloring itself, so the blocks count fiber vertices of
     # each pair color
     sizes2 = s2.values.class_sizes()
-    for i2 in range(rd.n_right):
-        for j in range(rd.n_values):
-            j1, j2 = divmod(j, rd.n_right)
+    for i2 in range(n_right):
+        for j in range(n_values):
+            j1, j2 = divmod(j, n_right)
             expect = sizes2[i2] if (j1, j2) == (0, i2) else 0
             assert first[i2, j] == expect
 
@@ -234,14 +237,13 @@ def test_local_blocks_single_vertex_right_factor():
     s2 = PerfectStructure(single, distance_coloring(single, [0]))
     prod = direct_product(g1, single)
     f = PerfectStructure(prod, distance_coloring(prod, [0]))
-    rd = tensor_distribution(s1, s2, f)
-    first, second = local_blocks(rd)
+    first, second = local_blocks(tensor_distribution(s1, s2, f), s1.n_colors, 1)
     # with a one-vertex right factor the second block is the whole
     # distribution of f with respect to the left vertex coloring
     from eqpart.distributions import distribution
 
     assert second == distribution(s1, f)
-    assert first.shape() == (1, rd.n_values)
+    assert first.shape() == (1, f.n_colors)
 
 
 def test_trivial_left_coloring_params_are_adjacency():
@@ -255,9 +257,9 @@ def test_trivial_left_coloring_params_are_adjacency():
     # the tensor coloring is perfect over the product even though the
     # product is irregular
     f = tensor_structure(s1, s2)
-    rd = tensor_distribution(s1, s2, f)
+    h_star = rearrange(tensor_distribution(s1, s2, f), s1.n_colors, s2.n_colors)
     ok, _ = verify_structure(
-        s1.params.transpose(), rd.h_star, star_params(s2.params, f.params)
+        s1.params.transpose(), h_star, star_params(s2.params, f.params)
     )
     assert ok
 

@@ -1,12 +1,13 @@
 """The public ``eqpart`` names and the value semantics of its record classes.
 
 Every name the package exports is the object its defining module holds.
-Records (graphs, colorings, structures, arrays, product distributions) are frozen
+Records (graphs, colorings, structures, arrays, polynomial families) are frozen
 values: equal fields make equal records with equal hashes, fields cannot be
 reassigned, and construction still checks its inputs.
 """
 import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,19 +21,12 @@ from eqpart.drg import (
 )
 from eqpart.equitable import (
     Coloring,
-    CompletelyRegularCode,
     PerfectStructure,
     all_one_coloring,
-    check_completely_regular,
     distance_coloring,
 )
 from eqpart.errors import EqpartError, ShapeError, StructureError
 from eqpart.graphs import Graph, hamming_graph
-from eqpart.localdist import (
-    RearrangedDistribution,
-    tensor_distribution,
-    tensor_structure,
-)
 from eqpart.ratmat import from_json
 
 # defining module -> the public names the package takes from it
@@ -49,10 +43,9 @@ EXPORTS = {
         "p_polynomials", "spec_intersection_array",
     ],
     "equitable": [
-        "Coloring", "CompletelyRegularCode", "PerfectStructure", "all_one_coloring",
-        "check_completely_regular", "coloring_from_list", "distance_coloring",
-        "fiber_coloring", "lattice_coloring", "quotient_matrix", "tensor_params",
-        "verify_structure",
+        "Coloring", "PerfectStructure", "all_one_coloring", "check_completely_regular",
+        "coloring_from_list", "distance_coloring", "fiber_coloring", "lattice_coloring",
+        "quotient_matrix", "tensor_params", "verify_structure",
     ],
     "errors": [
         "EqpartError", "NotDistanceRegularError", "NotEquitableError", "NotTridiagonalError",
@@ -60,12 +53,11 @@ EXPORTS = {
         "VertexBudgetError",
     ],
     "graphs": [
-        "DEFAULT_VERTEX_BUDGET", "Graph", "direct_product", "distances_from_set",
-        "graph_from_edges", "halved_cube", "hamming_graph", "johnson_graph", "load_graph",
+        "DEFAULT_VERTEX_BUDGET", "Graph", "direct_product", "graph_from_edges",
+        "halved_cube", "hamming_graph", "johnson_graph", "load_graph",
     ],
     "localdist": [
-        "RearrangedDistribution", "rearrange", "reconstruct_local", "tensor_distribution",
-        "tensor_structure",
+        "rearrange", "reconstruct_local", "tensor_distribution", "tensor_structure",
     ],
     "oracle": ["brute_distribution", "brute_pair_distribution"],
     "ratmat": ["RatMatrix", "tensor"],
@@ -101,6 +93,13 @@ def test_star_import_binds_every_public_name():
     assert all(namespace[name] is getattr(eqpart, name) for name in eqpart.__all__)
 
 
+def test_the_readme_library_example_runs():
+    # the python block under "## Library" in README.md, as written there
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError):
         eqpart.no_such_name
@@ -116,11 +115,6 @@ def _vertex_structure(g):
     return PerfectStructure(g, distance_coloring(g, [0]))
 
 
-def _rearranged():
-    s = _vertex_structure(H22)
-    return tensor_distribution(s, s, tensor_structure(s, s))
-
-
 # class -> (a factory called twice for two equal, separately built records;
 #           a record of the class that differs from them; one of its fields)
 RECORDS = {
@@ -130,11 +124,6 @@ RECORDS = {
         lambda: _vertex_structure(H22),
         PerfectStructure(H22, all_one_coloring(H22)),
         "values",
-    ),
-    CompletelyRegularCode: (
-        lambda: check_completely_regular(H22, [0]),
-        check_completely_regular(H22, [0, 3]),
-        "rho",
     ),
     IntersectionArray: (
         lambda: hamming_intersection_array(2, 2),
@@ -146,8 +135,6 @@ RECORDS = {
         p_polynomials(hamming_intersection_array(3, 2)),
         "polys",
     ),
-    RearrangedDistribution: (_rearranged, RearrangedDistribution(
-        from_json([[1]]), from_json([[1]]), 1, 1, 1), "h"),
 }
 
 
