@@ -14,19 +14,21 @@ The remaining functions are closed forms: distributions with respect to a
 vertex of a distance-regular graph, to the zero class of the block-sum
 coloring, to a factor fiber of a direct product, to a smaller-alphabet
 subcube, and the rearranged product distribution h* of :mod:`eqpart.localdist`.
-Each is row w = f0 p_w(T) for the polynomials p_w of an integer
-intersection array, the diagonals b, a, c of the kernel, and a matrix T:
-aS + bI, or I (x) S - R2 (x) I for h*.  Each is one kernel call, with no
-polynomial expanded, no (D+1)-square matrix built and no graph built: the
-forms over a distance-regular graph take its IntersectionArray, and a
-caller with a graph passes ``intersection_array(g)``.  Every function
-returns the rows as one RatMatrix, and the kernel is the one reader and
-checker of a first row.
+Each of the first five is row w = f0 p_w(S) for the caller's S and the
+polynomials p_w of its completely regular code's integer array: b and c in
+closed form, a completed from the degree (:func:`eqpart.ratmat.array_band`).
+h* takes I (x) S - R2 (x) I and the left factor's array.  Each is one
+kernel call, with no polynomial expanded, no (D+1)-square matrix built and
+no graph built: the forms over a distance-regular graph take its
+IntersectionArray, and a caller with a graph passes ``intersection_array(g)``.
+Every function returns the rows as one RatMatrix, and the kernel is the one
+reader and checker of a first row.
 """
 from __future__ import annotations
 
 from .errors import EqpartError, ShapeError, StructureError
-from .ratmat import RatMatrix, band, band_product, first_difference, recurrence_rows, tensor
+from .ratmat import (RatMatrix, array_band, band, band_product, first_difference,
+                     recurrence_rows, tensor)
 
 
 def _same_host(g: PerfectStructure, f: PerfectStructure) -> bool:
@@ -81,22 +83,6 @@ def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0) -> RatMatrix:
     return h
 
 
-def _hamming_band(n: int, q: int, p: int = 1) -> tuple[list[int], list[int], list[int]]:
-    """The diagonals b, a, c of the Hamming graph H(n, q/p)'s array scaled
-    by p: b_i = (n-i)(q-p), a_i = i(q-2p), c_i = p*i.
-
-    For p = 1 this is the array of H(n, q).  Scaling an array by p and the
-    polynomial argument by p leaves every p_w unchanged, so these integers
-    give the polynomials of the rational alphabet q/p at p*x."""
-    return ([(n - i) * (q - p) for i in range(n)], [i * (q - 2 * p) for i in range(n + 1)],
-            [p * i for i in range(1, n + 1)])
-
-
-def _minus(s: RatMatrix, x: int) -> RatMatrix:
-    """S - x I."""
-    return s - RatMatrix.identity(s.rows).scale(x)
-
-
 def vertex_distribution(ia: IntersectionArray, s: RatMatrix, j: int) -> RatMatrix:
     """Distribution of an S-perfect coloring with respect to any color-j
     vertex of a distance-regular graph with intersection array ``ia``:
@@ -113,26 +99,27 @@ def _check_lattice(m: int, k: int, q: int) -> None:
 
 def lattice_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to the zero class of the block-sum coloring
-    of the length-(m*k) Hamming graph: row w = f0 p_w(S/m), with the p_w of
-    the length-k Hamming graph H(k, q).
-    """
+    of the length-(m*k) Hamming graph: row w = f0 p_w(S), with the p_w of
+    that code's array b_w = m(q-1)(k-w), c_w = m w and degree mk(q-1)."""
     _check_lattice(m, k, q)
-    return recurrence_rows(f0, s / m, *_hamming_band(k, q))
+    b, c = [m * (q - 1) * (k - w) for w in range(k)], [m * w for w in range(1, k + 1)]
+    return recurrence_rows(f0, s, *array_band(b, c, m * k * (q - 1)))
 
 
 def fiber_distribution(ia: IntersectionArray, d: int, s: RatMatrix, f0) -> RatMatrix:
     """Distribution with respect to a left-factor fiber of a direct product
-    whose left factor is d-regular: row w = f0 p_w(S - d I), with the p_w of
-    the intersection array ``ia`` of the distance-regular right factor.
-    """
-    return recurrence_rows(f0, _minus(s, d), ia.b, ia.a, ia.c)
+    whose left factor is d-regular: row w = f0 p_w(S), with the p_w of the
+    fiber's array: the b_w and c_w of the distance-regular right factor's
+    array ``ia``, and degree ia.degree + d."""
+    return recurrence_rows(f0, s, *array_band(ia.b, ia.c, ia.degree + d))
 
 
 def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Fiber specialization for an m-dimensional subcube of the
-    length-(m+k) Hamming graph: shift by the subcube degree (q-1)m and use
-    the polynomials of the length-k complement H(k, q)."""
-    return recurrence_rows(f0, _minus(s, (q - 1) * m), *_hamming_band(k, q))
+    length-(m+k) Hamming graph: row w = f0 p_w(S), with the p_w of the
+    subcube's array b_w = (q-1)(k-w), c_w = w and degree (q-1)(m+k)."""
+    return recurrence_rows(f0, s, *array_band(
+        [(q - 1) * (k - w) for w in range(k)], range(1, k + 1), (q - 1) * (m + k)))
 
 
 def _check_pcube(n: int, p: int, q: int) -> None:
@@ -141,17 +128,13 @@ def _check_pcube(n: int, p: int, q: int) -> None:
 
 
 def pcube_distribution(n: int, p: int, q: int, s: RatMatrix, f0) -> RatMatrix:
-    """Distribution with respect to the same-dimension subcube over the
-    smaller alphabet {0..p-1}, p < q.
-
-    Row w = f0 p_w(S') with S' = (S - (p-1) n I) / p and p_w the Hamming
-    polynomials at the rational alphabet parameter q/p, computed as the
-    polynomials of that array scaled by p (all integers) at p S' =
-    S - (p-1) n I.  The covering radius of the subcube is n, so rows run
-    w = 0..n.
-    """
+    """Distribution with respect to the same-dimension subcube {0..p-1}^n,
+    p < q, of the length-n Hamming graph: row w = f0 p_w(S), with the p_w
+    of the subcube's array b_w = (q-p)(n-w), c_w = p w and degree (q-1)n.
+    The covering radius of the subcube is n, so rows run w = 0..n."""
     _check_pcube(n, p, q)
-    return recurrence_rows(f0, _minus(s, (p - 1) * n), *_hamming_band(n, q, p))
+    return recurrence_rows(f0, s, *array_band(
+        [(q - p) * (n - w) for w in range(n)], [p * w for w in range(1, n + 1)], (q - 1) * n))
 
 
 def star_params(r2: RatMatrix, s: RatMatrix) -> RatMatrix:

@@ -25,7 +25,7 @@ from math import comb
 from ._record import Record
 from .errors import EqpartError, NotDistanceRegularError, NotEquitableError
 from .inputs import _check_generator, read_spec
-from .ratmat import band
+from .ratmat import array_band, band, first_difference
 
 # names defined in eqpart.polys, looked up there on first access
 _POLYS_NAMES = frozenset((
@@ -85,11 +85,9 @@ class IntersectionArray(Record):
 
 
 def _array_from_bc(b: Sequence[int], c: Sequence[int]) -> IntersectionArray:
-    """Complete b_0..b_{D-1} and c_1..c_D with a_w = b_0 - b_w - c_w."""
-    d = len(b)
-    k = b[0] if b else 0
-    a = tuple(k - (b[w] if w < d else 0) - (c[w - 1] if w else 0) for w in range(d + 1))
-    return IntersectionArray(d, tuple(b), a, tuple(c))
+    """The array b_0..b_{D-1}, c_1..c_D of degree b_0, completed by array_band."""
+    b, a, c = array_band(b, c, b[0] if b else 0)
+    return IntersectionArray(len(b), tuple(b), tuple(a), tuple(c))
 
 
 def intersection_array(g: Graph) -> IntersectionArray:
@@ -100,7 +98,8 @@ def intersection_array(g: Graph) -> IntersectionArray:
     tridiagonal matrix is (c_w, a_w, b_w).  Raises NotDistanceRegularError
     with a witness pair: two vertices at one distance from a third with
     different neighbour counts per distance, or two vertices whose distance
-    partitions have different quotient matrices.
+    partitions have different quotient matrices, named by their first
+    differing entry or their two shapes.
     """
     if g.n == 0:
         raise EqpartError("empty graph")
@@ -119,8 +118,8 @@ def intersection_array(g: Graph) -> IntersectionArray:
             first = r
         elif r != first:
             raise NotDistanceRegularError(
-                (0, u), f"distance partitions with quotient matrices {first.to_strings()} and "
-                f"{r.to_strings()}"
+                (0, u), f"the quotient matrices R_0 and R_{u} of their distance partitions "
+                "differ: " + first_difference(first, r, "R_0", f"R_{u}")
             )
     c, a, b, _ = band(first)  # an integer matrix: its denominator is 1
     return IntersectionArray(len(b), tuple(b), tuple(a), tuple(c))

@@ -290,8 +290,7 @@ def class_sums(f, labels: Sequence, n_classes: int) -> RatMatrix:
 
 
 def graph_to_json(g: Graph) -> dict:
-    edges = [[u, v] for u, nbrs in enumerate(g.adj) for v in nbrs if u < v]
-    doc: dict = {"n_vertices": g.n, "edges": edges}
+    doc: dict = {"n_vertices": g.n, "edges": [list(e) for e in g.edges()]}
     if g.labels is not None:
         doc["labels"] = [list(lbl) for lbl in g.labels]
     return doc

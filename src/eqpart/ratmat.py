@@ -9,8 +9,8 @@ Sums, products, Kronecker products, reshapes, polynomial rows and the rows
 of a three-term recurrence are computed on the integer numerators, and text
 is rendered from them.  That recurrence (:func:`recurrence_rows`) is the
 one row kernel of every weight distribution; it reads a tridiagonal matrix
-as its three diagonals, an intersection array's b, a, c or the band of a
-code's quotient matrix (:func:`band`), never as a square matrix.
+as its three diagonals, a graph's or a code's array (:func:`array_band`) or
+the band of a code's quotient matrix (:func:`band`), never as a square one.
 ``fractions.Fraction`` appears only where a caller reads a scalar (``row``,
 indexing, iteration) or hands one in, and is imported there, so that a run
 which never does loads no ``fractions``.
@@ -216,12 +216,6 @@ class RatMatrix:
         num = tuple(tuple(p * x for x in row) for row in self._num)
         return RatMatrix._of(num, self._den * q)
 
-    def __truediv__(self, d: int) -> RatMatrix:
-        """This matrix over a positive integer, with no Fraction built."""
-        if type(d) is not int or d < 1:
-            raise ShapeError(f"can only divide by a positive integer, not {d!r}")
-        return RatMatrix._of(self._num, self._den * d)
-
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
@@ -361,6 +355,13 @@ def band(m: RatMatrix) -> tuple[list[int], list[int], list[int], int]:
             [num[i][i + 1] for i in range(n - 1)], m._den)
 
 
+def array_band(b: Sequence[int], c: Sequence[int], degree: int) -> tuple[list, list, list]:
+    """(b, a, c): the diagonals of the array with b_0..b_{D-1}, c_1..c_D
+    and the given degree, as :func:`recurrence_rows` reads them:
+    a_w = degree - b_w - c_w, with b_D = c_0 = 0."""
+    return list(b), [degree - x - y for x, y in zip([*b, 0], [0, *c])], list(c)
+
+
 def band_product(h: RatMatrix, b: Sequence[int], a: Sequence[int], c: Sequence[int],
                  den: int = 1) -> RatMatrix:
     """Rows 0..D-1, D = len(c) >= 1, of B H for the tridiagonal B of
@@ -383,8 +384,9 @@ def recurrence_rows(row, t: RatMatrix, b: Sequence[int], a: Sequence[int], c: Se
 
         r_0 = row,   c_{w+1} r_{w+1} = den r_w T - a_w r_w - b_{w-1} r_{w-1}.
 
-    For an intersection array (den 1) these are the rows row p_w(T) of its
-    polynomials; c_1 may differ from 1 (a scaled array).  For B = R^T, with
+    For an integer array (den 1), a graph's or a code's (:func:`array_band`),
+    these are the rows row p_w(T) of its polynomials; in a code's array c_1
+    may differ from 1.  For B = R^T, with
     R the quotient matrix of a completely regular code (:func:`band`), and T
     the parameters S of a perfect structure, they are the rows of the
     structure's distribution from its first row.  Every c_w must be nonzero;

@@ -384,6 +384,22 @@ def test_wrong_width_row_has_one_message_in_every_mode(capsys, tmp_path, mode):
     assert err == "error: row of shape (1, 1) does not fit (2, 2)\n"
 
 
+@pytest.mark.parametrize("mode", ["vertex", "lattice", "fiber", "pcube"])
+def test_a_non_square_s_has_the_kernels_message_in_every_mode(capsys, tmp_path, mode):
+    s = write(tmp_path, "s.json", [[0, 1, 0], [1, 0, 1]])
+    h1 = write(tmp_path, "h1.json", h(1))
+    row = ["--s", s, "--f0", "[1, 0]"]
+    argv = {
+        "vertex": ["distrib", "vertex", "--graph", h1, "--s", s, "--color", "0"],
+        "lattice": ["distrib", "lattice", "-m", "1", "-k", "1", "-q", "2", *row],
+        "fiber": ["distrib", "fiber", "--left", h1, "--right", h1, *row],
+        "pcube": ["distrib", "pcube", "-n", "1", "-p", "1", "-q", "2", *row],
+    }[mode]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: the recurrence needs a square matrix, got (2, 3)\n"
+
+
 # -- fuzzed JSON in every file option ------------------------------------------------
 
 # "@name" is a valid file of FUZZ_FILES; one of them is replaced by fuzzed JSON

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqpart import distributions
 from eqpart.codes import hamming_code_vertices
 from eqpart.distributions import (
     distribution,
@@ -13,10 +14,11 @@ from eqpart.distributions import (
     subcube_distribution,
     vertex_distribution,
 )
-from eqpart.drg import intersection_array
+from eqpart.drg import hamming_intersection_array, intersection_array, johnson_intersection_array
 from eqpart.equitable import (
     PerfectStructure,
     all_one_coloring,
+    check_completely_regular,
     distance_coloring,
     lattice_coloring,
     quotient_matrix,
@@ -24,7 +26,7 @@ from eqpart.equitable import (
 from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import decode_word, direct_product, hamming_graph, johnson_graph
 from eqpart.oracle import brute_distribution
-from eqpart.ratmat import RatMatrix, from_json
+from eqpart.ratmat import RatMatrix, band, from_json, recurrence_rows
 
 from helpers import reconstruction_polynomials, rows_by_matrix_polynomials
 
@@ -350,3 +352,89 @@ def test_pcube_distribution_matches_oracle(n, p, q):
             f0[f.colors[v]] += 1
         dist = pcube_distribution(n, p, q, s, f0)
         assert dist == brute_distribution(g, code, f)
+
+
+# -- every closed form: the kernel on its code's array and S itself -------------
+
+
+def kernel_calls(monkeypatch):
+    """The (T, b, a, c) of every kernel call a closed form makes."""
+    calls = []
+
+    def recording(row, t, b, a, c, den=1):
+        calls.append((t, list(b), list(a), list(c)))
+        return recurrence_rows(row, t, b, a, c, den)
+
+    monkeypatch.setattr(distributions, "recurrence_rows", recording)
+    return calls
+
+
+FORMS = {
+    "vertex": lambda s, f0: vertex_distribution(hamming_intersection_array(3, 2), s, 0),
+    "lattice": lambda s, f0: lattice_distribution(2, 3, 3, s, f0),
+    "fiber": lambda s, f0: fiber_distribution(johnson_intersection_array(5, 2), 2, s, f0),
+    "subcube": lambda s, f0: subcube_distribution(2, 3, 3, s, f0),
+    "pcube": lambda s, f0: pcube_distribution(3, 2, 3, s, f0),
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_every_closed_form_hands_the_kernel_s_itself(monkeypatch, form):
+    calls = kernel_calls(monkeypatch)
+    s = from_json([["1/2", 1], [3, "-2/3"]])
+    FORMS[form](s, [1, "1/3"])
+    assert len(calls) == 1 and calls[0][0] is s
+
+
+def code_array(g, code):
+    """b, a, c of a completely regular code, read off its quotient matrix R."""
+    b, a, c, _ = band(check_completely_regular(g, code).transpose())
+    return b, a, c
+
+
+def hamming_words(n, q, keep):
+    g = hamming_graph(n, q)
+    return g, [v for v in range(g.n) if keep(decode_word(v, n, q))]
+
+
+@pytest.mark.parametrize("case", [
+    ("vertex", (johnson_graph(5, 2),)), ("vertex", (hamming_graph(3, 3),)),
+    ("lattice", (1, 3, 2)), ("lattice", (2, 2, 2)), ("lattice", (2, 1, 3)), ("lattice", (3, 1, 2)),
+    ("fiber", (hamming_graph(1, 2), hamming_graph(2, 3))),
+    ("fiber", (johnson_graph(4, 2), johnson_graph(5, 2))),
+    ("subcube", (1, 2, 3)), ("subcube", (2, 2, 2)), ("subcube", (2, 1, 3)),
+    ("pcube", (2, 2, 3)), ("pcube", (3, 1, 2)), ("pcube", (2, 1, 3)), ("pcube", (2, 2, 4)),
+], ids=lambda case: case[0] + "-" + ",".join(getattr(x, "name", str(x)) for x in case[1]))
+def test_every_closed_form_runs_on_the_array_of_its_code(monkeypatch, case):
+    form, args = case
+    calls = kernel_calls(monkeypatch)
+    s = from_json([[1]])
+    if form == "vertex":
+        (g,) = args
+        code = [0]
+        vertex_distribution(intersection_array(g), s, 0)
+    elif form == "lattice":
+        lat = lattice_coloring(*args)
+        g, code = lat.graph, lat.class_vertices(0)
+        lattice_distribution(*args, s, [1])
+    elif form == "fiber":
+        left, right = args
+        g = direct_product(left, right)
+        code = [v1 * right.n for v1 in range(left.n)]
+        fiber_distribution(intersection_array(right), left.degree(0), s, [1])
+    elif form == "subcube":
+        m, k, q = args
+        g, code = hamming_words(m + k, q, lambda word: not any(word[m:]))
+        subcube_distribution(m, k, q, s, [1])
+    else:
+        n, p, q = args
+        g, code = hamming_words(n, q, lambda word: max(word) < p)
+        pcube_distribution(n, p, q, s, [1])
+    assert tuple(calls[0][1:]) == code_array(g, code)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_non_square_s_has_the_kernels_message_in_every_form(form):
+    with pytest.raises(ShapeError) as exc:
+        FORMS[form](from_json([[0, 1, 0], [1, 0, 1]]), [1, 0])
+    assert str(exc.value) == "the recurrence needs a square matrix, got (2, 3)"

@@ -94,6 +94,24 @@ def test_intersection_array_rejects_non_drg():
     assert 0 <= u < 6 and 0 <= v < 6
 
 
+def test_different_quotient_matrices_are_named_by_their_first_difference():
+    # K_{1,3}: every vertex is a completely regular code, but the centre's
+    # distance partition has two cells and a leaf's three
+    star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(NotDistanceRegularError) as err:
+        intersection_array(star)
+    assert err.value.witness == (0, 1)
+    assert str(err.value) == (
+        "graph is not distance-regular (witness pair (0, 1)): the quotient matrices R_0 and "
+        "R_1 of their distance partitions differ: R_0 has shape (2, 2), R_1 (3, 3)"
+    )
+    # K_{2,3}: both sides have three cells, and degrees 3 and 2
+    k23 = graph_from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+    with pytest.raises(NotDistanceRegularError) as err:
+        intersection_array(k23)
+    assert str(err.value).endswith("differ: first difference at row 0, column 1: R_0 3, R_2 2")
+
+
 def test_intersection_array_validation():
     with pytest.raises(EqpartError):
         IntersectionArray(1, (2,), (0, 0), (1,))  # row sums break

@@ -255,6 +255,8 @@ def test_graph_json_roundtrip():
     assert prod.same_adjacency(hamming_graph(2, 2))
 
     doc = graph_to_json(hamming_graph(2, 2))
+    assert doc == {"n_vertices": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
+                   "labels": [[0, 0], [0, 1], [1, 0], [1, 1]]}
     again = load_graph(doc)
     assert again.same_adjacency(hamming_graph(2, 2))
     with pytest.raises(EqpartError):
