@@ -50,7 +50,6 @@ _EXPORTS = {
         "EqpartError",
         "NotDistanceRegularError",
         "NotEquitableError",
-        "NotTridiagonalError",
         "ReconstructionError",
         "ShapeError",
         "StructureError",

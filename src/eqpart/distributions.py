@@ -1,4 +1,5 @@
-"""Weight distributions of perfect structures.
+"""Weight distributions of perfect structures, and the one row kernel that
+computes them.
 
 The pairwise distribution of two perfect structures f (params S) and g
 (params R) over the same host is the matrix g^T f; it is itself a perfect
@@ -7,8 +8,12 @@ nonzero superdiagonal, every row of such a structure follows from the first
 one by a three-term recurrence: this is how the distribution of a
 completely regular code follows from its quotient matrix and the counts of
 each colour over the code.  One row kernel computes those rows
-(:func:`eqpart.ratmat.recurrence_rows`) from the three diagonals alone, and
-an identity read off the same band certifies them on every call.
+(:func:`recurrence_rows`) on the integer numerators of
+:class:`eqpart.ratmat.RatMatrix`.  It reads a tridiagonal matrix as its
+three diagonals, never as a square one: a graph's or a code's array
+(:func:`array_band`) or the band of a code's quotient matrix
+(:func:`band`), and an identity read off the same band
+(:func:`band_product`) certifies the rows on every call.
 
 The remaining functions are closed forms: distributions with respect to a
 vertex of a distance-regular graph, to the zero class of the block-sum
@@ -16,7 +21,7 @@ coloring, to a factor fiber of a direct product, to a smaller-alphabet
 subcube, and the rearranged product distribution h* of :mod:`eqpart.localdist`.
 Each of the first five is row w = f0 p_w(S) for the caller's S and the
 polynomials p_w of its completely regular code's integer array: b and c in
-closed form, a completed from the degree (:func:`eqpart.ratmat.array_band`).
+closed form, a completed from the degree (:func:`array_band`).
 h* takes I (x) S - R2 (x) I and the left factor's array.  Each is one
 kernel call, with no polynomial expanded, no (D+1)-square matrix built and
 no graph built: the forms over a distance-regular graph take its
@@ -26,9 +31,113 @@ reader and checker of a first row.
 """
 from __future__ import annotations
 
-from .errors import EqpartError, ShapeError, StructureError
-from .ratmat import (RatMatrix, array_band, band, band_product, first_difference,
-                     recurrence_rows, tensor)
+from collections.abc import Sequence
+from math import gcd, lcm
+from operator import mul
+
+from .errors import EqpartError, ReconstructionError, ShapeError, StructureError
+from .ratmat import RatMatrix, _text, first_difference, tensor
+
+# -- the row kernel ---------------------------------------------------------
+
+
+def band(m: RatMatrix) -> tuple[list[int], list[int], list[int], int]:
+    """(b, a, c, den): the sub-, main and superdiagonal numerators of a
+    square matrix B over its denominator, as :func:`recurrence_rows` reads
+    them.  Rows 0..n-2 of B, the rows that recurrence reads, must vanish off
+    those three diagonals; a nonzero entry there raises ReconstructionError
+    naming it."""
+    if not m.is_square():
+        raise ShapeError(f"reconstruction matrix must be square, got {m.shape()}")
+    num, n = m._num, m.rows
+    for i in range(n - 1):
+        for j, x in enumerate(num[i]):
+            if x and abs(i - j) > 1:
+                side = "above the superdiagonal" if j > i else "below the subdiagonal"
+                raise ReconstructionError(f"entry ({i},{j}) = {_text(x, m._den)} {side}")
+    return ([num[i + 1][i] for i in range(n - 1)], [num[i][i] for i in range(n)],
+            [num[i][i + 1] for i in range(n - 1)], m._den)
+
+
+def array_band(b: Sequence[int], c: Sequence[int], degree: int) -> tuple[list, list, list]:
+    """(b, a, c): the diagonals of the array with b_0..b_{D-1}, c_1..c_D
+    and the given degree, as :func:`recurrence_rows` reads them:
+    a_w = degree - b_w - c_w, with b_D = c_0 = 0."""
+    return list(b), [degree - x - y for x, y in zip([*b, 0], [0, *c])], list(c)
+
+
+def band_product(h: RatMatrix, b: Sequence[int], a: Sequence[int], c: Sequence[int],
+                 den: int = 1) -> RatMatrix:
+    """Rows 0..D-1, D = len(c) >= 1, of B H for the tridiagonal B of
+    :func:`recurrence_rows`, read from its band:
+    row i = (b_{i-1} h_{i-1} + a_i h_i + c_{i+1} h_{i+1}) / den."""
+    num = h._num
+    # at i = 0 the coefficient b_{-1} = 0 meets row -1, the last row of H
+    out = tuple(
+        tuple(x * u + y * v + z * w for u, v, w in zip(num[i - 1], num[i], num[i + 1]))
+        for i, (x, y, z) in enumerate(zip((0, *b), a, c))
+    )
+    return RatMatrix._of(out, h._den * den)
+
+
+def recurrence_rows(row, t: RatMatrix, b: Sequence[int], a: Sequence[int], c: Sequence[int],
+                    den: int = 1) -> RatMatrix:
+    """Rows r_0..r_D, D = len(c), of the three-term recurrence of the
+    tridiagonal matrix B with subdiagonal b_0..b_{D-1}, diagonal a_0..a_D and
+    superdiagonal c_1..c_D, integer numerators over the positive ``den``:
+
+        r_0 = row,   c_{w+1} r_{w+1} = den r_w T - a_w r_w - b_{w-1} r_{w-1}.
+
+    For an integer array (den 1), a graph's or a code's (:func:`array_band`),
+    these are the rows row p_w(T) of its polynomials; in a code's array c_1
+    may differ from 1.  For B = R^T, with
+    R the quotient matrix of a completely regular code (:func:`band`), and T
+    the parameters S of a perfect structure, they are the rows of the
+    structure's distribution from its first row.  Every c_w must be nonzero;
+    a_D enters no row.  Each row costs one vector-matrix product and two
+    combinations, reduced after every step; no matrix of B is built."""
+    depth = len(c)
+    if len(b) != depth or len(a) != depth + 1:
+        raise ShapeError(f"array lengths ({len(b)},{len(a)},{depth}) do not fit together")
+    if not t.is_square():
+        raise ShapeError(f"the recurrence needs a square matrix, got {t.shape()}")
+    if not isinstance(row, RatMatrix):
+        row = RatMatrix.row_vector(row)
+    if row.rows != 1 or row.cols != t.rows:
+        raise ShapeError(f"row of shape {row.shape()} does not fit {t.shape()}")
+    cols = list(zip(*t._num))
+    dt = t._den
+    rows = [(row._num[0], row._den)]
+    for w, cw in enumerate(c):
+        if not cw:
+            raise ReconstructionError(f"superdiagonal entry ({w},{w + 1}) is zero")
+        cur, d = rows[w]
+        # den r_w T - a_w r_w, over d * dt
+        aw = a[w] * dt
+        acc = [den * sum(map(mul, cur, col)) - aw * x for col, x in zip(cols, cur)]
+        d *= dt
+        if w:
+            # minus b_{w-1} r_{w-1}, over the lcm of the two denominators
+            prev, dp = rows[w - 1]
+            g = gcd(d, dp)
+            s1, s2 = dp // g, b[w - 1] * (d // g)
+            acc = [x * s1 - s2 * y for x, y in zip(acc, prev)]
+            d *= s1
+        # over c_{w+1}, with its sign moved to the numerators
+        if cw < 0:
+            acc = [-x for x in acc]
+        d *= abs(cw)
+        g = gcd(d, *acc)
+        if g != 1:
+            acc = [x // g for x in acc]
+            d //= g
+        rows.append((acc, d))
+    den = lcm(*(d for _, d in rows))
+    num = tuple(tuple(v) if d == den else tuple(x * (den // d) for x in v) for v, d in rows)
+    return RatMatrix._of(num, den)
+
+
+# -- distributions ----------------------------------------------------------
 
 
 def _same_host(g: PerfectStructure, f: PerfectStructure) -> bool:
@@ -60,9 +169,9 @@ def distribution(g: PerfectStructure, f: PerfectStructure) -> RatMatrix:
 def reconstruct_from_first_row(b: RatMatrix, s: RatMatrix, h0) -> RatMatrix:
     """All B.rows rows of a perfect structure over a tridiagonal ``b`` from
     its first row: B[i,i+1] h_{i+1} = h_i S - B[i,i] h_i - B[i,i-1] h_{i-1},
-    by the row kernel :func:`eqpart.ratmat.recurrence_rows` on B's band.
+    by the row kernel :func:`recurrence_rows` on B's band.
     A nonzero entry off the band, in the rows the recurrence reads, raises
-    ReconstructionError naming it (:func:`eqpart.ratmat.band`).
+    ReconstructionError naming it (:func:`band`).
 
     The rows are then certified on the band, independently of the kernel:
     row 0 must be h0, and B[:n-1] H = H[:n-1] S must hold.  With h0 fixed
@@ -114,10 +223,17 @@ def fiber_distribution(ia: IntersectionArray, d: int, s: RatMatrix, f0) -> RatMa
     return recurrence_rows(f0, s, *array_band(ia.b, ia.c, ia.degree + d))
 
 
+def _check_subcube(m: int, k: int, q: int) -> None:
+    # H(m+k, q) must be a graph; m = 0 (a vertex) and k = 0 (the whole cube) are subcubes
+    if m < 0 or k < 0 or m + k < 1 or q < 2:
+        raise EqpartError(f"needs m, k >= 0, m + k >= 1 and q >= 2, got m={m}, k={k}, q={q}")
+
+
 def subcube_distribution(m: int, k: int, q: int, s: RatMatrix, f0) -> RatMatrix:
     """Fiber specialization for an m-dimensional subcube of the
     length-(m+k) Hamming graph: row w = f0 p_w(S), with the p_w of the
     subcube's array b_w = (q-1)(k-w), c_w = w and degree (q-1)(m+k)."""
+    _check_subcube(m, k, q)
     return recurrence_rows(f0, s, *array_band(
         [(q - 1) * (k - w) for w in range(k)], range(1, k + 1), (q - 1) * (m + k)))
 

@@ -25,7 +25,8 @@ from math import comb
 from ._record import Record
 from .errors import EqpartError, NotDistanceRegularError, NotEquitableError
 from .inputs import _check_generator, read_spec
-from .ratmat import array_band, band, first_difference
+from .distributions import array_band, band
+from .ratmat import first_difference
 
 # names defined in eqpart.polys, looked up there on first access
 _POLYS_NAMES = frozenset((

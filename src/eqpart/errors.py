@@ -71,10 +71,6 @@ class NotDistanceRegularError(EqpartError, ValueError):
         super().__init__(msg)
 
 
-class NotTridiagonalError(EqpartError, ValueError):
-    """A quotient matrix expected to be tridiagonal is not."""
-
-
 class StructureError(EqpartError, ValueError):
     """A claimed perfect structure fails its defining equation."""
 

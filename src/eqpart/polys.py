@@ -7,8 +7,8 @@ the degree-w polynomials of the three-term recurrence
     c_{w+1} * p_{w+1}(x) = (x - a_w) * p_w(x) - b_{w-1} * p_{w-1}(x).
 
 No distribution expands these polynomials: every one runs the recurrence
-on rows (:func:`eqpart.ratmat.recurrence_rows`), and no function of this
-package calls into this module.  It stays for two readers.  The ``drg.poly``
+on rows (:func:`eqpart.distributions.recurrence_rows`), and no function of
+this package calls into this module.  It stays for two readers.  The ``drg.poly``
 layer of the benchmark's tracer (``perfbench/tracer.py``) wraps
 ``p_polynomials``, ``krawtchouk_p_polynomials``, ``krawtchouk`` and
 ``eberlein``, looked up as names of :mod:`eqpart.drg`, which resolves every

@@ -5,12 +5,10 @@ common denominator, in canonical form: the gcd of the denominator and every
 numerator is 1, so a zero matrix has denominator 1 and an integer matrix is
 plain integer rows over 1.  Two matrices are equal exactly when their
 reduced rational entries are, and that is a comparison of the stored form.
-Sums, products, Kronecker products, reshapes, polynomial rows and the rows
-of a three-term recurrence are computed on the integer numerators, and text
-is rendered from them.  That recurrence (:func:`recurrence_rows`) is the
-one row kernel of every weight distribution; it reads a tridiagonal matrix
-as its three diagonals, a graph's or a code's array (:func:`array_band`) or
-the band of a code's quotient matrix (:func:`band`), never as a square one.
+Sums, products, Kronecker products, reshapes and polynomial rows are
+computed on the integer numerators, and text is rendered from them.  The
+row kernel of every weight distribution, which reads the same numerators,
+is in :mod:`eqpart.distributions` (:func:`eqpart.distributions.recurrence_rows`).
 ``fractions.Fraction`` appears only where a caller reads a scalar (``row``,
 indexing, iteration) or hands one in, and is imported there, so that a run
 which never does loads no ``fractions``.
@@ -26,7 +24,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .errors import ReconstructionError, ShapeError
+from .errors import ShapeError
 
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -335,99 +333,3 @@ def first_difference(x: RatMatrix, y: RatMatrix, left: str, right: str) -> str:
                 for j, (u, v) in enumerate(zip(rx, ry)) if u * dy != v * dx)
     return (f"first difference at row {i}, column {j}: "
             f"{left} {_text(x._num[i][j], dx)}, {right} {_text(y._num[i][j], dy)}")
-
-
-def band(m: RatMatrix) -> tuple[list[int], list[int], list[int], int]:
-    """(b, a, c, den): the sub-, main and superdiagonal numerators of a
-    square matrix B over its denominator, as :func:`recurrence_rows` reads
-    them.  Rows 0..n-2 of B, the rows that recurrence reads, must vanish off
-    those three diagonals; a nonzero entry there raises ReconstructionError
-    naming it."""
-    if not m.is_square():
-        raise ShapeError(f"reconstruction matrix must be square, got {m.shape()}")
-    num, n = m._num, m.rows
-    for i in range(n - 1):
-        for j, x in enumerate(num[i]):
-            if x and abs(i - j) > 1:
-                side = "above the superdiagonal" if j > i else "below the subdiagonal"
-                raise ReconstructionError(f"entry ({i},{j}) = {_text(x, m._den)} {side}")
-    return ([num[i + 1][i] for i in range(n - 1)], [num[i][i] for i in range(n)],
-            [num[i][i + 1] for i in range(n - 1)], m._den)
-
-
-def array_band(b: Sequence[int], c: Sequence[int], degree: int) -> tuple[list, list, list]:
-    """(b, a, c): the diagonals of the array with b_0..b_{D-1}, c_1..c_D
-    and the given degree, as :func:`recurrence_rows` reads them:
-    a_w = degree - b_w - c_w, with b_D = c_0 = 0."""
-    return list(b), [degree - x - y for x, y in zip([*b, 0], [0, *c])], list(c)
-
-
-def band_product(h: RatMatrix, b: Sequence[int], a: Sequence[int], c: Sequence[int],
-                 den: int = 1) -> RatMatrix:
-    """Rows 0..D-1, D = len(c) >= 1, of B H for the tridiagonal B of
-    :func:`recurrence_rows`, read from its band:
-    row i = (b_{i-1} h_{i-1} + a_i h_i + c_{i+1} h_{i+1}) / den."""
-    num = h._num
-    # at i = 0 the coefficient b_{-1} = 0 meets row -1, the last row of H
-    out = tuple(
-        tuple(x * u + y * v + z * w for u, v, w in zip(num[i - 1], num[i], num[i + 1]))
-        for i, (x, y, z) in enumerate(zip((0, *b), a, c))
-    )
-    return RatMatrix._of(out, h._den * den)
-
-
-def recurrence_rows(row, t: RatMatrix, b: Sequence[int], a: Sequence[int], c: Sequence[int],
-                    den: int = 1) -> RatMatrix:
-    """Rows r_0..r_D, D = len(c), of the three-term recurrence of the
-    tridiagonal matrix B with subdiagonal b_0..b_{D-1}, diagonal a_0..a_D and
-    superdiagonal c_1..c_D, integer numerators over the positive ``den``:
-
-        r_0 = row,   c_{w+1} r_{w+1} = den r_w T - a_w r_w - b_{w-1} r_{w-1}.
-
-    For an integer array (den 1), a graph's or a code's (:func:`array_band`),
-    these are the rows row p_w(T) of its polynomials; in a code's array c_1
-    may differ from 1.  For B = R^T, with
-    R the quotient matrix of a completely regular code (:func:`band`), and T
-    the parameters S of a perfect structure, they are the rows of the
-    structure's distribution from its first row.  Every c_w must be nonzero;
-    a_D enters no row.  Each row costs one vector-matrix product and two
-    combinations, reduced after every step; no matrix of B is built."""
-    depth = len(c)
-    if len(b) != depth or len(a) != depth + 1:
-        raise ShapeError(f"array lengths ({len(b)},{len(a)},{depth}) do not fit together")
-    if not t.is_square():
-        raise ShapeError(f"the recurrence needs a square matrix, got {t.shape()}")
-    if not isinstance(row, RatMatrix):
-        row = RatMatrix.row_vector(row)
-    if row.rows != 1 or row.cols != t.rows:
-        raise ShapeError(f"row of shape {row.shape()} does not fit {t.shape()}")
-    cols = list(zip(*t._num))
-    dt = t._den
-    rows = [(row._num[0], row._den)]
-    for w, cw in enumerate(c):
-        if not cw:
-            raise ReconstructionError(f"superdiagonal entry ({w},{w + 1}) is zero")
-        cur, d = rows[w]
-        # den r_w T - a_w r_w, over d * dt
-        aw = a[w] * dt
-        acc = [den * sum(map(mul, cur, col)) - aw * x for col, x in zip(cols, cur)]
-        d *= dt
-        if w:
-            # minus b_{w-1} r_{w-1}, over the lcm of the two denominators
-            prev, dp = rows[w - 1]
-            g = gcd(d, dp)
-            s1, s2 = dp // g, b[w - 1] * (d // g)
-            acc = [x * s1 - s2 * y for x, y in zip(acc, prev)]
-            d *= s1
-        # over c_{w+1}, with its sign moved to the numerators
-        if cw < 0:
-            acc = [-x for x in acc]
-        d *= abs(cw)
-        g = gcd(d, *acc)
-        if g != 1:
-            acc = [x // g for x in acc]
-            d //= g
-        rows.append((acc, d))
-    den = lcm(*(d for _, d in rows))
-    num = tuple(tuple(v) if d == den else tuple(x * (den // d) for x in v) for v, d in rows)
-    return RatMatrix._of(num, den)

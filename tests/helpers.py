@@ -4,7 +4,8 @@ Everything here is deliberately primitive: breadth-first search, direct
 counting, integer arithmetic, and Fraction-level polynomials and matrices.
 Nothing imports the row kernel or the distribution code it is used to
 check.  The polynomial route of first-row reconstruction lives here as the
-reference the kernel (``eqpart.ratmat.recurrence_rows``) is checked against.
+reference the kernel (``eqpart.distributions.recurrence_rows``) is checked
+against.
 """
 from __future__ import annotations
 

@@ -356,7 +356,8 @@ def test_closed_stdout_exits_1_with_an_error(tmp_path):
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait() == 1
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -6,11 +6,13 @@ import pytest
 from eqpart import distributions
 from eqpart.codes import hamming_code_vertices
 from eqpart.distributions import (
+    band,
     distribution,
     fiber_distribution,
     lattice_distribution,
     pcube_distribution,
     reconstruct_from_first_row,
+    recurrence_rows,
     subcube_distribution,
     vertex_distribution,
 )
@@ -26,7 +28,7 @@ from eqpart.equitable import (
 from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import decode_word, direct_product, hamming_graph, johnson_graph
 from eqpart.oracle import brute_distribution
-from eqpart.ratmat import RatMatrix, band, from_json, recurrence_rows
+from eqpart.ratmat import RatMatrix, from_json
 
 from helpers import reconstruction_polynomials, rows_by_matrix_polynomials
 
@@ -304,6 +306,14 @@ def test_subcube_distribution_smallest_case():
     generic = fiber_distribution(intersection_array(hamming_graph(1, 2)), 1, from_json([[2]]),
                                   [2])
     assert dist == generic
+
+
+@pytest.mark.parametrize("m,k,q", [(1, 1, 1), (-3, 2, 2), (1, -1, 2), (0, 0, 2)])
+def test_subcube_distribution_rejects_parameters_of_no_hamming_graph(m, k, q):
+    with pytest.raises(EqpartError) as exc:
+        subcube_distribution(m, k, q, from_json([[2]]), [2])
+    assert str(exc.value) == (f"needs m, k >= 0, m + k >= 1 and q >= 2, "
+                              f"got m={m}, k={k}, q={q}")
 
 
 @pytest.mark.parametrize("m,k,q", [(1, 1, 2), (1, 2, 3), (2, 2, 2), (2, 1, 3)])

@@ -48,9 +48,8 @@ EXPORTS = {
         "quotient_matrix", "tensor_params", "verify_structure",
     ],
     "errors": [
-        "EqpartError", "NotDistanceRegularError", "NotEquitableError", "NotTridiagonalError",
-        "ReconstructionError", "ShapeError", "StructureError", "UnreachableVertexError",
-        "VertexBudgetError",
+        "EqpartError", "NotDistanceRegularError", "NotEquitableError", "ReconstructionError",
+        "ShapeError", "StructureError", "UnreachableVertexError", "VertexBudgetError",
     ],
     "graphs": [
         "DEFAULT_VERTEX_BUDGET", "Graph", "direct_product", "graph_from_edges",

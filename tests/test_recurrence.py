@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from eqpart.cli import main
 from eqpart import distributions
 from eqpart.distributions import (
+    band,
     pcube_distribution,
     reconstruct_from_first_row,
+    recurrence_rows,
     vertex_distribution,
 )
 from eqpart.drg import (
@@ -38,7 +40,7 @@ from eqpart.equitable import (
 )
 from eqpart.errors import EqpartError, ReconstructionError, ShapeError, StructureError
 from eqpart.graphs import graph_from_edges, hamming_graph
-from eqpart.ratmat import RatMatrix, band, recurrence_rows
+from eqpart.ratmat import RatMatrix
 
 from helpers import rows_by_matrix_polynomials, rows_by_polynomials
 

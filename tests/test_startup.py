@@ -30,14 +30,14 @@ STRUCTURE_MODULES = {"eqpart.equitable", "eqpart.localdist", "eqpart.oracle", "e
                      "eqpart.selftest"}
 
 
-def loaded_by(*argv) -> set[str]:
-    """The modules a CLI run with ``argv`` imports; the run must exit 0."""
+def loaded_by(*argv, exit_code=0) -> set[str]:
+    """The modules a CLI run with ``argv`` imports; the run must exit with ``exit_code``."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
     )
     report = json.loads(proc.stderr.splitlines()[-1])
-    assert report["exit"] == 0, proc.stderr
+    assert report["exit"] == exit_code, proc.stderr
     return set(report["loaded"])
 
 
@@ -52,6 +52,9 @@ def runs(tmp_path_factory):
     weights.write_text(json.dumps({"graph": json.loads(h4.read_text()),
                                    "colors": [bin(v).count("1") for v in range(16)]}))
     code.write_text("[0, 15]")
+    structure = tmp / "t4.json"
+    structure.write_text(json.dumps({"graph": json.loads(h4.read_text()), "f": [[1]] * 16,
+                                     "s": [[4]]}))
     j84, one = tmp / "j84.json", tmp / "one.json"
     j84.write_text('{"gen": "johnson", "n": 8, "k": 4}')
     one.write_text("[[1]]")
@@ -65,6 +68,7 @@ def runs(tmp_path_factory):
                                         "colors": [bin(v).count("1") for v in range(64)]}))
     return {
         "help": loaded_by("--help"),
+        "usage_error": loaded_by("distrib", "lattice", "-m", "2", "-k", "x", exit_code=2),
         "lattice": loaded_by("distrib", "lattice", "-m", "2", "-k", "2", "-q", "2",
                              "--s", str(s), "--f0", "[1, 0]"),
         "pcube": loaded_by("distrib", "pcube", "-n", "3", "-p", "1", "-q", "2",
@@ -76,6 +80,7 @@ def runs(tmp_path_factory):
         "vertex_oracle": loaded_by("distrib", "vertex", "--graph", str(h4), "--coloring",
                                    str(weights), "--color", "1", "--verify-oracle"),
         "quotient": loaded_by("quotient", "--graph", str(h4), "--coloring", str(weights)),
+        "verify": loaded_by("verify", "--structure", str(structure)),
         "oracle": loaded_by("oracle", "--graph", str(h4), "--code", str(code),
                             "--coloring", str(weights)),
         "local_params": loaded_by("local", "params", "--left", str(h3_weights),
@@ -102,10 +107,32 @@ def test_help_loads_only_the_cli_and_the_errors(runs):
     assert loaded <= {"eqpart", "eqpart.cli", "eqpart.errors"}
 
 
+def test_a_usage_error_loads_only_the_cli_and_the_errors(runs):
+    # no eqpart.commands: argparse stops before main imports the handlers
+    loaded = eqpart_modules(runs["usage_error"])
+    assert "eqpart" in loaded
+    assert loaded <= {"eqpart", "eqpart.cli", "eqpart.errors"}
+
+
 def test_graph_free_lattice_loads_no_structure_module(runs):
     loaded = eqpart_modules(runs["lattice"])
     assert "eqpart.distributions" in loaded
     assert not loaded & STRUCTURE_MODULES
+
+
+@pytest.mark.parametrize("run", ["lattice", "pcube"])
+def test_graph_free_lattice_and_pcube_load_the_handlers_kernel_and_matrices_only(runs, run):
+    # the CLI runs as __main__: no eqpart.cli either, which would compile cli.py twice
+    assert eqpart_modules(runs[run]) == {"eqpart", "eqpart.commands", "eqpart.errors",
+                                         "eqpart.distributions", "eqpart.ratmat"}
+
+
+@pytest.mark.parametrize("run", ["quotient", "verify", "crc-check", "oracle"])
+def test_graph_only_commands_load_no_distribution_or_array_code(runs, run):
+    # the row kernel lives in eqpart.distributions, and drg imports it from there
+    loaded = runs[run]
+    assert "eqpart.commands" in loaded
+    assert not loaded & {"eqpart.distributions", "eqpart.drg"}
 
 
 @pytest.mark.parametrize("run", ["help", "lattice"])
